@@ -80,13 +80,6 @@ class BivarPoly:
     def __hash__(self):
         return hash((self.p, tuple(sorted(self.terms.items()))))
 
-    def scaled_matches(self, other) -> bool:
-        """True when self equals a nonzero F_p multiple of other."""
-        for u in range(1, self.p):
-            if self == other * u:
-                return True
-        return False
-
     # -- views ------------------------------------------------------------------
 
     def y_coeffs(self):

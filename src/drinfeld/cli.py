@@ -150,33 +150,51 @@ def _render_residual_rows(rows, config, out):
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
+def _reject_float(text):
+    raise ParseError(f"bad ore payload: {text} is not an integer")
+
+
+def _ore_inputs(op, payload):
+    """The operands of an ore op, read from its JSON payload."""
+    if op in ("mul", "divmod"):
+        return OrePoly.from_dict(payload["a"]), OrePoly.from_dict(payload["b"])
+    f = OrePoly.from_dict(payload["f"])
+    if op == "eval":
+        xfield = (FField.from_dict(payload["x_field"])
+                  if "x_field" in payload else f.field)
+        return f, xfield.element(payload["x"])
+    ext_degree = payload.get("ext_degree", 1)
+    if not isinstance(ext_degree, int):
+        raise TypeError("ext_degree must be an integer")
+    return f, ext_degree
+
+
 def _cmd_ore(args, config, stdin, out):
-    payload = json.loads(_read_payload(args.json, stdin))
+    payload = json.loads(_read_payload(args.json, stdin),
+                         parse_float=_reject_float)
     op = args.op
+    try:
+        inputs = _ore_inputs(op, payload)
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"bad ore payload: {exc}") from exc
     if op == "mul":
-        a = OrePoly.from_dict(payload["a"])
-        b = OrePoly.from_dict(payload["b"])
+        a, b = inputs
         out.write(_dump_json((a * b).to_dict()))
     elif op == "divmod":
-        a = OrePoly.from_dict(payload["a"])
-        b = OrePoly.from_dict(payload["b"])
+        a, b = inputs
         side = payload.get("side", "left")
         q, r = (ore_divmod_left(a, b) if side == "left"
                 else ore_divmod_right(a, b))
         out.write(_dump_json({"q": q.to_dict(), "r": r.to_dict(),
                               "side": side}))
     elif op == "eval":
-        f = OrePoly.from_dict(payload["f"])
-        xfield = (FField.from_dict(payload["x_field"])
-                  if "x_field" in payload else f.field)
-        x = xfield.element(payload["x"])
+        f, x = inputs
         out.write(_dump_json({"value": ore_eval(f, x).to_list()}))
     elif op == "kernel":
-        f = OrePoly.from_dict(payload["f"])
+        f, ext_degree = inputs
         from .finitefield import extension_of
 
-        ext, _ = extension_of(f.field, payload.get("ext_degree", 1),
-                              config.seed)
+        ext, _ = extension_of(f.field, ext_degree, config.seed)
         ker = ore_kernel(f, ext)
         out.write(_dump_json({
             "field": ext.to_dict(),

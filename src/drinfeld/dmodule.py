@@ -7,7 +7,7 @@ the constants c in F_q as multiplication by c^(p^twist).
 
 from __future__ import annotations
 
-from .errors import FieldMismatch
+from .errors import FieldMismatch, Reducible
 from .finitefield import FFElem, FField, ff_embed, ff_make
 from .ore import OrePoly
 from .upoly import UPoly, minimal_polynomial, upoly_irreducible
@@ -112,7 +112,9 @@ class DrinfeldModule:
                                    self.const_embedding)
             if self.twist:
                 m = m.map_coeffs(lambda c: c.p_root(self.twist))
-            assert upoly_irreducible(m)
+            if not upoly_irreducible(m):
+                raise Reducible(f"characteristic polynomial {m.to_text()} "
+                                "is reducible")
             self._char_poly = m
         return self._char_poly
 

@@ -8,10 +8,12 @@ tuples of ints.
 
 from __future__ import annotations
 
+import operator
+
 from . import linalg
 from .errors import (BoundExceeded, DivisionByZero, FieldMismatch,
-                     NoEmbedding, NotFound, NotPrime)
-from .intutil import factorize, is_prime
+                     NoEmbedding, NotFound, NotPrime, Reducible)
+from .intutil import _power, factorize, is_prime
 
 FIELD_SIZE_LIMIT = 2 ** 40
 SCAN_LIMIT = 2 ** 21  # cap for exhaustive element enumeration
@@ -75,14 +77,8 @@ def _pgcd(a, b, p):
 
 
 def _ppowmod(a, e, m, p):
-    result = (1,)
-    base = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        e >>= 1
-    return result
+    return _power(_pmod(a, m, p), e, (1,),
+                  lambda u, v: _pmod(_pmul(u, v, p), m, p))
 
 
 def _pirreducible(f, p):
@@ -110,7 +106,7 @@ def _pirreducible(f, p):
 class FField:
     """The finite field with p**n elements."""
 
-    __slots__ = ("p", "n", "modulus", "size", "_red", "_frob_matrix")
+    __slots__ = ("p", "n", "modulus", "size", "_red")
 
     def __init__(self, p, n, modulus):
         if not is_prime(p):
@@ -134,7 +130,6 @@ class FField:
             red.append(cur + (0,) * (n - len(cur)))
             cur = self._shift_reduce(cur)
         self._red = tuple(red)
-        self._frob_matrix = None
 
     def _shift_reduce(self, c):
         shifted = (0,) + tuple(c)
@@ -185,7 +180,8 @@ class FField:
         if not any(a):
             raise DivisionByZero("inverse of zero")
         g, s = self._xgcd_mod(_trim(a))
-        assert g == (1,)
+        if g != (1,):
+            raise Reducible("element shares a factor with the modulus")
         return tuple(s[i] if i < len(s) else 0 for i in range(self.n))
 
     def _xgcd_mod(self, a):
@@ -242,20 +238,18 @@ class FField:
         for k in range(self.size):
             yield self.from_encoding(k)
 
-    def frobenius_matrix(self):
-        """Matrix of x -> x^p on the power basis, columns over F_p."""
-        if self._frob_matrix is None:
-            xp = _ppowmod((0, 1) if self.n > 1 else (0,), self.p,
-                          self.modulus, self.p)
-            cols = []
-            cur = (1,)
-            for _ in range(self.n):
-                cols.append(tuple(cur[i] if i < len(cur) else 0
-                                  for i in range(self.n)))
-                cur = _pmod(_pmul(cur, xp, self.p), self.modulus, self.p)
-            self._frob_matrix = [[cols[j][i] for j in range(self.n)]
-                                 for i in range(self.n)]
-        return self._frob_matrix
+    def span(self, basis):
+        """The F_p-span of the given elements, sorted by encoding."""
+        add = self._add
+        points = [(0,) * self.n]
+        for b in basis:
+            multiples = [b.coeffs]
+            for _ in range(2, self.p):
+                multiples.append(add(multiples[-1], b.coeffs))
+            points = points + [add(q, s) for s in multiples for q in points]
+        elems = [FFElem(self, t) for t in points]
+        elems.sort(key=FFElem.encode)
+        return elems
 
     def subfield_elements(self, m: int):
         """All elements of the subfield with p**m elements, sorted by encoding."""
@@ -263,23 +257,19 @@ class FField:
             raise NoEmbedding(f"no subfield of degree {m} in degree {self.n}")
         if self.p ** m > SCAN_LIMIT:
             raise BoundExceeded("subfield too large to enumerate")
-        frob_m = linalg.mat_pow(self.frobenius_matrix(), m, self.p)
-        rows = [[(frob_m[i][j] - (1 if i == j else 0)) % self.p
-                 for j in range(self.n)] for i in range(self.n)]
+        # the subfield is the kernel of Frob^m - 1; column j is g^j - x^j
+        g = self.element([0, 1]).p_power(m)
+        cols, gj = [], self.one
+        for j in range(self.n):
+            cols.append([(c - (i == j)) % self.p
+                         for i, c in enumerate(gj.coeffs)])
+            gj = gj * g
+        rows = [list(row) for row in zip(*cols)]
         basis = linalg.nullspace(rows, self.p)
-        assert len(basis) == m
-        points = [(0,) * self.n]
-        for b in basis:
-            bt = tuple(b)
-            scaled = []
-            acc = bt
-            for _ in range(1, self.p):
-                scaled.append(acc)
-                acc = self._add(acc, bt)
-            points = points + [self._add(q, s) for s in scaled for q in points]
-        elems = [FFElem(self, t) for t in points]
-        elems.sort(key=lambda e: e.encode())
-        return elems
+        if len(basis) != m:
+            raise NoEmbedding(f"fixed space of Frob^{m} has dimension "
+                              f"{len(basis)}, not {m}")
+        return self.span([FFElem(self, tuple(b)) for b in basis])
 
     # -- misc -----------------------------------------------------------------
 
@@ -301,10 +291,6 @@ class FField:
 
     def __repr__(self):
         return f"FField(p={self.p}, n={self.n})"
-
-
-class FieldMismatchError(Exception):
-    pass
 
 
 class FFElem:
@@ -358,23 +344,11 @@ class FFElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, self.field.one, operator.mul)
 
     def p_power(self, i: int):
         """Frobenius power x -> x^(p^i)."""
-        i %= self.field.n
-        if i == 0:
-            return self
-        m = linalg.mat_pow(self.field.frobenius_matrix(), i, self.field.p)
-        return FFElem(self.field, tuple(linalg.mat_vec(m, list(self.coeffs),
-                                                       self.field.p)))
+        return self ** (self.field.p ** (i % self.field.n))
 
     def p_root(self, i: int):
         """Unique p^i-th root (the field is perfect)."""

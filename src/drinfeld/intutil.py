@@ -1,4 +1,4 @@
-"""Small integer-arithmetic helpers: primality and factorization."""
+"""Small integer-arithmetic helpers: primality, factorization, powering."""
 
 from __future__ import annotations
 
@@ -84,3 +84,22 @@ def crt_int(r1: int, m1: int, r2: int, m2: int):
     # lift r1 by a multiple of m1 landing in r2's class
     step = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
     return ((r1 + step * m1) % lcm, lcm)
+
+
+def _power(x, e: int, one, mul):
+    """x**e for e >= 0 by left-to-right square-and-multiply.
+
+    Never multiplies by `one` and never squares past the last bit, so x**2
+    costs one product.  `mul` should look the product up at call time
+    (e.g. operator.mul) so wrappers installed on the class see every call.
+    """
+    if e < 0:
+        raise ValueError("negative exponent")
+    if not e:
+        return one
+    result = x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result

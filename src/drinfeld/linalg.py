@@ -3,41 +3,6 @@
 from __future__ import annotations
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b, p):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] = (oi[j] + v * bk[j]) % p
-    return out
-
-
-def mat_pow(m, e, p):
-    n = len(m)
-    acc = identity(n)
-    base = [row[:] for row in m]
-    while e:
-        if e & 1:
-            acc = mat_mul(acc, base, p)
-        base = mat_mul(base, base, p)
-        e >>= 1
-    return acc
-
-
-def mat_vec(m, v, p):
-    return [sum(mi[j] * v[j] for j in range(len(v))) % p for mi in m]
-
-
 def rref(rows, p):
     """Row-reduce in place (on a copy); returns (matrix, pivot column list)."""
     m = [row[:] for row in rows]
@@ -79,10 +44,6 @@ def nullspace(rows, p):
             v[pc] = (-reduced[r][fc]) % p
         basis.append(v)
     return basis
-
-
-def rank(rows, p) -> int:
-    return len(rref(rows, p)[1])
 
 
 def solve(rows, rhs, p):

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dmodule import DrinfeldModule
-from .torsion import dm_frobenius_matrix, dm_torsion, matrix_det_mod
-from .upoly import UPoly
+from .torsion import dm_frobenius_matrix, dm_torsion
+from .upoly import UPoly, upoly_det
 
 
 @dataclass(frozen=True)
@@ -42,22 +42,7 @@ class MotiveMatrix:
             for row in self.entries)
 
     def det(self) -> UPoly:
-        return _det(self.entries, self.module.L)
-
-
-def _det(rows, L):
-    r = len(rows)
-    if r == 1:
-        return rows[0][0]
-    total = UPoly.zero(L)
-    for j in range(r):
-        entry = rows[0][j]
-        if entry.is_zero():
-            continue
-        minor = tuple(tuple(row[:j] + row[j + 1:]) for row in rows[1:])
-        term = entry * _det(minor, L)
-        total = total - term if j % 2 else total + term
-    return total
+        return upoly_det(self.entries)
 
 
 @dataclass(frozen=True)
@@ -119,8 +104,8 @@ def verify_tate_det(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
     Both sides are computed independently through the torsion machinery.
     """
     T = dm_torsion(E, ell, n, cap=cap, seed=seed)
-    lhs = matrix_det_mod(dm_frobenius_matrix(T), T.modulus)
+    lhs = upoly_det(dm_frobenius_matrix(T)) % T.modulus
     D = det_drinfeld(E)
     TD = dm_torsion(D, ell, n, cap=cap, seed=seed)
-    rhs = matrix_det_mod(dm_frobenius_matrix(TD), TD.modulus)
+    rhs = upoly_det(dm_frobenius_matrix(TD)) % TD.modulus
     return lhs == rhs

@@ -7,10 +7,13 @@ over the prime field.
 
 from __future__ import annotations
 
+import operator
+
 from . import linalg
 from .errors import (BoundExceeded, DivisionByZero, FieldMismatch,
                      Inseparable, NotFound, ZeroPolynomial)
 from .finitefield import FFElem, FField, extension_of, ff_embed
+from .intutil import _power
 
 NEG_INF = float("-inf")
 
@@ -101,15 +104,14 @@ class OrePoly:
             return OrePoly.zero(self.field)
         p = self.field.p
         out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        # tau^i * c = c^(p^i) * tau^i; row i is row i-1 raised to the p
+        twisted = other.coeffs
         for i, a in enumerate(self.coeffs):
+            if i:
+                twisted = [c ** p for c in twisted]
             if not a:
                 continue
-            # tau^i * c = c^(p^i) * tau^i
-            twisted = other.coeffs
-            cur = list(twisted)
-            for _ in range(i):
-                cur = [c ** p for c in cur]
-            for j, b in enumerate(cur):
+            for j, b in enumerate(twisted):
                 if b:
                     out[i + j] = out[i + j] + a * b
         return OrePoly(self.field, out)
@@ -118,14 +120,7 @@ class OrePoly:
         return self._coerce(other) * self
 
     def __pow__(self, e: int):
-        result = OrePoly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, OrePoly.one(self.field), operator.mul)
 
     def __eq__(self, other):
         if isinstance(other, (int, FFElem)):
@@ -244,16 +239,7 @@ class KernelSpace:
     def __init__(self, field, basis):
         self.field = field
         self.basis = tuple(basis)
-        pts = [field.zero]
-        for b in self.basis:
-            scaled = []
-            acc = b
-            for _ in range(1, field.p):
-                scaled.append(acc)
-                acc = acc + b
-            pts = pts + [q + s for s in scaled for q in pts]
-        pts.sort(key=lambda e: e.encode())
-        self.points = tuple(pts)
+        self.points = tuple(field.span(self.basis))
 
     @property
     def dim(self):
@@ -270,21 +256,11 @@ class KernelSpace:
 
 
 def _kernel_basis(f: OrePoly, ext: FField):
-    emb = ff_embed(f.field, ext)
-    coeffs = [emb(c) for c in f.coeffs]
-    p, n = ext.p, ext.n
-    cols = []
-    for j in range(n):
-        x = ext.from_encoding(p ** j)
-        acc = ext.zero
-        power = x
-        for i, c in enumerate(coeffs):
-            if i:
-                power = power ** p
-            if c:
-                acc = acc + c * power
-        cols.append(acc.coeffs)
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
+    g = f.map_field(ff_embed(f.field, ext))
+    p = ext.p
+    cols = [ore_eval(g, ext.from_encoding(p ** j)).coeffs
+            for j in range(ext.n)]
+    rows = [list(row) for row in zip(*cols)]
     return [ext.element(v) for v in linalg.nullspace(rows, p)]
 
 

@@ -15,7 +15,7 @@ from .errors import (CapExceeded, CharacteristicIdeal, InsufficientModulus,
                      NotFound)
 from .finitefield import extension_of
 from .ore import ore_eval, ore_kernel, ore_splitting_degree, separable_part
-from .upoly import UPoly, upoly_crt, upoly_gcd, upoly_irreducible
+from .upoly import UPoly, upoly_crt, upoly_det, upoly_gcd, upoly_irreducible
 
 _TORSION_CACHE: dict = {}
 BASIS_RETRY_LIMIT = 100
@@ -38,10 +38,10 @@ class TorsionModule:
     """E[l^n] with a certified A/l^n-basis of size r."""
 
     __slots__ = ("module", "ell", "n", "ext", "embedding", "points", "basis",
-                 "residues", "coords", "_phi_t_ext", "_scalars")
+                 "residues", "coords", "_phi_t_ext")
 
     def __init__(self, module, ell, n, ext, embedding, points, basis,
-                 residues, coords, phi_t_ext, scalars):
+                 residues, coords, phi_t_ext):
         self.module = module
         self.ell = ell
         self.n = n
@@ -52,7 +52,6 @@ class TorsionModule:
         self.residues = residues
         self.coords = coords
         self._phi_t_ext = phi_t_ext
-        self._scalars = scalars
 
     @property
     def modulus(self) -> UPoly:
@@ -60,22 +59,6 @@ class TorsionModule:
 
     def t_action(self, x):
         return ore_eval(self._phi_t_ext, x)
-
-    def scalar_action(self, rep: UPoly, x):
-        """Apply the operator of a residue representative to a torsion point."""
-        width = self.n * self.ell.deg
-        w = x
-        acc = self.ext.zero
-        for k in range(width):
-            c = rep.coeff(k)
-            if c:
-                acc = acc + self._scalars[c.encode()] * w
-            if k + 1 < width:
-                w = self.t_action(w)
-        return acc
-
-    def coordinates(self, x):
-        return self.coords[x]
 
     def frobenius_matrix(self):
         """Matrix of x -> x^|L| on the basis, entries in A/l^n."""
@@ -95,23 +78,6 @@ class TorsionModule:
     def __repr__(self):
         return (f"TorsionModule(l={self.ell.to_text()}, n={self.n}, "
                 f"|points|={len(self.points)})")
-
-
-def matrix_det_mod(matrix, modulus: UPoly) -> UPoly:
-    """Determinant over A/(modulus) by Laplace expansion (small sizes)."""
-    r = len(matrix)
-    if r == 1:
-        return matrix[0][0] % modulus
-    base = modulus.base
-    total = UPoly.zero(base)
-    for j in range(r):
-        entry = matrix[0][j]
-        if entry.is_zero():
-            continue
-        minor = tuple(tuple(row[:j] + row[j + 1:]) for row in matrix[1:])
-        term = (entry * matrix_det_mod(minor, modulus)) % modulus
-        total = total - term if j % 2 else total + term
-    return total % modulus
 
 
 def _validate_ell(E: DrinfeldModule, ell: UPoly):
@@ -198,7 +164,7 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
     coords = {pt: tuple(residues[i] for i in idxs)
               for pt, idxs in span.items()}
     T = TorsionModule(E, ell, n, ext, emb, points, tuple(basis), residues,
-                      coords, phi_t_ext, scalars)
+                      coords, phi_t_ext)
     _TORSION_CACHE[key] = T
     return T
 
@@ -206,7 +172,7 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
 def dm_frobenius_matrix(T: TorsionModule):
     """Matrix of the base-field Frobenius on T's basis; must be invertible."""
     m = T.frobenius_matrix()
-    det = matrix_det_mod(m, T.modulus)
+    det = upoly_det(m) % T.modulus
     if upoly_gcd(det, T.ell).deg != 0:
         raise RuntimeError("Frobenius matrix is singular modulo l")
     return m
@@ -319,7 +285,7 @@ def dm_frobenius_norm(E: DrinfeldModule, primes, cap: int = 12, seed: int = 0,
     for ell, n in primes:
         T = dm_torsion(E, ell, n, cap=cap, seed=seed)
         mat = dm_frobenius_matrix(T)
-        det = matrix_det_mod(mat, T.modulus)
+        det = upoly_det(mat) % T.modulus
         residues.append((ell, n, mat, det))
         entries.append((det, ell ** n))
 
@@ -355,10 +321,3 @@ def dm_frobenius_norm(E: DrinfeldModule, primes, cap: int = 12, seed: int = 0,
                            s_exact=s, s_monic=s.monic(),
                            independence=independence, degree_ok=degree_ok,
                            char_divides=char_divides, char_power=char_power)
-
-
-def _product(entries):
-    acc = entries[0][1]
-    for _, m in entries[1:]:
-        acc = acc * m
-    return acc

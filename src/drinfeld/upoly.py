@@ -7,11 +7,13 @@ uniformly.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import (BoundExceeded, DivisionByZero, FieldMismatch,
                      NonCoprimeModuli, ParseError, ZeroPolynomial)
 from .finitefield import FFElem, FField, FieldEmbedding, ff_embed
+from .intutil import _power
 
 NEG_INF = float("-inf")
 
@@ -133,14 +135,7 @@ class UPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        result = UPoly.one(self.base)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, UPoly.one(self.base), operator.mul)
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -284,14 +279,21 @@ def upoly_crt(residues) -> UPoly:
 
 
 def upoly_powmod(a: UPoly, e: int, m: UPoly) -> UPoly:
-    result = UPoly.one(a.base)
-    base = a % m
-    while e:
-        if e & 1:
-            result = (result * base) % m
-        base = (base * base) % m
-        e >>= 1
-    return result
+    return _power(a % m, e, UPoly.one(a.base), lambda u, v: (u * v) % m)
+
+
+def upoly_det(rows) -> UPoly:
+    """Exact determinant of a square matrix of UPoly, by Laplace expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = UPoly.zero(rows[0][0].base)
+    for j, entry in enumerate(rows[0]):
+        if entry.is_zero():
+            continue
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = entry * upoly_det(minor)
+        total = total - term if j % 2 else total + term
+    return total
 
 
 def upoly_irreducible(f: UPoly) -> bool:

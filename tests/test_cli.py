@@ -49,6 +49,19 @@ def test_ore_divmod_and_eval():
     assert code == 0 and json.loads(out)["value"] == [0, 0]
 
 
+def test_ore_bad_payload_is_parse_error():
+    f4 = {"p": 2, "n": 2, "modulus": [1, 1, 1]}
+    op = {"field": f4, "coeffs": [[0, 1], [1, 0]]}
+    for argv, payload, key in ((["ore", "mul"], {"a": op}, "'b'"),
+                               (["ore", "eval"], {"f": op}, "'x'")):
+        code, out = run_cli(argv, json.dumps(payload))
+        assert code == 2
+        assert json.loads(out) == {"error": f"bad ore payload: {key}"}
+    for x in ("w", [0.5, 1]):
+        code, out = run_cli(["ore", "eval"], json.dumps({"f": op, "x": x}))
+        assert code == 2 and "bad ore payload" in json.loads(out)["error"]
+
+
 def test_ore_kernel():
     payload = json.dumps({
         "f": {"field": {"p": 2, "n": 2, "modulus": [1, 1, 1]},

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from drinfeld import FField, extension_of, ff_embed, ff_generator, ff_make
 from drinfeld.errors import BoundExceeded, NoEmbedding, NotPrime
-from drinfeld.intutil import factorize
+from drinfeld.intutil import _power, factorize
 
 
 def test_prime_field_modulus_is_x():
@@ -158,3 +159,51 @@ def test_p_power_and_root_are_inverse(F9):
         x = F9.from_encoding(k)
         assert x.p_power(1).p_root(1) == x
         assert x.p_power(1) == x ** 3
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (2, 8)])
+def test_power_matches_repeated_multiplication(p, n):
+    F = ff_make(p, n, 0)
+    rng = random.Random(n)
+    for x in [F.zero, F.one] + [F.from_encoding(rng.randrange(F.size))
+                                for _ in range(4)]:
+        acc = F.one
+        for e in range(71):
+            assert x ** e == acc
+            assert _power(x, e, F.one, operator.mul) == acc
+            acc = acc * x
+
+
+@pytest.mark.parametrize("p, n", [(2, 8), (3, 4)])
+def test_p_power_is_frobenius_and_p_root_undoes_it(p, n):
+    F = ff_make(p, n, 0)
+    rng = random.Random(p)
+    for x in [F.gen] + [F.from_encoding(rng.randrange(F.size))
+                        for _ in range(6)]:
+        for i in range(n + 1):
+            assert x.p_power(i) == x ** (p ** i)
+            assert x.p_power(i).p_root(i) == x
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_subfield_elements_match_exhaustive_scan(m):
+    F = ff_make(2, 6, 0)
+    fixed = [x for x in F.elements() if x ** (2 ** m) == x]
+    assert F.subfield_elements(m) == fixed
+
+
+def test_squaring_and_cubing_cost_one_and_two_products(monkeypatch):
+    F = ff_make(2, 8, 0)
+    calls = []
+    mul = FField._mul
+
+    def counting(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FField, "_mul", counting)
+    x = F.from_encoding(77)
+    x ** 2
+    assert len(calls) == 1
+    x ** 3
+    assert len(calls) == 3

@@ -205,3 +205,15 @@ def test_eval_requires_registered_embedding(F4):
     F8 = ff_make(2, 3, 0)
     with pytest.raises(NoEmbedding):
         ore_eval(OrePoly(F4, [F4.gen, F4.one]), F8.gen)
+
+
+def test_power_matches_repeated_multiplication(F4):
+    w = F4.gen
+    for a in (OrePoly(F4, [w, F4.one]), OrePoly(F4, [F4.zero, w]),
+              OrePoly.one(F4)):
+        acc = OrePoly.one(F4)
+        for e in range(71):
+            assert a ** e == acc
+            acc = acc * a
+        with pytest.raises(ValueError):
+            a ** -1

@@ -5,7 +5,7 @@ from drinfeld import (DrinfeldModule, OrePoly, UPoly, dm_frobenius_matrix,
                       torsion_point_count)
 from drinfeld.errors import (CapExceeded, CharacteristicIdeal,
                              InsufficientModulus)
-from drinfeld.torsion import matrix_det_mod
+from drinfeld.upoly import upoly_det
 
 
 def _mat_mul_mod(a, b, mod):
@@ -126,7 +126,15 @@ def test_determinant_helper(F2):
     mod = t ** 3
     one, zero = UPoly.one(F2), UPoly.zero(F2)
     m = ((t % mod, one), (one, zero))
-    assert matrix_det_mod(m, mod) == (t * zero - one * one) % mod
+    assert upoly_det(m) % mod == (t * zero - one * one) % mod
+    # 3x3: expand along the first row by hand
+    a, b, c = t + 1, t * t, one
+    m3 = ((a, b, c), (one, t, zero), (t, one, t + 1))
+    by_hand = (a * (t * (t + 1) - zero * one)
+               - b * (one * (t + 1) - zero * t)
+               + c * (one * one - t * t))
+    assert upoly_det(m3) == by_hand
+    assert upoly_det(m3) % mod == by_hand % mod
 
 
 def test_points_closed_under_module_actions(F2, carlitz_f4):

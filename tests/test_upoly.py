@@ -8,7 +8,8 @@ from drinfeld import (UPoly, ff_make, minimal_polynomial, monic_irreducibles,
                       parse_upoly, upoly_crt, upoly_gcd, upoly_irreducible,
                       upoly_roots, upoly_xgcd)
 from drinfeld.errors import NonCoprimeModuli, ZeroPolynomial
-from drinfeld.upoly import NEG_INF, lagrange_interpolate, upoly_resultant
+from drinfeld.upoly import (NEG_INF, lagrange_interpolate, upoly_powmod,
+                            upoly_resultant)
 
 
 def _rand_poly(field, rng, max_deg):
@@ -149,3 +150,14 @@ def test_resultant_vanishes_iff_common_root(F4):
     assert not upoly_resultant(f, g)
     h = x - w * w
     assert upoly_resultant(f, h)
+
+
+def test_powmod_matches_repeated_multiplication(F3):
+    m = parse_upoly("t^4+2*t+2", F3)
+    a = parse_upoly("2*t^5+t^2+1", F3)
+    b = parse_upoly("t+2", F3)
+    acc, acc_b = UPoly.one(F3), UPoly.one(F3)
+    for e in range(71):
+        assert upoly_powmod(a, e, m) == acc % m
+        assert b ** e == acc_b
+        acc, acc_b = (acc * a) % m, acc_b * b
