@@ -19,16 +19,17 @@ from .bivar import parse_bivar
 from .dmodule import DrinfeldModule, dm_characteristic
 from .errors import BadReduction, DrinfeldError, ParseError
 from .family import DrinfeldFamily, carlitz_family
-from .finitefield import FField, ff_make
+from .finitefield import FField, extension_of, ff_make
 from .frobrec import (classify_frobenius_bivariate, recover_monomial_exponent,
                       theorem_frob_res)
 from .motive import det_drinfeld, motive_det, verify_tate_det
 from .ore import (OrePoly, ore_divmod_left, ore_divmod_right, ore_eval,
                   ore_kernel)
 from .ratfunc import parse_ratfunc
-from .reports import family_norm_table, residual_table
-from .torsion import dm_frobenius_matrix, dm_torsion
-from .upoly import UPoly, parse_upoly
+from .reports import choose_prime_sets, family_norm_table, residual_table
+from .torsion import (FrobeniusReport, dm_frobenius_matrix,
+                      dm_frobenius_norm, dm_torsion)
+from .upoly import UPoly, parse_upoly, upoly_gcd
 
 
 @dataclass
@@ -55,8 +56,19 @@ def _poly_arg(text, base, var="t") -> UPoly:
     stripped = text.strip()
     if stripped.startswith("["):
         data = json.loads(stripped)
+        flat = [v for c in data for v in (c if isinstance(c, list) else [c])]
+        if not all(isinstance(v, int) for v in flat):
+            raise ParseError(f"bad coefficient list: {stripped}")
         return UPoly(base, [base.element(c) for c in data])
     return parse_upoly(stripped, base, var)
+
+
+def _required(args, name):
+    """A per-op option, which argparse cannot mark as required."""
+    value = getattr(args, name)
+    if value is None:
+        raise ParseError(f"{args.command} {args.op} needs --{name}")
+    return value
 
 
 def _load_family(args, stdin) -> DrinfeldFamily:
@@ -89,8 +101,6 @@ def _render_norm_rows(rows, config, out):
     all_ok = True
     if config.fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
-        from .torsion import FrobeniusReport
-
         writer.writerow(FrobeniusReport.CSV_HEADER)
         for prime, rep in rows:
             if isinstance(rep, str):
@@ -192,8 +202,6 @@ def _cmd_ore(args, config, stdin, out):
         out.write(_dump_json({"value": ore_eval(f, x).to_list()}))
     elif op == "kernel":
         f, ext_degree = inputs
-        from .finitefield import extension_of
-
         ext, _ = extension_of(f.field, ext_degree, config.seed)
         ker = ore_kernel(f, ext)
         out.write(_dump_json({
@@ -207,14 +215,14 @@ def _cmd_ore(args, config, stdin, out):
 def _cmd_drinfeld(args, config, stdin, out):
     E = _load_module(args, stdin, config.seed)
     if args.op == "phi":
-        a = _poly_arg(args.a, E.constants, "t")
+        a = _poly_arg(_required(args, "a"), E.constants, "t")
         theta, char = dm_characteristic(E)
         out.write(_dump_json({"phi": E.phi(a).to_dict(),
                               "delta": E.delta(a).to_list(),
                               "char": char.to_text()}))
         return 0
     if args.op == "torsion":
-        ell = _poly_arg(args.ell, E.constants, "t")
+        ell = _poly_arg(_required(args, "ell"), E.constants, "t")
         T = dm_torsion(E, ell, args.n, cap=config.extension_cap,
                        seed=config.seed)
         out.write(_dump_json({
@@ -231,14 +239,9 @@ def _cmd_drinfeld(args, config, stdin, out):
                 text, _, power = chunk.partition(":")
                 primes.append((_poly_arg(text, E.constants, "t"),
                                int(power) if power else 1))
-            from .torsion import dm_frobenius_norm
-
             rep = dm_frobenius_norm(E, primes, cap=config.extension_cap,
                                     seed=config.seed)
         else:
-            from .reports import choose_prime_sets
-            from .torsion import dm_frobenius_norm
-
             set1, set2 = choose_prime_sets(E, cap=config.extension_cap,
                                            seed=config.seed)
             rep = dm_frobenius_norm(E, set1 + set2,
@@ -280,7 +283,7 @@ def _cmd_motive(args, config, stdin, out):
             "psi_t": psi.to_dict()}))
         return 0
     if args.op == "verify-tate-det":
-        ell = _poly_arg(args.ell, E.constants, "t")
+        ell = _poly_arg(_required(args, "ell"), E.constants, "t")
         results = {}
         ok = True
         for n in range(1, args.n + 1):
@@ -296,14 +299,12 @@ def _cmd_motive(args, config, stdin, out):
 def _cmd_frobrec(args, config, stdin, out):
     base = ff_make(args.p, 1, config.seed)
     if args.op == "classify":
-        P = parse_bivar(args.poly, args.p)
+        P = parse_bivar(_required(args, "poly"), args.p)
         cls = classify_frobenius_bivariate(P, seed=config.seed)
         out.write(_dump_json(cls.to_dict()))
         return 0
     if args.op == "recover-monomial":
-        from .upoly import upoly_gcd
-
-        num = parse_upoly(args.num, base, "X")
+        num = parse_upoly(_required(args, "num"), base, "X")
         den = parse_upoly(args.den, base, "X")
         g = upoly_gcd(num, den)
         if g.deg > 0:
@@ -312,8 +313,10 @@ def _cmd_frobrec(args, config, stdin, out):
         out.write(_dump_json({"n": n, "ok": n is not None}))
         return 0 if n is not None else 1
     if args.op == "theorem":
-        gens = [parse_ratfunc(g, base, "u") for g in args.gens.split(",")]
-        images = [parse_ratfunc(g, base, "u") for g in args.images.split(",")]
+        gens = [parse_ratfunc(g, base, "u")
+                for g in _required(args, "gens").split(",")]
+        images = [parse_ratfunc(g, base, "u")
+                  for g in _required(args, "images").split(",")]
         decision = theorem_frob_res(gens, images, seed=config.seed)
         out.write(_dump_json(decision.to_dict()))
         return 0 if decision.ok else 1

@@ -118,10 +118,6 @@ class DrinfeldModule:
             self._char_poly = m
         return self._char_poly
 
-    def frobenius(self, x: FFElem) -> FFElem:
-        """The |L|-power Frobenius on any extension of L."""
-        return x ** self.L.size
-
     # -- misc --------------------------------------------------------------------
 
     def cache_key(self):

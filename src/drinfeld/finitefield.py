@@ -117,7 +117,7 @@ class FField:
         if p ** n > FIELD_SIZE_LIMIT:
             raise BoundExceeded(f"p^n = {p**n} exceeds {FIELD_SIZE_LIMIT}")
         if not _pirreducible(modulus, p):
-            raise ValueError("modulus is reducible")
+            raise Reducible("modulus is reducible")
         self.p = p
         self.n = n
         self.modulus = modulus
@@ -404,21 +404,20 @@ def ff_make(p: int, n: int, seed: int = 0) -> FField:
         raise NotPrime(f"{p} is not prime")
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if p ** n > FIELD_SIZE_LIMIT:
-        raise BoundExceeded(f"p^n = {p**n} exceeds {FIELD_SIZE_LIMIT}")
     span = p ** n
     for j in range(span):
-        low = (seed + j) % span
         digits = []
-        k = low
+        k = (seed + j) % span
         for _ in range(n):
             digits.append(k % p)
             k //= p
-        candidate = tuple(digits) + (1,)
-        if _pirreducible(candidate, p):
-            field = FField(p, n, candidate)
-            _FIELD_CACHE[key] = field
-            return field
+        # FField checks the size bound and the irreducibility of each candidate
+        try:
+            field = FField(p, n, tuple(digits) + (1,))
+        except Reducible:
+            continue
+        _FIELD_CACHE[key] = field
+        return field
     raise NotFound(span)  # pragma: no cover - irreducibles always exist
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 import operator
 
 from . import linalg
-from .errors import (BoundExceeded, DivisionByZero, FieldMismatch,
-                     Inseparable, NotFound, ZeroPolynomial)
-from .finitefield import FFElem, FField, extension_of, ff_embed
+from .errors import (DivisionByZero, FieldMismatch, Inseparable, NotFound,
+                     ZeroPolynomial)
+from .finitefield import FIELD_SIZE_LIMIT, FFElem, FField, ff_embed
 from .intutil import _power
 
 NEG_INF = float("-inf")
@@ -255,43 +255,40 @@ class KernelSpace:
         return x in set(self.points)
 
 
-def _kernel_basis(f: OrePoly, ext: FField):
+def ore_kernel(f: OrePoly, ext: FField) -> KernelSpace:
+    """All roots of f in ext, with an F_p-basis; |kernel| divides p^deg."""
+    if f.is_zero():
+        raise ZeroPolynomial("kernel of the zero operator is everything")
     g = f.map_field(ff_embed(f.field, ext))
     p = ext.p
     cols = [ore_eval(g, ext.from_encoding(p ** j)).coeffs
             for j in range(ext.n)]
     rows = [list(row) for row in zip(*cols)]
-    return [ext.element(v) for v in linalg.nullspace(rows, p)]
+    return KernelSpace(ext, [ext.element(v)
+                             for v in linalg.nullspace(rows, p)])
 
 
-def ore_kernel(f: OrePoly, ext: FField) -> KernelSpace:
-    """All roots of f in ext, with an F_p-basis; |kernel| divides p^deg."""
-    if f.is_zero():
-        raise ZeroPolynomial("kernel of the zero operator is everything")
-    return KernelSpace(ext, _kernel_basis(f, ext))
+def ore_splitting_degree(f: OrePoly, cap: int) -> int:
+    """Minimal extension degree of the base field where f has p^deg roots.
 
-
-def ore_kernel_dim(f: OrePoly, ext: FField) -> int:
-    if f.is_zero():
-        raise ZeroPolynomial("kernel of the zero operator is everything")
-    return len(_kernel_basis(f, ext))
-
-
-def ore_splitting_degree(f: OrePoly, cap: int, seed: int = 0) -> int:
-    """Minimal extension degree of the base field where f has p^deg roots."""
+    A separable f splits in F_{p^N} exactly when it right-divides tau^N - 1,
+    so this is the least m with tau^(n m) = 1 mod f, where n = [L : F_p].
+    """
     if f.is_zero():
         raise ZeroPolynomial("zero operator")
     if not f.constant():
         raise Inseparable("vanishing constant term: kernel cannot be full")
-    want = f.deg
+    L = f.field
+    step = OrePoly.tau(L, L.n)
+    # 1 mod f, which is 0 when f is a nonzero constant and splits at once
+    r = r0 = ore_divmod_left(OrePoly.one(L), f)[1]
     for m in range(1, cap + 1):
-        try:
-            ext, _ = extension_of(f.field, m, seed)
-        except BoundExceeded:
+        if L.size ** m > FIELD_SIZE_LIMIT:
             # the desk-scale field bound acts as an effective cap
             raise NotFound(m - 1,
                            f"extension degree {m} leaves the desk scale")
-        if ore_kernel_dim(f, ext) == want:
+        r = ore_divmod_left(step * r, f)[1]
+        if r == r0:
             return m
     raise NotFound(cap, f"no full kernel within extension degree {cap}")
 

@@ -107,7 +107,7 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
     lam = ell ** n
     phi_lam = E.phi(lam)
     try:
-        m = ore_splitting_degree(phi_lam, cap, seed)
+        m = ore_splitting_degree(phi_lam, cap)
     except NotFound as exc:
         raise CapExceeded(
             f"splitting degree of E[{lam.to_text()}] exceeds {cap}") from exc
@@ -178,8 +178,7 @@ def dm_frobenius_matrix(T: TorsionModule):
     return m
 
 
-def torsion_point_count(E: DrinfeldModule, a: UPoly, cap: int = 12,
-                        seed: int = 0):
+def torsion_point_count(E: DrinfeldModule, a: UPoly, cap: int = 12):
     """|E[a]| and the extension degree where it is attained.
 
     Works for any nonzero a, including powers of the characteristic ideal:
@@ -189,7 +188,7 @@ def torsion_point_count(E: DrinfeldModule, a: UPoly, cap: int = 12,
     g, _ = separable_part(phi_a)
     if g.deg == 0:
         return 1, 1
-    m = ore_splitting_degree(g, cap, seed)
+    m = ore_splitting_degree(g, cap)
     return E.p ** g.deg, m
 
 

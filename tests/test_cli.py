@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from drinfeld.cli import main
 
 CARLITZ_FAMILY = '{"p":2,"e":1,"r":1,"delta":[[0],[1]],"coeffs":[[[1]]]}'
@@ -190,6 +192,31 @@ def test_parse_error_exit_code():
     code, out = run_cli(["type2", "report"], "not json")
     assert code == 2
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["drinfeld", "torsion", "--module", "-"], "drinfeld torsion needs --ell"),
+    (["motive", "verify-tate-det", "--module", "-"],
+     "motive verify-tate-det needs --ell"),
+    (["drinfeld", "phi", "--module", "-"], "drinfeld phi needs --a"),
+    (["frobrec", "classify", "--p", "2"], "frobrec classify needs --poly"),
+    (["frobrec", "recover-monomial", "--p", "2"],
+     "frobrec recover-monomial needs --num"),
+    (["frobrec", "theorem", "--p", "2", "--images", "u"],
+     "frobrec theorem needs --gens"),
+    (["frobrec", "theorem", "--p", "2", "--gens", "u"],
+     "frobrec theorem needs --images"),
+    (["drinfeld", "torsion", "--module", "-", "--ell", '["a"]'],
+     'bad coefficient list: ["a"]'),
+    (["drinfeld", "phi", "--module", "-", "--a", "[1, [0.5]]"],
+     "bad coefficient list: [1, [0.5]]"),
+    (["drinfeld", "frobnorm", "--module", "-", "--primes", "[[[1]]]"],
+     "bad coefficient list: [[[1]]]"),
+])
+def test_missing_or_ill_typed_argument_is_parse_error(argv, message):
+    code, out = run_cli(argv, CARLITZ_F4_MODULE)
+    assert code == 2
+    assert json.loads(out) == {"error": message}
 
 
 def test_output_file(tmp_path):

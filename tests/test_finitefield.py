@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld import FField, extension_of, ff_embed, ff_generator, ff_make
-from drinfeld.errors import BoundExceeded, NoEmbedding, NotPrime
+from drinfeld import finitefield
+from drinfeld.errors import BoundExceeded, NoEmbedding, NotPrime, Reducible
 from drinfeld.intutil import _power, factorize
 
 
@@ -41,6 +42,26 @@ def test_not_prime_rejected():
 def test_size_bound_enforced():
     with pytest.raises(BoundExceeded):
         ff_make(2, 41, 0)
+
+
+def test_reducible_modulus_rejected():
+    with pytest.raises(Reducible, match="modulus is reducible"):
+        FField(2, 2, (1, 0, 1))
+
+
+def test_search_tests_each_candidate_once(monkeypatch):
+    # from seed 1 the candidates are x^2+1, x^2+x, then x^2+x+1
+    calls = []
+    irreducible = finitefield._pirreducible
+
+    def counting(f, p):
+        calls.append(f)
+        return irreducible(f, p)
+
+    monkeypatch.setattr(finitefield, "_FIELD_CACHE", {})
+    monkeypatch.setattr(finitefield, "_pirreducible", counting)
+    assert ff_make(2, 2, 1).modulus == (1, 1, 1)
+    assert calls == [(1, 0, 1), (0, 1, 1), (1, 1, 1)]
 
 
 def test_prime_subfield_embedding_fixes_constants(F2, F4):

@@ -1,12 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drinfeld import (OrePoly, ff_make, ore_divmod_left, ore_divmod_right,
-                      ore_eval, ore_kernel, ore_splitting_degree,
-                      separable_part)
-from drinfeld.errors import DivisionByZero, Inseparable
-from drinfeld.ore import ore_kernel_dim
+from drinfeld import (FField, OrePoly, extension_of, ff_make, ore_divmod_left,
+                      ore_divmod_right, ore_eval, ore_kernel,
+                      ore_splitting_degree, separable_part)
+from drinfeld.errors import DivisionByZero, Inseparable, NotFound
 
 
 def _rand_ore(field, rng, max_deg):
@@ -157,8 +158,6 @@ def test_splitting_degree_examples(F2, F4):
     m = ore_splitting_degree(OrePoly(F4, [w, F4.zero, F4.one]), 12)
     assert m == 3
     # oracle: scan the tower until four roots appear
-    from drinfeld import extension_of
-
     counts = []
     for j in (1, 2, 3):
         ext, _ = extension_of(F4, j)
@@ -170,10 +169,50 @@ def test_splitting_degree_examples(F2, F4):
 def test_full_kernel_at_splitting_field(F4):
     w = F4.gen
     f = OrePoly(F4, [w, F4.zero, F4.one])
-    from drinfeld import extension_of
-
     ext, _ = extension_of(F4, ore_splitting_degree(f, 12))
-    assert ore_kernel_dim(f, ext) == f.deg
+    assert ore_kernel(f, ext).dim == f.deg
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)]),
+       codes=st.lists(st.integers(0, 8), min_size=1, max_size=4))
+def test_splitting_degree_matches_kernel_search(shape, codes):
+    # oracle: the least extension of degree <= 6 with a full kernel
+    L = ff_make(*shape)
+    const = L.from_encoding(1 + codes[0] % (L.size - 1))
+    f = OrePoly(L, [const] + [L.from_encoding(c % L.size) for c in codes[1:]])
+    dims = [ore_kernel(f, extension_of(L, m)[0]).dim for m in range(1, 7)]
+    if f.deg in dims:
+        assert ore_splitting_degree(f, 6) == dims.index(f.deg) + 1
+    else:
+        with pytest.raises(NotFound) as exc:
+            ore_splitting_degree(f, 6)
+        assert exc.value.cap == 6
+
+
+def test_splitting_degree_stops_at_the_field_bound():
+    # 1 + tau + tau^3 splits over F_{2^7}, so over F_{2^8} at degree 7;
+    # 2^(8*6) already exceeds the 2^40 field bound
+    F256 = ff_make(2, 8)
+    f = OrePoly(F256, [1, 1, 0, 1])
+    with pytest.raises(NotFound, match="extension degree 6 leaves") as exc:
+        ore_splitting_degree(f, 12)
+    assert exc.value.cap == 5
+
+
+def test_splitting_degree_builds_no_field(F4, monkeypatch):
+    w = F4.gen
+    f = OrePoly(F4, [w, F4.zero, F4.one])
+    g = OrePoly(F4, [w, w, w, F4.one])
+
+    def refuse(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(FField, "__init__", refuse)
+    assert ore_splitting_degree(f, 12) == 3
+    assert ore_splitting_degree(OrePoly.scalar(w), 12) == 1
+    with pytest.raises(NotFound):
+        ore_splitting_degree(g, 1)
 
 
 def test_inseparable_rejected(F4):
