@@ -1,7 +1,7 @@
 """Deciding whether algebraic data comes from a power of Frobenius.
 
 Three layers: recovering a pure monomial exponent from a rational function
-(with an independent Kummer-sampling confirmation), classifying an
+(with an independent Kummer-criterion confirmation), classifying an
 irreducible bivariate annihilator as one of the two Frobenius graph shapes,
 and combining per-generator exponents into a single global power.
 """
@@ -14,7 +14,6 @@ from .bivar import BivarPoly, annihilator_resultant, bivar_radical
 from .errors import (NonUnitContent, NotAMorphism, NotFound, Reducible,
                      RootDoesNotExist, ZeroDenominator, ZeroPolynomial)
 from .finitefield import ff_generator, ff_make
-from .intutil import factorize
 from .ratfunc import RationalFunction
 from .upoly import UPoly, upoly_gcd, upoly_roots
 
@@ -107,109 +106,32 @@ def _algebraic_monomial_test(r1: UPoly, r2: UPoly):
     return t1[0] - t2[0]
 
 
-def sampling_field_parameters(p: int, bound: int):
-    """Minimal m >= 2 such that p^m - 1 has two distinct odd prime divisors
-    exceeding the bound; returns (m, l1, l2, factorization)."""
-    probes = sampling_probes(p, bound)
-    if probes[0][0] != probes[1][0]:
-        raise NotFound(bound, "no single sampling field within the desk bound")
-    (m, l1, v1), (_, l2, v2) = probes
-    return m, l1, l2, {l1: v1, l2: v2}
-
-
-_PROBE_CACHE: dict = {}
-
-
-def sampling_probes(p: int, bound: int):
-    """Two (m, l, v) probes with l an odd prime > bound and l^v || p^m - 1.
-
-    Prefers one field carrying both primes; if no such field fits the desk
-    bound, the primes come from the two smallest separate fields (the unit
-    argument only needs the primes to be distinct).
-    """
-    from .finitefield import FIELD_SIZE_LIMIT
-
-    cached = _PROBE_CACHE.get((p, bound))
-    if cached is not None:
-        return cached
-
-    per_field = {}
-    m = 1
-    while p ** (m + 1) <= FIELD_SIZE_LIMIT:
-        m += 1
-        fac = factorize(p ** m - 1)
-        big = sorted(q for q in fac if q % 2 and q > bound)
-        if len(big) >= 2:
-            probes = [(m, big[0], fac[big[0]]), (m, big[1], fac[big[1]])]
-            _PROBE_CACHE[(p, bound)] = probes
-            return probes
-        if big:
-            per_field[m] = (big[0], fac[big[0]])
-    found = []
-    used_primes = set()
-    for m in sorted(per_field):
-        ell, v = per_field[m]
-        if ell in used_primes:
-            continue
-        found.append((m, ell, v))
-        used_primes.add(ell)
-        if len(found) == 2:
-            _PROBE_CACHE[(p, bound)] = found
-            return found
-    raise NotFound(bound, "no sampling primes within the desk bound")
-
-
 def _kummer_monomial_test(r1: UPoly, r2: UPoly):
-    """The sampling route: adjoin l-th roots of carefully chosen elements
-    and read the exponent off the reduced representation."""
-    from .finitefield import ff_embed
+    """The Kummer route, reduced to the polynomial identity it rests on.
 
-    p = r1.base.p
-    bound = 2 * max(r1.deg, r2.deg, 0)
-    probes = sampling_probes(p, bound)
-
+    Sample r1/r2 at a root x of X^l - zeta, zeta of l-power order and
+    l > 2 max(deg r1, deg r2): neither polynomial reduces modulo X^l - zeta,
+    so the sample is a pure monomial gamma x^delta exactly when
+    r1 = gamma X^delta r2, with delta = deg r1 - deg r2 and
+    gamma = lc(r1)/lc(r2).  The unit gamma must then have l-power order for
+    two distinct primes l, which forces gamma = 1.  Both conditions are
+    read off the polynomials, so no sampling field is built.
+    """
     delta = r1.deg - r2.deg
-    gamma = (r1.leading().encode()
-             * pow(r2.leading().encode(), -1, p)) % p
-    # with both degrees below l/2, the reduced form of r1(x)/r2(x) modulo
-    # x^l = zeta is a pure monomial exactly when this plain identity holds
+    if r1.leading() != r2.leading():  # gamma != 1
+        return None
     if delta >= 0:
-        lhs, rhs = r1, (r2 * r1.base.element(gamma)).shift(delta)
+        lhs, rhs = r1, r2.shift(delta)
     else:
-        lhs, rhs = r1.shift(-delta), r2 * r1.base.element(gamma)
-    if lhs != rhs:
-        return None
-
-    for m, ell, v in probes:
-        F = ff_make(p, m, 0)
-        gen = ff_generator(F)
-        zeta = gen ** ((F.size - 1) // ell ** v)
-        if zeta ** (ell ** v) != F.one or (
-                v and zeta ** (ell ** (v - 1)) == F.one):
-            raise RuntimeError("bad Kummer datum")  # pragma: no cover
-        # numeric confirmation at the Kummer point x with x^l = zeta: both
-        # sides live in degree < l, so their residues are the mapped
-        # polynomials themselves and are compared directly
-        emb = ff_embed(r1.base, F)
-        side_a, side_b = lhs.map_field(emb), rhs.map_field(emb)
-        if max(side_a.deg, side_b.deg) >= ell:  # pragma: no cover
-            min_poly = UPoly(F, [-zeta] + [F.zero] * (ell - 1) + [F.one])
-            side_a, side_b = side_a % min_poly, side_b % min_poly
-        if side_a != side_b:  # pragma: no cover - degrees are below l
-            return None
-        # the unit must have l-power order for both primes, forcing 1
-        if pow(gamma, ell ** v, p) != 1:
-            return None
-    if gamma != 1:
-        return None
-    return delta
+        lhs, rhs = r1.shift(-delta), r2
+    return delta if lhs == rhs else None
 
 
 def recover_monomial_exponent(r1: UPoly, r2: UPoly):
     """The integer n with r1/r2 = X^n, or None.
 
-    Runs the direct algebraic test and the Kummer sampling procedure and
-    insists they agree.
+    Runs the direct algebraic test and the Kummer criterion and insists
+    they agree.
     """
     if r2.is_zero():
         raise ZeroDenominator("zero denominator")
@@ -256,16 +178,6 @@ def _orbit_map(x, p, m):
     return orbit
 
 
-def _full_orbit(x, p):
-    """{x^(p^j)} for all j, i.e. until the Frobenius cycle closes."""
-    orbit = set()
-    val = x
-    while val not in orbit:
-        orbit.add(val)
-        val = val ** p
-    return orbit
-
-
 def _witness_scan(Q, F, skip=()):
     """Look for a root of Q(x, .) outside the Frobenius orbit of x.
 
@@ -280,7 +192,7 @@ def _witness_scan(Q, F, skip=()):
         Qx = Q.eval_x(x)
         if Qx.is_zero():  # pragma: no cover - unit content forbids this
             continue
-        orbit = _full_orbit(x, F.p)
+        orbit = _orbit_map(x, F.p, F.n)
         for root in upoly_roots(Qx, F):
             if root not in orbit:
                 return (F, x, root)

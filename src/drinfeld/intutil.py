@@ -30,14 +30,24 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {prime: exponent}; delegates to sympy."""
+    """Prime factorization as {prime: exponent}, primes ascending.
+
+    Trial division, stopping once the cofactor is prime; every input the
+    library factors is at most the desk bound 2**40.
+    """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
-    if n == 1:
-        return {}
-    from sympy import factorint  # deferred: keeps import cost out of hot paths
-
-    return {int(p): int(e) for p, e in factorint(n).items()}
+    out: dict[int, int] = {}
+    q = 2
+    while n > 1:
+        if is_prime(n):
+            q = n
+        else:
+            while n % q:
+                q += 1 + (q > 2)  # 2, then odd candidates only
+        out[q] = out.get(q, 0) + 1
+        n //= q
+    return out
 
 
 def multiplicative_order(a: int, modulus: int) -> int:

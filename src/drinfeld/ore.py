@@ -279,7 +279,6 @@ def ore_splitting_degree(f: OrePoly, cap: int) -> int:
     if not f.constant():
         raise Inseparable("vanishing constant term: kernel cannot be full")
     L = f.field
-    step = OrePoly.tau(L, L.n)
     # 1 mod f, which is 0 when f is a nonzero constant and splits at once
     r = r0 = ore_divmod_left(OrePoly.one(L), f)[1]
     for m in range(1, cap + 1):
@@ -287,7 +286,8 @@ def ore_splitting_degree(f: OrePoly, cap: int) -> int:
             # the desk-scale field bound acts as an effective cap
             raise NotFound(m - 1,
                            f"extension degree {m} leaves the desk scale")
-        r = ore_divmod_left(step * r, f)[1]
+        # tau^n fixes L, so tau^n * r is r moved up n places
+        r = ore_divmod_left(OrePoly(L, (L.zero,) * L.n + r.coeffs), f)[1]
         if r == r0:
             return m
     raise NotFound(cap, f"no full kernel within extension degree {cap}")

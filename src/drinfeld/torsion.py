@@ -265,6 +265,24 @@ def _crt_lift(entries, d: int, q: int):
     return rep
 
 
+def _independent(entries, s: UPoly, d: int) -> bool:
+    """Whether every subset of entries with modulus degree above d lifts to s.
+
+    A CRT lift is the unique solution below the product of its moduli, so a
+    subset lifts to s exactly when s meets its congruences and deg s is
+    below its degree sum; it suffices to check every congruence and the
+    least subset-degree sum above d.
+    """
+    sums = {0}
+    for _, m in entries:
+        sums |= {t + m.deg for t in sums}
+    above = [t for t in sums if t > d]
+    if not above:
+        return True
+    return (s.deg < min(above)
+            and all(((s - v) % m).is_zero() for v, m in entries))
+
+
 def dm_frobenius_norm(E: DrinfeldModule, primes, cap: int = 12, seed: int = 0,
                       place: UPoly | None = None) -> FrobeniusReport:
     """Determinants of Frobenius on each E[l^n], CRT-assembled into F_q[t].
@@ -292,18 +310,7 @@ def dm_frobenius_norm(E: DrinfeldModule, primes, cap: int = 12, seed: int = 0,
     degree_ok = s.deg == d
     char_divides = not E.delta(s)
 
-    total = sum(m.deg for _, m in entries)
-    independence = True
-    if total > d:
-        indices = range(len(entries))
-        for mask in range(1, 1 << len(entries)):
-            subset = [entries[i] for i in indices if mask >> i & 1]
-            sub_total = sum(m.deg for _, m in subset)
-            if sub_total <= d:
-                continue
-            if upoly_crt([(v, m) for v, m in subset]) != s:
-                independence = False
-                break
+    independence = _independent(entries, s, d)
 
     char_power = None
     if degree_ok:

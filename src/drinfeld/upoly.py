@@ -403,15 +403,13 @@ def minimal_polynomial(elem: FFElem, sub: FField,
 def lagrange_interpolate(points, base: FField) -> UPoly:
     """Unique polynomial of degree < len(points) through (x_i, y_i)."""
     result = UPoly.zero(base)
-    xs = [x for x, _ in points]
-    for i, (xi, yi) in enumerate(points):
-        num = UPoly.one(base)
-        den = base.one
-        for j, xj in enumerate(xs):
-            if j != i:
-                num = num * UPoly(base, [-xj, base.one])
-                den = den * (xi - xj)
-        result = result + num * (yi / den)
+    full = UPoly.one(base)
+    for x, _ in points:
+        full = full * UPoly(base, [-x, base.one])
+    for xi, yi in points:
+        # the basis numerator prod_{j != i} (x - x_j), and its value at x_i
+        num = full // UPoly(base, [-xi, base.one])
+        result = result + num * (yi / num.eval(xi))
     return result
 
 

@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import drinfeld
 from drinfeld.cli import main
 
 CARLITZ_FAMILY = '{"p":2,"e":1,"r":1,"delta":[[0],[1]],"coeffs":[[[1]]]}'
@@ -254,3 +258,16 @@ def test_byte_identical_reruns():
     first = [run_cli(argv, text) for argv, text in battery]
     second = [run_cli(argv, text) for argv, text in battery]
     assert first == second
+
+
+def test_recover_monomial_loads_no_sympy():
+    script = ("import sys\n"
+              "from drinfeld.cli import main\n"
+              "main(['frobrec', 'recover-monomial', '--p', '2', "
+              "'--num', 'X^3'])\n"
+              "print('sympy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(drinfeld.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == ['{"n":3,"ok":true}', "False"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from drinfeld import FField, extension_of, ff_embed, ff_generator, ff_make
 from drinfeld import finitefield
 from drinfeld.errors import BoundExceeded, NoEmbedding, NotPrime, Reducible
-from drinfeld.intutil import _power, factorize
+from drinfeld.intutil import _power, factorize, is_prime
 
 
 def test_prime_field_modulus_is_x():
@@ -138,6 +138,37 @@ def test_generator_order_via_factoring(p, n):
     for q in factorize(target):
         assert g ** (target // q) != F.one
     assert g ** target == F.one
+
+
+def _naive_factorization(n):
+    out, q = {}, 2
+    while n > 1:
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        q += 1
+    return out
+
+
+def test_factorize_matches_naive_trial_division():
+    for n in range(1, 10 ** 4):
+        fac = factorize(n)
+        assert fac == _naive_factorization(n)
+        assert list(fac) == sorted(fac)
+
+
+def test_factorize_field_orders_up_to_desk_bound():
+    for p in (2, 3, 5, 7, 11, 13):
+        m = 1
+        while p ** m <= 2 ** 40 + 1:
+            n = p ** m - 1
+            fac = factorize(n)
+            product = 1
+            for q, e in fac.items():
+                assert is_prime(q)
+                product *= q ** e
+            assert product == n and list(fac) == sorted(fac)
+            m += 1
 
 
 def test_serialization_bit_exact_roundtrip(F9):

@@ -10,8 +10,8 @@ from drinfeld import (NOT_FROBENIUS, XTOY, YTOX, BivarPoly, RationalFunction,
 from drinfeld.errors import (NonUnitContent, NotAMorphism, Reducible,
                              RootDoesNotExist, ZeroDenominator,
                              ZeroPolynomial)
-from drinfeld.frobrec import (_algebraic_monomial_test, _kummer_monomial_test,
-                              sampling_field_parameters)
+from drinfeld.finitefield import FField
+from drinfeld.frobrec import _algebraic_monomial_test, _kummer_monomial_test
 from drinfeld.upoly import upoly_gcd
 
 
@@ -87,11 +87,25 @@ def test_recover_requires_coprime(F2):
         recover_monomial_exponent(x * x, x)
 
 
-def test_sampling_field_for_p2_degree8():
-    # 2^11 - 1 = 23 * 89 and both primes exceed 2 * 8
-    m, l1, l2, _ = sampling_field_parameters(2, 16)
-    assert (m, l1, l2) == (11, 23, 89)
-    assert 2 ** 11 - 1 == 23 * 89
+def test_recover_over_f4(F4):
+    x = UPoly.x(F4)
+    one = UPoly.one(F4)
+    w = UPoly(F4, [F4.gen])
+    assert recover_monomial_exponent(x ** 3, one) == 3
+    assert recover_monomial_exponent(w * x ** 3, w) == 3
+    # w*X^3 is a unit multiple of X^3, not a power of X
+    assert recover_monomial_exponent(w * x ** 3, one) is None
+
+
+def test_recover_builds_no_field(F3, F4, monkeypatch):
+    cases = [(UPoly.x(F) ** 5, UPoly.one(F)) for F in (F3, F4)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("recover_monomial_exponent built a field")
+
+    monkeypatch.setattr(FField, "__init__", refuse)
+    assert [recover_monomial_exponent(r1, r2) for r1, r2 in cases] == [5, 5]
+    assert recover_monomial_exponent(UPoly.one(F3), UPoly.x(F3) ** 40) == -40
 
 
 def test_algebraic_and_sampling_routes_agree():

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from drinfeld import (DrinfeldModule, OrePoly, UPoly, dm_frobenius_matrix,
-                      dm_frobenius_norm, dm_torsion, ore_eval, parse_upoly,
-                      torsion_point_count)
+                      dm_frobenius_norm, dm_torsion, ff_make,
+                      monic_irreducibles, ore_eval, parse_upoly,
+                      torsion_point_count, upoly_crt)
 from drinfeld.errors import (CapExceeded, CharacteristicIdeal,
                              InsufficientModulus)
+from drinfeld.torsion import _crt_lift, _independent
 from drinfeld.upoly import upoly_det
 
 
@@ -100,6 +104,42 @@ def test_rank2_norm_degree_one(F2, rank2_f2):
     assert rep.s_exact.deg == 1
     assert rep.s_monic == t + 1  # the characteristic ideal
     assert rep.all_ok
+
+
+def _independent_by_subsets(entries, s, d):
+    """Every subset with modulus degree above d lifts to s, by direct CRT."""
+    for mask in range(1, 1 << len(entries)):
+        subset = [e for i, e in enumerate(entries) if mask >> i & 1]
+        if (sum(m.deg for _, m in subset) > d
+                and upoly_crt(subset) != s):
+            return False
+    return True
+
+
+def test_independence_matches_subset_lifts():
+    rng = random.Random(23)
+    checked = falses = 0
+    for p, n in ((2, 1), (3, 1), (2, 2)):
+        F = ff_make(p, n, 0)
+        pool = monic_irreducibles(F, 2 if F.size > 2 else 3)
+        for _ in range(120):
+            entries = []
+            for ell in rng.sample(pool, rng.randrange(1, 5)):
+                m = ell ** rng.randrange(1, 3)
+                entries.append((UPoly(F, [rng.randrange(F.size)
+                                          for _ in range(m.deg)]), m))
+            d = rng.randrange(1, 7)
+            try:
+                s = _crt_lift(entries, d, F.size)
+            except InsufficientModulus:
+                continue
+            if rng.randrange(4) == 0:  # also a lift that misses a congruence
+                s = s + UPoly(F, [rng.randrange(1, F.size)])
+            expected = _independent_by_subsets(entries, s, d)
+            assert _independent(entries, s, d) == expected
+            checked += 1
+            falses += not expected
+    assert checked > 200 and falses > 50
 
 
 def test_norm_requires_enough_modulus(F3):

@@ -140,6 +140,13 @@ def test_lagrange_interpolation(F9):
     f = lagrange_interpolate(pts, F9)
     assert all(f.eval(x) == y for x, y in pts)
     assert f.deg <= 3
+    rng = random.Random(5)
+    for size in range(1, 10):
+        pts = [(F9.from_encoding(k), F9.from_encoding(rng.randrange(9)))
+               for k in rng.sample(range(9), size)]
+        f = lagrange_interpolate(pts, F9)
+        assert all(f.eval(x) == y for x, y in pts)
+        assert f.deg < size
 
 
 def test_resultant_vanishes_iff_common_root(F4):
