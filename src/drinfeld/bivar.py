@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError, ZeroPolynomial
+from .errors import InvariantError, ParseError, ZeroPolynomial
 from .finitefield import ff_make
-from .upoly import UPoly, lagrange_interpolate, upoly_gcd, upoly_resultant
+from .upoly import UPoly, lagrange_interpolator, upoly_gcd, upoly_resultant
 
 
 class BivarPoly:
@@ -269,27 +269,25 @@ def annihilator_resultant(num_x: UPoly, den_x: UPoly, num_y: UPoly,
     xs = [x for x in F.elements() if lead_ok(nx, dx, x, n1)][: n2 + 1]
     ys = [y for y in F.elements() if lead_ok(ny, dy, y, n2)][: n1 + 1]
     if len(xs) < n2 + 1 or len(ys) < n1 + 1:  # pragma: no cover
-        raise RuntimeError("not enough good interpolation points")
+        raise InvariantError("not enough good interpolation points")
 
     # interpolate in Y for each x, then in X coefficientwise
+    in_y, in_x = lagrange_interpolator(ys, F), lagrange_interpolator(xs, F)
     y_polys = []
     for x0 in xs:
         fx = specialize(nx, dx, x0)
-        vals = [(y0, upoly_resultant(fx, specialize(ny, dy, y0)))
-                for y0 in ys]
-        y_polys.append(lagrange_interpolate(vals, F))
+        y_polys.append(in_y([upoly_resultant(fx, specialize(ny, dy, y0))
+                             for y0 in ys]))
     max_dy = max((poly.deg if poly.deg >= 0 else 0) for poly in y_polys)
-    cols = []
-    for j in range(max_dy + 1):
-        pts = [(xs[i], y_polys[i].coeff(j)) for i in range(len(xs))]
-        cols.append(lagrange_interpolate(pts, F))
+    cols = [in_x([poly.coeff(j) for poly in y_polys])
+            for j in range(max_dy + 1)]
 
     terms = {}
     for j, col in enumerate(cols):
         for i, c in enumerate(col.coeffs):
             if c:
                 if any(c.coeffs[1:]):
-                    raise RuntimeError(
+                    raise InvariantError(
                         "resultant coefficient fell outside the prime field")
                 terms[(i, j)] = c.coeffs[0]
     return BivarPoly(p, terms)

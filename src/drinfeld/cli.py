@@ -160,10 +160,6 @@ def _render_residual_rows(rows, config, out):
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _reject_float(text):
-    raise ParseError(f"bad ore payload: {text} is not an integer")
-
-
 def _ore_inputs(op, payload):
     """The operands of an ore op, read from its JSON payload."""
     if op in ("mul", "divmod"):
@@ -180,8 +176,7 @@ def _ore_inputs(op, payload):
 
 
 def _cmd_ore(args, config, stdin, out):
-    payload = json.loads(_read_payload(args.json, stdin),
-                         parse_float=_reject_float)
+    payload = json.loads(_read_payload(args.json, stdin))
     op = args.op
     try:
         inputs = _ore_inputs(op, payload)
@@ -284,6 +279,8 @@ def _cmd_motive(args, config, stdin, out):
         return 0
     if args.op == "verify-tate-det":
         ell = _poly_arg(_required(args, "ell"), E.constants, "t")
+        if args.n < 1:
+            raise ParseError("motive verify-tate-det needs --n >= 1")
         results = {}
         ok = True
         for n in range(1, args.n + 1):

@@ -31,7 +31,7 @@ class DrinfeldModule:
             raise ValueError("leading structure coefficient must be nonzero")
         if theta.field != L:
             raise FieldMismatch("theta must live in L")
-        if not 0 <= twist < constants.n:
+        if not isinstance(twist, int) or not 0 <= twist < constants.n:
             raise ValueError("twist index out of range")
         self.L = L
         self.constants = constants

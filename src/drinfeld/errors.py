@@ -68,6 +68,10 @@ class ZeroDenominator(DrinfeldError):
     """A rational function was given a zero denominator."""
 
 
+class InvariantError(DrinfeldError):
+    """A computed result broke an invariant the mathematics guarantees."""
+
+
 class Reducible(DrinfeldError):
     """A polynomial required to be irreducible was detected to factor."""
 

@@ -82,23 +82,23 @@ def _ppowmod(a, e, m, p):
 
 
 def _pirreducible(f, p):
-    """Irreducibility over F_p via the Frobenius-power criterion."""
+    """Ben-Or's test: gcd(x^(p^i) - x, f) = 1 for every i <= deg f / 2."""
     n = len(f) - 1
     if n < 1 or f[-1] == 0:
         return False
-    if n == 1:
-        return True
-    x = (0, 1)
-    frob = [x]  # frob[i] = x^(p^i) mod f
-    for _ in range(n):
-        frob.append(_ppowmod(frob[-1], p, f, p))
-    if frob[n] != _pmod(x, f, p):
-        return False
-    for q in factorize(n):
-        d = n // q
-        if _pgcd(_padd(frob[d], tuple(-c % p for c in x), p), f, p) != (1,):
+    h = (0, 1)
+    for _ in range(n // 2):
+        h = _ppowmod(h, p, f, p)
+        if _pgcd(_padd(h, (0, p - 1), p), f, p) != (1,):
             return False
     return True
+
+
+def _check_size(p, n):
+    """Raise BoundExceeded when F_{p^n} has more than 2^40 elements."""
+    # p >= 2, so any n above 40 exceeds 2^40 without computing p^n
+    if n > 40 or p ** n > FIELD_SIZE_LIMIT:
+        raise BoundExceeded(f"F_{p}^{n} has more than 2^40 elements")
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +109,15 @@ class FField:
     __slots__ = ("p", "n", "modulus", "size", "_red")
 
     def __init__(self, p, n, modulus):
+        modulus = tuple(modulus)
+        if not all(isinstance(v, int) for v in (p, n) + modulus):
+            raise TypeError("field parameters must be integers")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         modulus = _trim(tuple(c % p for c in modulus))
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree n")
-        if p ** n > FIELD_SIZE_LIMIT:
-            raise BoundExceeded(f"p^n = {p**n} exceeds {FIELD_SIZE_LIMIT}")
+        _check_size(p, n)
         if not _pirreducible(modulus, p):
             raise Reducible("modulus is reducible")
         self.p = p
@@ -206,7 +208,10 @@ class FField:
             vec = [0] * self.n
             vec[0] = coeffs % self.p
             return FFElem(self, tuple(vec))
-        vec = list(coeffs) + [0] * (self.n - len(coeffs))
+        vec = list(coeffs)
+        if not all(isinstance(c, int) for c in vec):
+            raise TypeError(f"coefficients must be integers: {coeffs!r}")
+        vec += [0] * (self.n - len(vec))
         return FFElem(self, tuple(c % self.p for c in vec[: self.n]))
 
     @property
@@ -404,6 +409,7 @@ def ff_make(p: int, n: int, seed: int = 0) -> FField:
         raise NotPrime(f"{p} is not prime")
     if n < 1:
         raise ValueError("degree must be >= 1")
+    _check_size(p, n)
     span = p ** n
     for j in range(span):
         digits = []
@@ -411,7 +417,7 @@ def ff_make(p: int, n: int, seed: int = 0) -> FField:
         for _ in range(n):
             digits.append(k % p)
             k //= p
-        # FField checks the size bound and the irreducibility of each candidate
+        # FField checks the irreducibility of each candidate
         try:
             field = FField(p, n, tuple(digits) + (1,))
         except Reducible:

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bivar import BivarPoly, annihilator_resultant, bivar_radical
-from .errors import (NonUnitContent, NotAMorphism, NotFound, Reducible,
-                     RootDoesNotExist, ZeroDenominator, ZeroPolynomial)
+from .errors import (InvariantError, NonUnitContent, NotAMorphism, NotFound,
+                     Reducible, RootDoesNotExist, ZeroDenominator,
+                     ZeroPolynomial)
 from .finitefield import ff_generator, ff_make
 from .ratfunc import RationalFunction
 from .upoly import UPoly, upoly_gcd, upoly_roots
@@ -142,7 +143,7 @@ def recover_monomial_exponent(r1: UPoly, r2: UPoly):
     algebraic = _algebraic_monomial_test(r1, r2)
     sampled = _kummer_monomial_test(r1, r2)
     if algebraic != sampled:  # pragma: no cover - the routes are equivalent
-        raise RuntimeError("monomial tests disagree")
+        raise InvariantError("monomial tests disagree")
     return algebraic
 
 
@@ -443,7 +444,7 @@ def theorem_frob_res(gens, images, seed: int = 0) -> FrobeniusDecision:
                     else fb.frobenius_power(-k_i))
         actual = fb if k_i >= 0 else b
         if expected != actual:  # pragma: no cover - classification is sound
-            raise RuntimeError("classified exponent fails direct verification")
+            raise InvariantError("classified exponent fails verification")
         pairs.append((b, k_i))
 
     if not pairs:

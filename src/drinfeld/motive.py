@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dmodule import DrinfeldModule
+from .errors import InvariantError
 from .torsion import dm_frobenius_matrix, dm_torsion
 from .upoly import UPoly, upoly_det
 
@@ -82,11 +83,11 @@ def motive_det(E: DrinfeldModule) -> DetMotive:
     M = motive_matrix(E)
     det = M.det()
     if det.deg != 1:
-        raise RuntimeError("determinant is not linear in t")
+        raise InvariantError("determinant is not linear in t")
     unit = det.leading()
     factor = det * unit.inverse()
     if factor.eval(E.theta):
-        raise RuntimeError("determinant root differs from theta")
+        raise InvariantError("determinant root differs from theta")
     return DetMotive(module=E, unit=unit, factor=factor)
 
 

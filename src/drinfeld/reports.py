@@ -11,7 +11,7 @@ from .dmodule import DrinfeldModule
 from .errors import BadReduction, CapExceeded, InsufficientModulus
 from .family import DrinfeldFamily, dm_residual_frobenius_check
 from .torsion import FrobeniusReport, dm_frobenius_norm, dm_torsion
-from .upoly import UPoly, monic_irreducibles
+from .upoly import UPoly, irreducibles_of_degree, monic_irreducibles
 
 
 def choose_prime_sets(E: DrinfeldModule, cap: int = 12, seed: int = 0,
@@ -19,13 +19,15 @@ def choose_prime_sets(E: DrinfeldModule, cap: int = 12, seed: int = 0,
     """Disjoint reconstruction sets of (l, n), each of total degree > d.
 
     Candidates are enumerated by (degree, encoding); an l is skipped when
-    its torsion does not split within the cap.  The candidate degree bound
-    grows until every requested set fills.
+    its torsion does not split within the cap.  The pool grows by one
+    degree until every requested set fills.
     """
     need = E.d + 1
+    pool = [ell for ell in monic_irreducibles(E.constants, E.d)
+            if ell != E.char_poly]
     for pool_deg in range(E.d + 1, E.d + 5):
-        pool = [ell for ell in monic_irreducibles(E.constants, pool_deg)
-                if ell != E.char_poly]
+        pool += [ell for ell in irreducibles_of_degree(E.constants, pool_deg)
+                 if ell != E.char_poly]
         used = set()
         sets = []
         for _ in range(count):

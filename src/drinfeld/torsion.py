@@ -12,26 +12,13 @@ from dataclasses import dataclass, field
 
 from .dmodule import DrinfeldModule
 from .errors import (CapExceeded, CharacteristicIdeal, InsufficientModulus,
-                     NotFound)
-from .finitefield import extension_of
+                     InvariantError, NotFound)
+from .finitefield import FIELD_SIZE_LIMIT, extension_of
 from .ore import ore_eval, ore_kernel, ore_splitting_degree, separable_part
 from .upoly import UPoly, upoly_crt, upoly_det, upoly_gcd, upoly_irreducible
 
 _TORSION_CACHE: dict = {}
 BASIS_RETRY_LIMIT = 100
-
-
-def _residue_list(constants, width: int):
-    """All polynomials of degree < width over the constants field."""
-    out = []
-    for k in range(constants.size ** width):
-        digits = []
-        kk = k
-        for _ in range(width):
-            digits.append(constants.from_encoding(kk % constants.size))
-            kk //= constants.size
-        out.append(UPoly(constants, digits))
-    return out
 
 
 class TorsionModule:
@@ -96,6 +83,10 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
     _validate_ell(E, ell)
     if n < 1:
         raise ValueError("torsion exponent must be >= 1")
+    # |E[l^n]| = q^(r n deg l), and its splitting field is at least as large
+    k = E.r * n * ell.deg
+    if k > 40 or E.q ** k > FIELD_SIZE_LIMIT:
+        raise CapExceeded(f"E[({ell.to_text()})^{n}] has over 2^40 points")
     key = (E.cache_key(), ell, n, seed)
     cached = _TORSION_CACHE.get(key)
     if cached is not None:
@@ -116,7 +107,8 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
     points = kernel.points
 
     width = n * ell.deg
-    residues = tuple(_residue_list(E.constants, width))
+    residues = tuple(UPoly.from_encoding(E.constants, k)
+                     for k in range(E.constants.size ** width))
     phi_t_ext = E.phi_t.map_field(emb)
     scalars = {c.encode(): emb(E.constant_action(c))
                for c in E.constants.elements()}
@@ -174,7 +166,7 @@ def dm_frobenius_matrix(T: TorsionModule):
     m = T.frobenius_matrix()
     det = upoly_det(m) % T.modulus
     if upoly_gcd(det, T.ell).deg != 0:
-        raise RuntimeError("Frobenius matrix is singular modulo l")
+        raise InvariantError("Frobenius matrix is singular modulo l")
     return m
 
 

@@ -11,7 +11,8 @@ import operator
 import re
 
 from .errors import (BoundExceeded, DivisionByZero, FieldMismatch,
-                     NonCoprimeModuli, ParseError, ZeroPolynomial)
+                     InvariantError, NonCoprimeModuli, ParseError,
+                     ZeroPolynomial)
 from .finitefield import FFElem, FField, FieldEmbedding, ff_embed
 from .intutil import _power
 
@@ -297,25 +298,13 @@ def upoly_det(rows) -> UPoly:
 
 
 def upoly_irreducible(f: UPoly) -> bool:
-    """Frobenius-power irreducibility test over the base field F_q."""
-    n = f.deg
-    if n is NEG_INF or n < 1:
+    """Ben-Or's test: gcd(x^(q^i) - x, f) = 1 for every i <= deg f / 2."""
+    if f.deg < 1:
         return False
-    if not f.leading():
-        return False
-    if n == 1:
-        return True
-    from .intutil import factorize
-
-    q = f.base.size
-    x = UPoly.x(f.base)
-    frob = [x % f]
-    for _ in range(n):
-        frob.append(upoly_powmod(frob[-1], q, f))
-    if frob[n] != x % f:
-        return False
-    for r in factorize(n):
-        if upoly_gcd(frob[n // r] - x, f).deg != 0:
+    h = x = UPoly.x(f.base)
+    for _ in range(f.deg // 2):
+        h = upoly_powmod(h, f.base.size, f)
+        if upoly_gcd(h - x, f).deg != 0:
             return False
     return True
 
@@ -331,24 +320,23 @@ def upoly_roots(f: UPoly, ext: FField):
     return [x for x in ext.elements() if not g.eval(x)]
 
 
+def irreducibles_of_degree(base: FField, d: int):
+    """The monic irreducibles of degree d, in encoding order."""
+    top = base.size ** d
+    for k in range(top, 2 * top):
+        f = UPoly.from_encoding(base, k)
+        if upoly_irreducible(f):
+            yield f
+
+
 def monic_irreducibles(base: FField, max_deg: int):
     """All monic irreducibles of degree <= max_deg, ordered by (degree, encoding)."""
-    out = []
-    for d in range(1, max_deg + 1):
-        for low in range(base.size ** d):
-            digits = []
-            k = low
-            for _ in range(d):
-                digits.append(base.from_encoding(k % base.size))
-                k //= base.size
-            f = UPoly(base, digits + [base.one])
-            if upoly_irreducible(f):
-                out.append(f)
-    return out
+    return [f for d in range(1, max_deg + 1)
+            for f in irreducibles_of_degree(base, d)]
 
 
 def irreducible_divisors(f: UPoly):
-    """The set of monic irreducible divisors, by trial division."""
+    """The monic irreducible divisors in (degree, encoding) order."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
     found = []
@@ -356,12 +344,9 @@ def irreducible_divisors(f: UPoly):
     d = 1
     while g.deg >= 1:
         if d > g.deg // 2:
-            found.append(g.monic())
+            found.append(g)
             break
-        for low in range(f.base.size ** d):
-            cand = UPoly.from_encoding(f.base, low + f.base.size ** d)
-            if not upoly_irreducible(cand):
-                continue
+        for cand in irreducibles_of_degree(f.base, d):
             if (g % cand).is_zero():
                 found.append(cand)
                 while (g % cand).is_zero():
@@ -397,20 +382,30 @@ def minimal_polynomial(elem: FFElem, sub: FField,
             chunk = sol[i * sub.n:(i + 1) * sub.n]
             coeffs.append(-sub.element(chunk))
         return UPoly(sub, coeffs + [sub.one])
-    raise RuntimeError("element has no relation below the field degree")
+    raise InvariantError("element has no relation below the field degree")
+
+
+def lagrange_interpolator(xs, base: FField):
+    """ys -> the unique polynomial of degree < len(xs) through (x_i, y_i).
+
+    The Lagrange basis is built once; each interpolant combines it linearly.
+    """
+    full = UPoly.one(base)
+    for x in xs:
+        full = full * UPoly(base, [-x, base.one])
+    basis = []
+    for xi in xs:
+        # the basis numerator prod_{j != i} (x - x_j), scaled to 1 at x_i
+        num = full // UPoly(base, [-xi, base.one])
+        basis.append(num * num.eval(xi).inverse())
+    return lambda ys: sum((b * y for b, y in zip(basis, ys)),
+                          UPoly.zero(base))
 
 
 def lagrange_interpolate(points, base: FField) -> UPoly:
     """Unique polynomial of degree < len(points) through (x_i, y_i)."""
-    result = UPoly.zero(base)
-    full = UPoly.one(base)
-    for x, _ in points:
-        full = full * UPoly(base, [-x, base.one])
-    for xi, yi in points:
-        # the basis numerator prod_{j != i} (x - x_j), and its value at x_i
-        num = full // UPoly(base, [-xi, base.one])
-        result = result + num * (yi / num.eval(xi))
-    return result
+    interpolate = lagrange_interpolator([x for x, _ in points], base)
+    return interpolate([y for _, y in points])
 
 
 def upoly_resultant(f: UPoly, g: UPoly) -> FFElem:

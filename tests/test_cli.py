@@ -3,10 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import drinfeld
+from drinfeld import UPoly, motive
 from drinfeld.cli import main
 
 CARLITZ_FAMILY = '{"p":2,"e":1,"r":1,"delta":[[0],[1]],"coeffs":[[[1]]]}'
@@ -216,11 +220,96 @@ def test_parse_error_exit_code():
      "bad coefficient list: [1, [0.5]]"),
     (["drinfeld", "frobnorm", "--module", "-", "--primes", "[[[1]]]"],
      "bad coefficient list: [[[1]]]"),
+    (["motive", "verify-tate-det", "--module", "-", "--ell", "t", "--n", "0"],
+     "motive verify-tate-det needs --n >= 1"),
+    (["motive", "verify-tate-det", "--module", "-", "--ell", "t", "--n", "-1"],
+     "motive verify-tate-det needs --n >= 1"),
 ])
 def test_missing_or_ill_typed_argument_is_parse_error(argv, message):
     code, out = run_cli(argv, CARLITZ_F4_MODULE)
     assert code == 2
     assert json.loads(out) == {"error": message}
+
+
+@pytest.mark.parametrize("argv, stdin_text, message", [
+    (["carlitz", "table", "--p", "2", "--e", "100000000"], "",
+     "F_2^100000000 has more than 2^40 elements"),
+    (["carlitz", "table", "--p", "2", "--e", "10000000000"], "",
+     "F_2^10000000000 has more than 2^40 elements"),
+    (["drinfeld", "torsion", "--family", "-", "--at", "x+1", "--ell", "t",
+      "--n", "3000"], CARLITZ_FAMILY, "E[(t)^3000] has over 2^40 points"),
+    (["drinfeld", "phi", "--module", "-", "--a", "t"],
+     CARLITZ_F4_MODULE.replace('"e":1', '"e":%d' % 2 ** 70),
+     "F_2^%d has more than 2^40 elements" % 2 ** 70),
+    (["type2", "report"], CARLITZ_FAMILY.replace('"e":1', '"e":%d' % 2 ** 70),
+     "F_2^%d has more than 2^40 elements" % 2 ** 70),
+    (["ore", "kernel"],
+     '{"f":{"field":{"p":2,"n":1,"modulus":[0,1]},"coeffs":[[0],[1]]},'
+     '"ext_degree":%d}' % 2 ** 70,
+     "F_2^%d has more than 2^40 elements" % 2 ** 70),
+])
+def test_oversized_requests_fail_fast(argv, stdin_text, message):
+    start = time.perf_counter()
+    code, out = run_cli(argv, stdin_text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and json.loads(out) == {"error": message}
+
+
+ORE_EVAL_PAYLOAD = ('{"f":{"field":{"p":2,"n":2,"modulus":[1,1,1]},'
+                    '"coeffs":[[0,1],[1,0]]},"x":[0,1]}')
+PAYLOAD_COMMANDS = [
+    (["drinfeld", "phi", "--module", "-", "--a", "t"], RANK2_F4_MODULE),
+    (["motive", "det", "--module", "-"], RANK2_F4_MODULE),
+    (["drinfeld", "phi", "--family", "-", "--at", "x", "--a", "t"],
+     RANK2_FAMILY),
+    (["ore", "eval"], ORE_EVAL_PAYLOAD),
+]
+
+
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, (dict, list)):
+        keys = obj if isinstance(obj, dict) else range(len(obj))
+        for key in keys:
+            yield from _leaf_paths(obj[key], path + (key,))
+    else:
+        yield path
+
+
+def _replace_leaf(obj, path, value):
+    if not path:
+        return value
+    copy = dict(obj) if isinstance(obj, dict) else list(obj)
+    copy[path[0]] = _replace_leaf(obj[path[0]], path[1:], value)
+    return copy
+
+
+BAD_LEAVES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.text(max_size=2), st.none(),
+                       st.lists(st.integers(0, 2), max_size=2),
+                       st.just(2 ** 70))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PAYLOAD_COMMANDS), st.integers(0, 99), BAD_LEAVES)
+def test_one_bad_payload_leaf_still_answers_in_json(command, index, leaf):
+    argv, text = command
+    payload = json.loads(text)
+    paths = list(_leaf_paths(payload))
+    bad = _replace_leaf(payload, paths[index % len(paths)], leaf)
+    code, out = run_cli(argv, json.dumps(bad))
+    assert code in (0, 1, 2)
+    assert out.count("\n") == 1 and out.endswith("\n")
+    json.loads(out)
+
+
+def test_broken_invariant_exits_2_with_json(monkeypatch):
+    def quadratic_det(rows):
+        return UPoly(rows[0][0].base, [0, 0, 1])
+
+    monkeypatch.setattr(motive, "upoly_det", quadratic_det)
+    code, out = run_cli(["motive", "det", "--module", "-"], RANK2_F4_MODULE)
+    assert code == 2
+    assert json.loads(out) == {"error": "determinant is not linear in t"}
 
 
 def test_output_file(tmp_path):

@@ -44,6 +44,46 @@ def test_size_bound_enforced():
         ff_make(2, 41, 0)
 
 
+def test_oversized_field_fails_before_any_candidate(monkeypatch):
+    def fail(*args):
+        raise AssertionError("no candidate may be built")
+
+    monkeypatch.setattr(finitefield, "FField", fail)
+    for n in (41, 10 ** 8, 10 ** 10, 2 ** 70):
+        with pytest.raises(BoundExceeded, match=f"F_2\\^{n} has more than"):
+            ff_make(2, n, 0)
+    with pytest.raises(BoundExceeded, match="F_3\\^26 has more than"):
+        ff_make(3, 26, 0)
+
+
+@pytest.mark.parametrize("p, n, terms", [
+    (2, 12, {12: 1, 3: 1, 0: 1}),
+    (2, 24, {24: 1, 4: 1, 3: 1, 1: 1, 0: 1}),
+    (2, 36, {36: 1, 5: 1, 4: 1, 2: 1, 0: 1}),
+    (2, 40, {40: 1, 5: 1, 4: 1, 3: 1, 0: 1}),
+    (3, 12, {12: 1, 2: 1, 0: 2}),
+    (3, 20, {20: 1, 3: 1, 1: 2, 0: 1}),
+    (5, 12, {12: 1, 1: 1, 0: 4}),
+])
+def test_seeded_moduli_are_pinned(p, n, terms):
+    # every printed field depends on these moduli ({exponent: coefficient})
+    expected = [0] * (n + 1)
+    for e, c in terms.items():
+        expected[e] = c
+    assert ff_make(p, n, 0).modulus == tuple(expected)
+
+
+def test_non_integer_parameters_rejected(F4):
+    for args in ((2.0, 2, (1, 1, 1)), (2, 2.0, (1, 1, 1)),
+                 (2, 2, (1, 1.0, 1)), (2, 2, (1, None, 1)), (2, 2, 1.5)):
+        with pytest.raises(TypeError):
+            FField(*args)
+    for coeffs in (1.5, [0.5, 1], [True, 1.5], "w", None, [[1], 0]):
+        with pytest.raises(TypeError):
+            F4.element(coeffs)
+    assert F4.element([1, 2 ** 70 + 1]) == F4.element([1, 1])
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(Reducible, match="modulus is reducible"):
         FField(2, 2, (1, 0, 1))

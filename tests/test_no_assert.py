@@ -8,11 +8,29 @@ import drinfeld
 SRC = Path(drinfeld.__file__).parent
 
 
-def test_library_has_no_assert_statements():
+def _find(predicate):
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+                  if predicate(node)]
+    return found
+
+
+def _raises_runtime_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "RuntimeError"
+
+
+def test_library_has_no_assert_statements():
+    found = _find(lambda node: isinstance(node, ast.Assert))
     assert not found, "raise a typed DrinfeldError instead of assert: " + \
+        ", ".join(found)
+
+
+def test_library_raises_no_bare_runtime_error():
+    found = _find(_raises_runtime_error)
+    assert not found, "raise InvariantError instead of RuntimeError: " + \
         ", ".join(found)

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from drinfeld import (DrinfeldModule, OrePoly, UPoly, dm_frobenius_matrix,
+from drinfeld import (DrinfeldModule, OrePoly, UPoly, carlitz_family,
+                      choose_prime_sets, dm_frobenius_matrix,
                       dm_frobenius_norm, dm_torsion, ff_make,
                       monic_irreducibles, ore_eval, parse_upoly,
                       torsion_point_count, upoly_crt)
+from drinfeld import torsion, upoly
 from drinfeld.errors import (CapExceeded, CharacteristicIdeal,
                              InsufficientModulus)
 from drinfeld.torsion import _crt_lift, _independent
@@ -159,6 +161,36 @@ def test_norm_rejects_repeated_prime(F2, carlitz_f4):
 def test_cap_exceeded_surfaces(F2, rank2_f2):
     with pytest.raises(CapExceeded):
         dm_torsion(rank2_f2, parse_upoly("t^2+t+1", F2), 1, cap=5)
+
+
+def test_oversized_torsion_fails_before_the_splitting_search(
+        F2, carlitz_f4, rank2_f2, monkeypatch):
+    def fail(*args):
+        raise AssertionError("no splitting search may run")
+
+    monkeypatch.setattr(torsion, "ore_splitting_degree", fail)
+    t = UPoly.x(F2)
+    # |E[l^n]| = q^(r n deg l) > 2^40
+    for E, ell, n in ((carlitz_f4, t, 41), (carlitz_f4, t, 3000),
+                      (rank2_f2, t * t + t + 1, 11)):
+        with pytest.raises(CapExceeded, match="over 2\\^40 points"):
+            dm_torsion(E, ell, n, cap=10 ** 6)
+
+
+def test_prime_set_search_tests_each_candidate_once(monkeypatch):
+    # the Carlitz module at x needs pool degree d + 2 = 3 at cap 8
+    family = carlitz_family(2)
+    E = family.specialize(parse_upoly("x", family.constants, "x"))[0]
+    tested = []
+    irreducible = upoly.upoly_irreducible
+
+    def counting(f):
+        tested.append(f.encode())
+        return irreducible(f)
+
+    monkeypatch.setattr(upoly, "upoly_irreducible", counting)
+    assert len(choose_prime_sets(E, cap=8)) == 2
+    assert sorted(tested) == list(range(2, 2 ** (E.d + 3)))
 
 
 def test_determinant_helper(F2):

@@ -8,7 +8,9 @@ from drinfeld import (UPoly, ff_make, minimal_polynomial, monic_irreducibles,
                       parse_upoly, upoly_crt, upoly_gcd, upoly_irreducible,
                       upoly_roots, upoly_xgcd)
 from drinfeld.errors import NonCoprimeModuli, ZeroPolynomial
-from drinfeld.upoly import (NEG_INF, lagrange_interpolate, upoly_powmod,
+from drinfeld.finitefield import _pirreducible
+from drinfeld.upoly import (NEG_INF, irreducibles_of_degree,
+                            lagrange_interpolate, upoly_powmod,
                             upoly_resultant)
 
 
@@ -120,6 +122,59 @@ def test_monic_irreducible_counts(F2, F3):
         by_deg.setdefault(f.deg, []).append(f)
     assert [len(by_deg[d]) for d in (1, 2, 3)] == [2, 1, 2]
     assert len([f for f in monic_irreducibles(F3, 2) if f.deg == 2]) == 3
+
+
+def _monics(F, d):
+    return [UPoly.from_encoding(F, k) for k in range(F.size ** d,
+                                                     2 * F.size ** d)]
+
+
+@pytest.mark.parametrize("p, n, max_deg", [(2, 1, 8), (3, 1, 5), (2, 2, 4),
+                                           (5, 1, 4)])
+def test_irreducibility_matches_brute_force(p, n, max_deg):
+    # oracle: f is reducible iff it is a product of two monic polynomials
+    # of positive degree
+    F = ff_make(p, n, 0)
+    reducible = set()
+    for da in range(1, max_deg // 2 + 1):
+        for a in _monics(F, da):
+            for db in range(da, max_deg - da + 1):
+                reducible.update(a * b for b in _monics(F, db))
+    for d in range(max_deg + 1):
+        for f in _monics(F, d):
+            expected = d >= 1 and f not in reducible
+            assert upoly_irreducible(f) == expected, f
+            if n == 1:
+                raw = tuple(c.encode() for c in f.coeffs)
+                assert _pirreducible(raw, p) == expected, raw
+
+
+def _necklace(q, k):
+    def mobius(m):
+        out, j = 1, 2
+        while m > 1:
+            if m % j == 0:
+                m //= j
+                if m % j == 0:
+                    return 0
+                out = -out
+            j += 1
+        return out
+
+    return sum(mobius(k // j) * q ** j for j in range(1, k + 1)
+               if k % j == 0) // k
+
+
+@pytest.mark.parametrize("p, n, max_deg", [(2, 1, 8), (3, 1, 6), (2, 2, 5),
+                                           (5, 1, 4)])
+def test_irreducible_counts_match_necklace_formula(p, n, max_deg):
+    F = ff_make(p, n, 0)
+    for k in range(1, max_deg + 1):
+        found = list(irreducibles_of_degree(F, k))
+        assert len(found) == _necklace(F.size, k)
+        assert all(f.deg == k and f.is_monic() for f in found)
+        assert [f.encode() for f in found] == sorted(f.encode()
+                                                     for f in found)
 
 
 def test_minimal_polynomial_of_w(F2, F4):
