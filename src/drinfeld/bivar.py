@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import InvariantError, ParseError, ZeroPolynomial
-from .finitefield import ff_make
+from .errors import BoundExceeded, InvariantError, ParseError, ZeroPolynomial
+from .finitefield import SCAN_LIMIT, ff_embed, ff_make
 from .upoly import UPoly, lagrange_interpolator, upoly_gcd, upoly_resultant
 
 
@@ -84,6 +84,8 @@ class BivarPoly:
 
     def y_coeffs(self):
         """Coefficients of Y^j as UPoly in X; length deg_y + 1."""
+        if max(self.deg_x(), self.deg_y()) > SCAN_LIMIT:
+            raise BoundExceeded(f"a degree is above {SCAN_LIMIT}")
         base = ff_make(self.p, 1, 0)
         dy = self.deg_y()
         rows = [dict() for _ in range(dy + 1)]
@@ -252,9 +254,6 @@ def annihilator_resultant(num_x: UPoly, den_x: UPoly, num_y: UPoly,
     while p ** s < need + 2:
         s += 1
     F = ff_make(p, s, 0)
-
-    from .finitefield import ff_embed
-
     emb = ff_embed(base, F)
     nx, dx = num_x.map_field(emb), den_x.map_field(emb)
     ny, dy = num_y.map_field(emb), den_y.map_field(emb)

@@ -481,10 +481,11 @@ def ff_embed(sub: FField, sup: FField) -> FieldEmbedding:
 
 
 def ff_generator(field: FField) -> FFElem:
-    """A fixed generator of the multiplicative group."""
+    """The generator of the multiplicative group with the least encoding."""
     target = field.size - 1
     primes = list(factorize(target))
-    for k in range(1, field.size):
+    # above F_p, skip the prime-field constants: their orders divide p - 1
+    for k in range(field.p if field.n > 1 else 1, field.size):
         g = field.from_encoding(k)
         if all(g ** (target // q) != field.one for q in primes):
             return g

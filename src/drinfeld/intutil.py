@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import gcd
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -52,8 +54,6 @@ def factorize(n: int) -> dict[int, int]:
 
 def multiplicative_order(a: int, modulus: int) -> int:
     """Order of a modulo modulus; a must be coprime to modulus."""
-    from math import gcd
-
     if gcd(a, modulus) != 1:
         raise ValueError("element not invertible")
     order = 1
@@ -79,8 +79,6 @@ def crt_int(r1: int, m1: int, r2: int, m2: int):
 
     Moduli need not be coprime; m = 0 encodes a pinned integer.
     """
-    from math import gcd
-
     if m1 == 0 and m2 == 0:
         return (r1, 0) if r1 == r2 else None
     if m1 == 0:

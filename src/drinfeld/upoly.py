@@ -13,7 +13,8 @@ import re
 from .errors import (BoundExceeded, DivisionByZero, FieldMismatch,
                      InvariantError, NonCoprimeModuli, ParseError,
                      ZeroPolynomial)
-from .finitefield import FFElem, FField, FieldEmbedding, ff_embed
+from . import linalg
+from .finitefield import SCAN_LIMIT, FFElem, FField, FieldEmbedding, ff_embed
 from .intutil import _power
 
 NEG_INF = float("-inf")
@@ -313,7 +314,7 @@ def upoly_roots(f: UPoly, ext: FField):
     """All roots of f in ext, by exhaustive scan; sorted by encoding."""
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial vanishes everywhere")
-    if ext.size > 2 ** 21:
+    if ext.size > SCAN_LIMIT:
         raise BoundExceeded("extension too large for an exhaustive root scan")
     emb = ff_embed(f.base, ext)
     g = f.map_field(emb)
@@ -358,8 +359,6 @@ def irreducible_divisors(f: UPoly):
 def minimal_polynomial(elem: FFElem, sub: FField,
                        emb: FieldEmbedding | None = None) -> UPoly:
     """Monic minimal polynomial of elem over the embedded subfield."""
-    from . import linalg
-
     sup = elem.field
     if emb is None:
         emb = ff_embed(sub, sup)
@@ -452,6 +451,8 @@ def parse_upoly(text: str, base: FField, var: str = "t") -> UPoly:
         if m.group(2) is not None and m.group(2) != var:
             raise ParseError(f"unexpected variable {m.group(2)!r}; want {var!r}")
         exp = 0 if m.group(2) is None else int(m.group(3) or 1)
+        if exp > SCAN_LIMIT:
+            raise BoundExceeded(f"exponent {exp} is above {SCAN_LIMIT}")
         if negate:
             cv = -cv
         coeffs[exp] = coeffs.get(exp, 0) + cv

@@ -247,12 +247,52 @@ def test_missing_or_ill_typed_argument_is_parse_error(argv, message):
      '{"f":{"field":{"p":2,"n":1,"modulus":[0,1]},"coeffs":[[0],[1]]},'
      '"ext_degree":%d}' % 2 ** 70,
      "F_2^%d has more than 2^40 elements" % 2 ** 70),
+    (["frobrec", "classify", "--p", "2", "--poly", "X^2199023255552+X-Y"],
+     "", "a degree is above 2097152"),
+    (["frobrec", "theorem", "--p", "2", "--gens", "u",
+      "--images", "u^2199023255552"], "",
+     "exponent 2199023255552 is above 2097152"),
+    (["frobrec", "recover-monomial", "--p", "2", "--num", "X^4194304"], "",
+     "exponent 4194304 is above 2097152"),
+    (["drinfeld", "torsion", "--family", "-", "--at", "x^4194304+1",
+      "--ell", "t"], CARLITZ_FAMILY, "exponent 4194304 is above 2097152"),
+    (["drinfeld", "phi", "--module", "-", "--a", "t^4194304"],
+     CARLITZ_F4_MODULE, "exponent 4194304 is above 2097152"),
 ])
 def test_oversized_requests_fail_fast(argv, stdin_text, message):
     start = time.perf_counter()
     code, out = run_cli(argv, stdin_text)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and json.loads(out) == {"error": message}
+
+
+@pytest.mark.parametrize("argv, expected, seconds", [
+    (["frobrec", "classify", "--p", "65537", "--poly", "X-Y"],
+     {"k": 0, "variant": "XtoY"}, 1.0),
+    (["frobrec", "classify", "--p", "65537", "--poly", "X^65537-Y"],
+     {"k": 1, "variant": "XtoY"}, 1.0),
+    (["frobrec", "classify", "--p", "2", "--poly", "X^2199023255552-Y"],
+     {"k": 41, "variant": "XtoY"}, 1.0),
+    # dense polynomials of degree 65537 are parsed and compared
+    (["frobrec", "theorem", "--p", "65537", "--gens", "u",
+      "--images", "u^65537"], {"k": 1, "ok": True}, 10.0),
+])
+def test_frobenius_shapes_and_images_need_no_field(argv, expected, seconds):
+    start = time.perf_counter()
+    code, out = run_cli(argv)
+    assert time.perf_counter() - start < seconds
+    assert code == 0 and json.loads(out) == expected
+
+
+def test_rejection_over_a_large_prime_fails_fast():
+    # the sampling field F_(65537^2) is too large to scan, and finding its
+    # generator skips the 65536 prime-field constants
+    start = time.perf_counter()
+    code, out = run_cli(["frobrec", "classify", "--p", "65537",
+                         "--poly", "Y+X^2"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and json.loads(out) == {
+        "error": "extension too large for an exhaustive root scan"}
 
 
 ORE_EVAL_PAYLOAD = ('{"f":{"field":{"p":2,"n":2,"modulus":[1,1,1]},'

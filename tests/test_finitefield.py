@@ -170,6 +170,16 @@ def test_generator_order_exhaustive_f9(F9):
     assert len(powers) == 8  # order exactly |F| - 1
 
 
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3),
+                                 (2, 6)])
+def test_generator_is_the_first_from_encoding_one(p, n):
+    F = ff_make(p, n, 0)
+    target = F.size - 1
+    first = next(g for g in map(F.from_encoding, range(1, F.size))
+                 if all(g ** (target // q) != F.one for q in factorize(target)))
+    assert ff_generator(F) == first
+
+
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2)])
 def test_generator_order_via_factoring(p, n):
     F = ff_make(p, n, 0)

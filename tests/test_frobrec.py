@@ -7,6 +7,7 @@ from drinfeld import (NOT_FROBENIUS, XTOY, YTOX, BivarPoly, RationalFunction,
                       consistency_exponents, ff_make, frobenius_target,
                       parse_bivar, parse_ratfunc, recover_monomial_exponent,
                       strip_p_powers, theorem_frob_res)
+from drinfeld import frobrec
 from drinfeld.errors import (NonUnitContent, NotAMorphism, Reducible,
                              RootDoesNotExist, ZeroDenominator,
                              ZeroPolynomial)
@@ -298,3 +299,82 @@ def test_theorem_constant_moved(F2):
     u = parse_ratfunc("u", F2)
     out = theorem_frob_res([one, u], [zero, parse_ratfunc("u^2", F2)])
     assert not out.ok
+
+
+# ---------------------------------------------------------------------------
+# exact decisions build no sampling field and no annihilator
+
+def _expected_shape_answer(p, kind, k, u):
+    """The classification of u*target: k = 0 reads both shapes as X - Y."""
+    if k > 0:
+        return (kind, k, u)
+    v = u if kind == XTOY else (-u) % p  # u*(Y - X) = -u*(X - Y)
+    if v == 1:
+        return (XTOY, 0, 1)
+    if v == p - 1:
+        return (YTOX, 0, 1)
+    return (XTOY, 0, v)
+
+
+def test_shapes_classified_without_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact shape reached the sampling loop")
+
+    for name in ("ff_make", "ff_generator", "upoly_roots"):
+        monkeypatch.setattr(frobrec, name, refuse)
+    checked = 0
+    for p in (2, 3, 5, 7):
+        k = 0
+        while p ** k <= 4096:
+            for kind in (XTOY, YTOX):
+                for u in range(1, p):
+                    cls = classify_frobenius_bivariate(
+                        frobenius_target(p, kind, k) * u)
+                    assert (cls.kind, cls.k, cls.unit) == \
+                        _expected_shape_answer(p, kind, k, u)
+                    checked += 1
+            k += 1
+    assert checked == 2 * (13 + 2 * 8 + 4 * 6 + 6 * 5)
+
+
+def test_shape_test_precedes_content_and_degree_checks(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact shape was expanded densely")
+
+    monkeypatch.setattr(BivarPoly, "y_coeffs", refuse)
+    cls = classify_frobenius_bivariate(frobenius_target(2, XTOY, 41))
+    assert (cls.kind, cls.k, cls.unit) == (XTOY, 41, 1)
+    cls = classify_frobenius_bivariate(frobenius_target(3, YTOX, 30) * 2)
+    assert (cls.kind, cls.k, cls.unit) == (YTOX, 30, 2)
+
+
+def test_theorem_builds_annihilators_only_for_relations(F2, F3,
+                                                        monkeypatch):
+    calls = []
+    original = frobrec.annihilator_resultant
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(frobrec, "annihilator_resultant", counting)
+    cases = [
+        (F2, ["u^2", "u^3", "(u)/(u+1)", "1"], 2, 3),
+        (F2, ["u^4", "u^6"], -1, 1),
+        (F3, ["u+2", "u^2"], 1, 1),
+        (F3, ["u^2+1"], 3, 0),
+    ]
+    for base, texts, k, relations in cases:
+        gens = [parse_ratfunc(t, base) for t in texts]
+        images = [b.frobenius_power(k) for b in gens]
+        calls.clear()
+        out = theorem_frob_res(gens, images)
+        assert (out.ok, out.k) == (True, k)
+        assert len(calls) == relations
+
+
+def test_theorem_rejection_keeps_reason_and_witness(F2):
+    out = theorem_frob_res([parse_ratfunc("u", F2)],
+                           [parse_ratfunc("u^2+u", F2)])
+    assert not out.ok and out.reason == "annihilator is not a Frobenius graph"
+    _verify_witness(parse_bivar("X^2+X+Y", 2), out.witness)

@@ -1,4 +1,5 @@
-"""Invariant checks in the library must survive `python -O`."""
+"""Static checks on the library source: invariant checks that survive
+`python -O`, and imports kept at module level."""
 
 import ast
 from pathlib import Path
@@ -27,6 +28,18 @@ def _raises_runtime_error(node):
 def test_library_has_no_assert_statements():
     found = _find(lambda node: isinstance(node, ast.Assert))
     assert not found, "raise a typed DrinfeldError instead of assert: " + \
+        ", ".join(found)
+
+
+def _imports_inside(node):
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(inner, (ast.Import, ast.ImportFrom))
+                    for inner in ast.walk(node)))
+
+
+def test_library_imports_only_at_module_level():
+    found = _find(_imports_inside)
+    assert not found, "move the import to the top of the module: " + \
         ", ".join(found)
 
 
