@@ -16,12 +16,12 @@ from .frobrec import (NOT_FROBENIUS, XTOY, YTOX, FrobClassification,
                       recover_monomial_exponent, strip_p_powers,
                       theorem_frob_res)
 from .motive import (DetMotive, MotiveMatrix, det_drinfeld, motive_det,
-                     motive_matrix, verify_tate_det)
+                     motive_frobenius_norm, motive_matrix, verify_tate_det)
 from .ore import (OrePoly, ore_divmod_left, ore_divmod_right, ore_eval,
                   ore_kernel, ore_mul, ore_splitting_degree, separable_part)
 from .ratfunc import RationalFunction, parse_ratfunc
-from .reports import (choose_prime_sets, family_norm_table, place_report,
-                      residual_table)
+from .reports import (choose_prime_sets, family_norm_table, norm_report,
+                      place_report, residual_table)
 from .torsion import (FrobeniusReport, TorsionModule, dm_frobenius_matrix,
                       dm_frobenius_norm, dm_torsion, torsion_point_count)
 from .upoly import (UPoly, minimal_polynomial, monic_irreducibles,

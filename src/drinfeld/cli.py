@@ -26,7 +26,7 @@ from .motive import det_drinfeld, motive_det, verify_tate_det
 from .ore import (OrePoly, ore_divmod_left, ore_divmod_right, ore_eval,
                   ore_kernel)
 from .ratfunc import parse_ratfunc
-from .reports import choose_prime_sets, family_norm_table, residual_table
+from .reports import family_norm_table, norm_report, residual_table
 from .torsion import (FrobeniusReport, dm_frobenius_matrix,
                       dm_frobenius_norm, dm_torsion)
 from .upoly import UPoly, parse_upoly, upoly_gcd
@@ -237,11 +237,7 @@ def _cmd_drinfeld(args, config, stdin, out):
             rep = dm_frobenius_norm(E, primes, cap=config.extension_cap,
                                     seed=config.seed)
         else:
-            set1, set2 = choose_prime_sets(E, cap=config.extension_cap,
-                                           seed=config.seed)
-            rep = dm_frobenius_norm(E, set1 + set2,
-                                    cap=config.extension_cap,
-                                    seed=config.seed)
+            rep = norm_report(E, cap=config.extension_cap)
         out.write(_dump_json(rep.to_dict()))
         return 0 if rep.all_ok else 1
     raise ParseError(f"unknown drinfeld op {args.op}")

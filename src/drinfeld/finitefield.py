@@ -450,6 +450,14 @@ class FieldEmbedding:
                 acc = acc + w * c
         return acc
 
+    def preimage(self, elem: FFElem):
+        """The element of sub mapping to elem, or None if elem is not an image."""
+        if elem.field != self.sup:
+            return None
+        rows = [[w.coeffs[i] for w in self._powers] for i in range(self.sup.n)]
+        sol = linalg.solve(rows, list(elem.coeffs), self.sup.p)
+        return None if sol is None else self.sub.element(sol)
+
     def __repr__(self):
         return f"FieldEmbedding({self.sub!r} -> {self.sup!r})"
 

@@ -1,6 +1,7 @@
 """Matrix presentation of the module of additive morphisms attached to a
-Drinfeld module, its rank-1 exterior determinant, and the torsion-side
-verification that the two constructions agree.
+Drinfeld module, its rank-1 exterior determinant, the Frobenius norm read
+off that determinant, and the torsion-side verification that the two
+constructions agree.
 
 The operator acts on column vectors over L[t] as v -> M * sigma(v), where
 sigma raises coefficients to the q-th power and fixes t.  In the companion
@@ -89,6 +90,32 @@ def motive_det(E: DrinfeldModule) -> DetMotive:
     if factor.eval(E.theta):
         raise InvariantError("determinant root differs from theta")
     return DetMotive(module=E, unit=unit, factor=factor)
+
+
+def motive_frobenius_norm(E: DrinfeldModule) -> UPoly:
+    """The Frobenius norm s in F_q[t]: the determinant of Frobenius on the motive.
+
+    The q^d-Frobenius acts as M*sigma(M)*...*sigma^(d-1)(M), and det is
+    multiplicative, so s = prod_{i<d} sigma^i(c*(t - theta)) with c*(t - theta)
+    = det M (the closed form of Gekeler, Trans. AMS 2008).
+    """
+    data = motive_det(E)
+    det = data.factor * data.unit
+    s = UPoly.one(det.base)
+    for _ in range(E.d):
+        s = s * det
+        det = det.map_coeffs(lambda c: c.p_power(E.e))
+    coeffs = []
+    for c in s.coeffs:
+        down = E.const_embedding.preimage(c)
+        if down is None:
+            raise InvariantError("motive norm has a coefficient outside F_q")
+        # constants act on L as c -> c^(p^twist), as in char_poly
+        coeffs.append(down.p_root(E.twist))
+    s = UPoly(E.constants, coeffs)
+    if s.deg != E.d:
+        raise InvariantError(f"motive norm has degree {s.deg}, not {E.d}")
+    return s
 
 
 def det_drinfeld(E: DrinfeldModule) -> DrinfeldModule:

@@ -180,17 +180,24 @@ def ore_divmod_left(a: OrePoly, b: OrePoly):
     field = a.field
     if b.field != field:
         raise FieldMismatch("operators over different fields")
-    q = OrePoly.zero(field)
-    r = a
-    db, lead = b.deg, b.leading()
-    while not r.is_zero() and r.deg >= db:
-        k = r.deg - db
-        # leading term of (c tau^k) * b is c * lead^(p^k) tau^(deg r)
-        c = r.leading() / lead.p_power(k)
-        mono = OrePoly(field, (0,) * k + (c,))
-        q = q + mono
-        r = r - mono * b
-    return q, r
+    db = b.deg
+    r = list(a.coeffs)
+    q = [field.zero] * max(len(r) - db, 0)
+    # tau^k * b = sigma^k(b) tau^k, and sigma^n is the identity on L
+    twisted = [b.coeffs]
+    for _ in range(min(len(q), field.n) - 1):
+        twisted.append(tuple(c ** field.p for c in twisted[-1]))
+    while len(r) > db:
+        k = len(r) - 1 - db
+        tb = twisted[k % field.n]
+        c = r[-1] / tb[-1]
+        q[k] = c
+        for j, bj in enumerate(tb):
+            if bj:
+                r[k + j] = r[k + j] - c * bj
+        while r and not r[-1]:
+            r.pop()
+    return OrePoly(field, q), OrePoly(field, r)
 
 
 def ore_divmod_right(a: OrePoly, b: OrePoly):

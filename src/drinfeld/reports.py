@@ -1,58 +1,75 @@
 """Batch report assembly: norm tables over families, residual tables.
 
 Reconstruction prime sets are chosen deterministically, smallest first,
-skipping torsion whose splitting extension would exceed the cap, and the
-norm is computed from the union so sub-family agreement is meaningful.
+skipping l whose torsion does not split within the cap.  The norm itself
+comes from the determinant motive; each printed per-l determinant is its
+residue, and the CRT lift over the union of the sets must give it back.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .dmodule import DrinfeldModule
-from .errors import BadReduction, CapExceeded, InsufficientModulus
+from .errors import (BadReduction, CapExceeded, InsufficientModulus,
+                     InvariantError)
 from .family import DrinfeldFamily, dm_residual_frobenius_check
-from .torsion import FrobeniusReport, dm_frobenius_norm, dm_torsion
+from .motive import motive_frobenius_norm
+from .torsion import FrobeniusReport, frobenius_report, splitting_degree
 from .upoly import UPoly, irreducibles_of_degree, monic_irreducibles
 
 
-def choose_prime_sets(E: DrinfeldModule, cap: int = 12, seed: int = 0,
-                      count: int = 2):
+def choose_prime_sets(E: DrinfeldModule, cap: int = 12, count: int = 2):
     """Disjoint reconstruction sets of (l, n), each of total degree > d.
 
     Candidates are enumerated by (degree, encoding); an l is skipped when
-    its torsion does not split within the cap.  The pool grows by one
-    degree until every requested set fills.
+    E[l] does not split within the cap, which its splitting degree alone
+    decides.  Each pass admits candidates of one more degree, from d + 1 to
+    d + 4, until every requested set fills.  Candidates are generated only
+    as far as a pass reaches, and each (l, n) is searched at most once.
     """
     need = E.d + 1
-    pool = [ell for ell in monic_irreducibles(E.constants, E.d)
-            if ell != E.char_poly]
+    source = (ell for k in itertools.count(1)
+              for ell in irreducibles_of_degree(E.constants, k)
+              if ell != E.char_poly)
+    pool: list = []
+    known: dict = {}
+
+    def candidates(max_deg):
+        for i in itertools.count():
+            if i == len(pool):
+                pool.append(next(source))
+            if pool[i].deg > max_deg:
+                return
+            yield pool[i]
+
+    def splits(ell, n):
+        if (ell, n) not in known:
+            try:
+                splitting_degree(E, ell, n, cap)
+                known[ell, n] = True
+            except CapExceeded:
+                known[ell, n] = False
+        return known[ell, n]
+
     for pool_deg in range(E.d + 1, E.d + 5):
-        pool += [ell for ell in irreducibles_of_degree(E.constants, pool_deg)
-                 if ell != E.char_poly]
         used = set()
         sets = []
         for _ in range(count):
             acc: list = []
             total = 0
-            for ell in pool:
-                if ell in used:
-                    continue
-                try:
-                    dm_torsion(E, ell, 1, cap=cap, seed=seed)
-                except CapExceeded:
+            for ell in candidates(pool_deg):
+                if ell in used or not splits(ell, 1):
                     continue
                 acc.append((ell, 1))
                 used.add(ell)
                 total += ell.deg
                 if total >= need:
                     break
-            if total < need:
-                for idx, (ell, n) in enumerate(acc):
-                    if total >= need:
-                        break
-                    try:
-                        dm_torsion(E, ell, 2, cap=cap, seed=seed)
-                    except CapExceeded:
-                        continue
+            for idx, (ell, n) in enumerate(acc):
+                if total >= need:
+                    break
+                if splits(ell, 2):
                     acc[idx] = (ell, 2)
                     total += ell.deg
             if total < need:
@@ -65,13 +82,23 @@ def choose_prime_sets(E: DrinfeldModule, cap: int = 12, seed: int = 0,
         f"within cap {cap}")
 
 
+def norm_report(E: DrinfeldModule, cap: int = 12,
+                place: UPoly | None = None) -> FrobeniusReport:
+    """The motive norm, reported through its residues on two prime sets."""
+    set1, set2 = choose_prime_sets(E, cap=cap)
+    s = motive_frobenius_norm(E)
+    rep = frobenius_report(E, [(ell, n, None, s % ell ** n)
+                               for ell, n in set1 + set2], place)
+    if rep.s_exact != s:
+        raise InvariantError("CRT lift of the motive residues is not the norm")
+    return rep
+
+
 def place_report(family: DrinfeldFamily, prime: UPoly, cap: int = 12,
                  seed: int = 0) -> FrobeniusReport:
-    """Specialize at the place and reconstruct the Frobenius norm there."""
-    module, place = family.specialize(prime, seed)
-    set1, set2 = choose_prime_sets(module, cap=cap, seed=seed)
-    return dm_frobenius_norm(module, set1 + set2, cap=cap, seed=seed,
-                             place=prime)
+    """Specialize at the place and compute the Frobenius norm there."""
+    module, _ = family.specialize(prime, seed)
+    return norm_report(module, cap=cap, place=prime)
 
 
 def family_norm_table(family: DrinfeldFamily, max_prime_degree: int,

@@ -3,6 +3,9 @@
 E[l^n] is materialized inside the minimal splitting extension, certified
 free of rank r over A/l^n by an explicit basis, and carries a lookup table
 from points to coordinates so Galois actions become matrix extractions.
+Its splitting degree alone needs no extension.  A norm report lifts
+per-prime residues by CRT; they come from Frobenius on torsion here, or
+from the motive norm (reports.norm_report).
 """
 
 from __future__ import annotations
@@ -77,16 +80,29 @@ def _validate_ell(E: DrinfeldModule, ell: UPoly):
             f"l = {ell.to_text()} is the characteristic ideal")
 
 
+def splitting_degree(E: DrinfeldModule, ell: UPoly, n: int, cap: int) -> int:
+    """Degree over L of the field where E[l^n] splits; CapExceeded above cap.
+
+    l must be a valid torsion prime (see _validate_ell).
+    """
+    # |E[l^n]| = q^(r n deg l), and its splitting field is at least as large
+    k = E.r * n * ell.deg
+    if k > 40 or E.q ** k > FIELD_SIZE_LIMIT:
+        raise CapExceeded(f"E[({ell.to_text()})^{n}] has over 2^40 points")
+    lam = ell ** n
+    try:
+        return ore_splitting_degree(E.phi(lam), cap)
+    except NotFound as exc:
+        raise CapExceeded(
+            f"splitting degree of E[{lam.to_text()}] exceeds {cap}") from exc
+
+
 def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
                seed: int = 0) -> TorsionModule:
     """The module E[l^n] in its splitting extension, with basis and coordinates."""
     _validate_ell(E, ell)
     if n < 1:
         raise ValueError("torsion exponent must be >= 1")
-    # |E[l^n]| = q^(r n deg l), and its splitting field is at least as large
-    k = E.r * n * ell.deg
-    if k > 40 or E.q ** k > FIELD_SIZE_LIMIT:
-        raise CapExceeded(f"E[({ell.to_text()})^{n}] has over 2^40 points")
     key = (E.cache_key(), ell, n, seed)
     cached = _TORSION_CACHE.get(key)
     if cached is not None:
@@ -95,14 +111,9 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
                 f"splitting degree {cached.ext.n // E.L.n} exceeds {cap}")
         return cached
 
-    lam = ell ** n
-    phi_lam = E.phi(lam)
-    try:
-        m = ore_splitting_degree(phi_lam, cap)
-    except NotFound as exc:
-        raise CapExceeded(
-            f"splitting degree of E[{lam.to_text()}] exceeds {cap}") from exc
+    m = splitting_degree(E, ell, n, cap)
     ext, emb = extension_of(E.L, m, seed)
+    phi_lam = E.phi(ell ** n)
     kernel = ore_kernel(phi_lam, ext)
     points = kernel.points
 
@@ -193,7 +204,7 @@ class FrobeniusReport:
 
     place: UPoly | None
     d: int
-    residues: tuple  # of (ell, n, matrix, det) entries
+    residues: tuple  # of (ell, n, matrix | None, det) entries
     s_exact: UPoly
     s_monic: UPoly
     independence: bool
@@ -288,16 +299,19 @@ def dm_frobenius_norm(E: DrinfeldModule, primes, cap: int = 12, seed: int = 0,
         if ell in seen:
             raise ValueError("repeated prime in reconstruction set")
         seen.add(ell)
-    d = E.d
-    entries = []
     residues = []
     for ell, n in primes:
         T = dm_torsion(E, ell, n, cap=cap, seed=seed)
         mat = dm_frobenius_matrix(T)
-        det = upoly_det(mat) % T.modulus
-        residues.append((ell, n, mat, det))
-        entries.append((det, ell ** n))
+        residues.append((ell, n, mat, upoly_det(mat) % T.modulus))
+    return frobenius_report(E, residues, place)
 
+
+def frobenius_report(E: DrinfeldModule, residues,
+                     place: UPoly | None = None) -> FrobeniusReport:
+    """The norm CRT-lifted from residues (l, n, matrix | None, s mod l^n)."""
+    d = E.d
+    entries = [(det, ell ** n) for ell, n, _, det in residues]
     s = _crt_lift(entries, d, E.q)
     degree_ok = s.deg == d
     char_divides = not E.delta(s)

@@ -1,0 +1,206 @@
+"""The Frobenius norm from the determinant motive, against the torsion route,
+and the norm commands that now build no torsion."""
+
+import io
+import sys
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import drinfeld
+from drinfeld import (DetMotive, DrinfeldFamily, DrinfeldModule, UPoly,
+                      carlitz_module, choose_prime_sets, dm_frobenius_norm,
+                      ff_embed, ff_make, motive, motive_det,
+                      motive_frobenius_norm, parse_upoly)
+from drinfeld.cli import main
+from drinfeld.errors import InsufficientModulus, InvariantError
+
+CARLITZ_FAMILY = '{"p":2,"e":1,"r":1,"delta":[[0],[1]],"coeffs":[[[1]]]}'
+RANK2_FAMILY = '{"p":2,"e":1,"r":2,"delta":[[0],[1]],"coeffs":[[[1]],[[1]]]}'
+RANK2_F4_MODULE = ('{"field":{"p":2,"n":2,"modulus":[1,1,1]},'
+                   '"theta":[0,1],"coeffs":[[1,0],[0,1]],"e":1,"twist":0}')
+
+# The rank-2 modules and family places of the benchmark's rank2_modules
+# workload: (p, modulus of L, theta, (a_1, a_2)).
+MODULES = (
+    (2, [1, 1, 0, 1], [0, 1, 0], ([1, 0, 0], [0, 1, 0])),
+    (2, [1, 1, 0, 1], [0, 1, 0], ([0, 0, 0], [1, 0, 0])),
+    (2, [1, 1, 0, 1], [0, 1, 0], ([0, 1, 0], [1, 0, 0])),
+    (2, [1, 1, 0, 1], [0, 1, 0], ([0, 0, 1], [1, 0, 0])),
+    (2, [1, 1, 1], [0, 1], ([1, 0], [1, 0])),
+    (2, [1, 1, 1], [0, 1], ([0, 1], [1, 0])),
+    (3, [0, 1], [1], ([1], [1])),
+    (3, [0, 1], [2], ([1], [2])),
+    (3, [0, 1], [1], ([0], [1])),
+    (3, [0, 1], [2], ([2], [1])),
+)
+# (p, (a_1(theta), a_2(theta)), places as coefficient lists)
+FAMILIES = (
+    (2, ([1], [1]), ([0, 1], [1, 1], [1, 1, 1])),
+    (2, ([0, 1], [1]), ([0, 1], [1, 1], [1, 1, 1], [1, 1, 0, 1])),
+    (3, ([1], [1]), ([0, 1], [1, 1], [2, 1])),
+)
+
+
+def _run(argv, stdin_text):
+    out = io.StringIO()
+    code = main(argv, stdin=io.StringIO(stdin_text), stdout=out)
+    return code, out.getvalue()
+
+
+def _torsion_norm(E, cap=24):
+    """s rebuilt from Frobenius on torsion, over one reconstruction set."""
+    (primes,) = choose_prime_sets(E, cap=cap, count=1)
+    return dm_frobenius_norm(E, primes, cap=cap).s_exact
+
+
+def _benchmark_modules():
+    for p, modulus, theta, coeffs in MODULES:
+        L = drinfeld.FField(p, len(modulus) - 1, modulus)
+        yield DrinfeldModule(L, L.element(theta),
+                             [L.element(c) for c in coeffs])
+    for p, coeffs, places in FAMILIES:
+        Fp = ff_make(p, 1, 0)
+        family = DrinfeldFamily(Fp, UPoly.x(Fp), [UPoly(Fp, c)
+                                                  for c in coeffs])
+        for place in places:
+            yield family.specialize(UPoly(Fp, place))[0]
+
+
+def test_motive_norm_matches_torsion_on_benchmark_modules():
+    modules = list(_benchmark_modules())
+    assert len(modules) == 20
+    for E in modules:
+        s = motive_frobenius_norm(E)
+        assert s.base == E.constants and s.deg == E.d
+        assert s == _torsion_norm(E)
+
+
+@st.composite
+def modules(draw):
+    """Ranks 1-3 over F_2, F_3, F_4, F_8 and F_9, and F_4 over F_4 twisted."""
+    p, n, e = draw(st.sampled_from([(2, 1, 1), (3, 1, 1), (2, 2, 1),
+                                    (2, 3, 1), (3, 2, 1), (2, 2, 2)]))
+    L = ff_make(p, n, 0)
+    constants = ff_make(p, e, 0)
+    twist = draw(st.integers(0, e - 1))
+    r = draw(st.integers(1, 3))
+    theta = L.from_encoding(draw(st.integers(0, L.size - 1)))
+    coeffs = [L.from_encoding(draw(st.integers(0, L.size - 1)))
+              for _ in range(r - 1)]
+    coeffs.append(L.from_encoding(draw(st.integers(1, L.size - 1))))
+    return DrinfeldModule(L, theta, coeffs, constants=constants, twist=twist)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(E=modules())
+def test_motive_norm_matches_torsion(E):
+    s = motive_frobenius_norm(E)
+    try:
+        expected = _torsion_norm(E)
+    except InsufficientModulus:
+        assume(False)
+    assert s == expected
+
+
+def test_motive_norm_with_extension_constants(F4):
+    F16 = ff_make(2, 4, 0)
+    theta = ff_embed(F4, F16)(F4.gen)
+    for twist in (0, 1):
+        E = DrinfeldModule(F16, theta, [F16.gen, F16.one], constants=F4,
+                           twist=twist)
+        s = motive_frobenius_norm(E)
+        assert s.monic() == E.char_poly ** (E.d // E.char_poly.deg)
+        assert s == _torsion_norm(E)
+
+
+def test_motive_norm_rejects_a_coefficient_outside_fq(carlitz_f4,
+                                                      monkeypatch):
+    # a determinant over F_16, twisted d = [F_4 : F_2] = 2 times, is not
+    # fixed by squaring, so its product has coefficients outside F_2
+    F16 = ff_make(2, 4, 0)
+    wide = carlitz_module(F16)
+    wrong = DetMotive(module=carlitz_f4, unit=F16.gen,
+                      factor=motive_det(wide).factor)
+    monkeypatch.setattr(motive, "motive_det", lambda E: wrong)
+    with pytest.raises(InvariantError, match="outside F_q"):
+        motive_frobenius_norm(carlitz_f4)
+
+
+def test_motive_norm_rejects_a_wrong_degree(rank2_f4, monkeypatch):
+    data = motive_det(rank2_f4)
+    squared = DetMotive(module=rank2_f4, unit=data.unit,
+                        factor=data.factor * data.factor)
+    monkeypatch.setattr(motive, "motive_det", lambda E: squared)
+    with pytest.raises(InvariantError, match="degree 4, not 2"):
+        motive_frobenius_norm(rank2_f4)
+    code, out = _run(["drinfeld", "frobnorm", "--module", "-", "--cap", "24"],
+                     RANK2_F4_MODULE)
+    assert (code, out) == (2, '{"error":"motive norm has degree 4, not 2"}\n')
+
+
+def test_norm_report_rejects_residues_that_do_not_lift_to_the_norm(
+        F2, monkeypatch):
+    # a norm of degree above every modulus sum cannot be its own CRT lift
+    tall = UPoly.x(F2) ** 12 + UPoly.one(F2)
+    monkeypatch.setattr(drinfeld.reports, "motive_frobenius_norm",
+                        lambda E: tall)
+    code, out = _run(["drinfeld", "frobnorm", "--module", "-", "--cap", "24"],
+                     RANK2_F4_MODULE)
+    assert (code, out) == (
+        2, '{"error":"CRT lift of the motive residues is not the norm"}\n')
+
+
+NORM_COMMANDS = [
+    (["carlitz", "table", "--p", "2", "--max-prime-degree", "3",
+      "--cap", "24"] + fmt, "")
+    for fmt in ([], ["--format", "csv"], ["--format", "text"])
+] + [
+    (["type2", "report", "--max-prime-degree", "3", "--cap", "24"],
+     RANK2_FAMILY),
+    (["drinfeld", "frobnorm", "--module", "-", "--cap", "24"],
+     RANK2_F4_MODULE),
+    (["drinfeld", "frobnorm", "--family", "-", "--at", "x^5+x^2+1",
+      "--cap", "24"], CARLITZ_FAMILY),
+]
+
+
+def test_norm_commands_build_no_torsion(monkeypatch):
+    expected = [_run(argv, text) for argv, text in NORM_COMMANDS]
+    assert [code for code, _ in expected] == [0, 0, 0, 1, 0, 0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the norm route must build no torsion")
+
+    for name in ("dm_torsion", "ore_kernel", "extension_of"):
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("drinfeld.") and hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert [_run(argv, text) for argv, text in NORM_COMMANDS] == expected
+
+
+def test_frobnorm_primes_still_reads_torsion(monkeypatch):
+    argv = ["drinfeld", "frobnorm", "--family", "-", "--at", "x^2+x+1",
+            "--primes", "t:2,t+1:1"]
+    code, out = _run(argv, CARLITZ_FAMILY)
+    assert code == 0 and '"s":"t^2+t+1"' in out
+
+    def refuse(*args, **kwargs):
+        raise InvariantError("torsion was read")
+
+    monkeypatch.setattr(drinfeld.torsion, "dm_torsion", refuse)
+    assert _run(argv, CARLITZ_FAMILY) == (
+        2, '{"error":"torsion was read"}\n')
+
+
+def test_printed_residues_are_the_motive_norm_mod_each_prime():
+    family = drinfeld.carlitz_family(3)
+    for place in ("x^2+1", "x^2+x+2"):
+        prime = parse_upoly(place, family.constants, "x")
+        rep = drinfeld.place_report(family, prime, cap=24)
+        E = family.specialize(prime)[0]
+        s = motive_frobenius_norm(E)
+        assert rep.s_exact == s
+        assert all(mat is None and det == s % ell ** n
+                   for ell, n, mat, det in rep.residues)

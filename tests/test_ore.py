@@ -80,6 +80,36 @@ def test_division_roundtrips_random(F4, F9):
             assert b * q2 + r2 == a and r2.deg < b.deg
 
 
+def _divmod_left_by_products(a, b):
+    """Oracle: subtract (c tau^k) * b, formed by operator multiplication."""
+    field = a.field
+    q = OrePoly.zero(field)
+    r = a
+    db, lead = b.deg, b.leading()
+    while not r.is_zero() and r.deg >= db:
+        k = r.deg - db
+        c = r.leading() / lead.p_power(k)
+        mono = OrePoly(field, (0,) * k + (c,))
+        q = q + mono
+        r = r - mono * b
+    return q, r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shape=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+       a_codes=st.lists(st.integers(0, 8), max_size=14),
+       b_codes=st.lists(st.integers(0, 8), min_size=1, max_size=6))
+def test_left_division_matches_product_oracle(shape, a_codes, b_codes):
+    # quotients longer than [L : F_p] reuse the twists of b cyclically
+    L = ff_make(*shape)
+    a = OrePoly(L, [L.from_encoding(c) for c in a_codes])
+    b = OrePoly(L, [L.from_encoding(c) for c in b_codes[:-1]]
+                + [L.from_encoding(1 + b_codes[-1] % (L.size - 1))])
+    q, r = ore_divmod_left(a, b)
+    assert q * b + r == a and r.deg < b.deg
+    assert (q, r) == _divmod_left_by_products(a, b)
+
+
 def test_associativity_random(F9):
     rng = random.Random(17)
     for _ in range(60):

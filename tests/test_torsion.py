@@ -178,7 +178,8 @@ def test_oversized_torsion_fails_before_the_splitting_search(
 
 
 def test_prime_set_search_tests_each_candidate_once(monkeypatch):
-    # the Carlitz module at x needs pool degree d + 2 = 3 at cap 8
+    # the Carlitz module at x needs pool degree d + 2 = 3 at cap 8; the
+    # second set fills at t^3+t+1 (encoding 11), so the scan stops there
     family = carlitz_family(2)
     E = family.specialize(parse_upoly("x", family.constants, "x"))[0]
     tested = []
@@ -190,7 +191,26 @@ def test_prime_set_search_tests_each_candidate_once(monkeypatch):
 
     monkeypatch.setattr(upoly, "upoly_irreducible", counting)
     assert len(choose_prime_sets(E, cap=8)) == 2
-    assert sorted(tested) == list(range(2, 2 ** (E.d + 3)))
+    assert len(tested) == len(set(tested))
+    assert sorted(tested) == list(range(2, 12))
+
+
+def test_failing_prime_set_search_splits_each_candidate_once(monkeypatch):
+    # rank 2 over F_8, coefficients (theta, theta + 1): all four passes fail
+    F8 = ff_make(2, 3, 0)
+    E = DrinfeldModule(F8, F8.gen, [F8.gen, F8.gen + 1])
+    searched = []
+    search = torsion.ore_splitting_degree
+
+    def counting(f, cap):
+        searched.append(f.coeffs)
+        return search(f, cap)
+
+    monkeypatch.setattr(torsion, "ore_splitting_degree", counting)
+    with pytest.raises(InsufficientModulus, match="within cap 24"):
+        choose_prime_sets(E, cap=24)
+    # phi(l^n) determines (l, n), so no (l, n) was searched twice
+    assert len(searched) == len(set(searched)) > 0
 
 
 def test_determinant_helper(F2):
