@@ -167,7 +167,7 @@ def _ore_inputs(op, payload):
     f = OrePoly.from_dict(payload["f"])
     if op == "eval":
         xfield = (FField.from_dict(payload["x_field"])
-                  if "x_field" in payload else f.field)
+                  if "x_field" in payload else f.base)
         return f, xfield.element(payload["x"])
     ext_degree = payload.get("ext_degree", 1)
     if not isinstance(ext_degree, int):
@@ -197,7 +197,7 @@ def _cmd_ore(args, config, stdin, out):
         out.write(_dump_json({"value": ore_eval(f, x).to_list()}))
     elif op == "kernel":
         f, ext_degree = inputs
-        ext, _ = extension_of(f.field, ext_degree, config.seed)
+        ext, _ = extension_of(f.base, ext_degree, config.seed)
         ker = ore_kernel(f, ext)
         out.write(_dump_json({
             "field": ext.to_dict(),
@@ -397,6 +397,9 @@ def _module_inputs(parser):
                         help="specialize the family at this place")
 
 
+# built on the first main call, then reused: a parser holds no per-run state
+_PARSER = None
+
 _HANDLERS = {
     "ore": _cmd_ore,
     "drinfeld": _cmd_drinfeld,
@@ -411,8 +414,10 @@ _HANDLERS = {
 def main(argv=None, stdin=None, stdout=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     out_stream = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     config = RunConfig(seed=args.seed, extension_cap=args.cap,
                        fmt=args.format, output=args.output)
     buffer = io.StringIO()

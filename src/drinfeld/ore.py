@@ -7,103 +7,32 @@ over the prime field.
 
 from __future__ import annotations
 
-import operator
-
 from . import linalg
-from .errors import (DivisionByZero, FieldMismatch, Inseparable, NotFound,
-                     ZeroPolynomial)
+from .errors import DivisionByZero, Inseparable, NotFound, ZeroPolynomial
 from .finitefield import FIELD_SIZE_LIMIT, FFElem, FField, ff_embed
-from .intutil import _power
-
-NEG_INF = float("-inf")
+from .upoly import DensePoly
 
 
-class OrePoly:
+class OrePoly(DensePoly):
     """sum coeffs[i] * tau^i over a finite field, with the p-power twist."""
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FField, coeffs):
-        elems = []
-        for c in coeffs:
-            elems.append(c if isinstance(c, FFElem) else field.element(c))
-        while elems and not elems[-1]:
-            elems.pop()
-        for c in elems:
-            if c.field != field:
-                raise FieldMismatch("coefficient outside the base field")
-        self.field = field
-        self.coeffs = tuple(elems)
+    __slots__ = ()
+    NOUN = "operator"
 
     @classmethod
-    def zero(cls, field):
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field):
-        return cls(field, (1,))
-
-    @classmethod
-    def tau(cls, field, i: int = 1):
-        return cls(field, (0,) * i + (1,))
+    def tau(cls, base, i: int = 1):
+        return cls(base, (0,) * i + (1,))
 
     @classmethod
     def scalar(cls, c: FFElem):
         return cls(c.field, (c,))
 
-    @property
-    def deg(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def coeff(self, i: int) -> FFElem:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
-
-    def constant(self) -> FFElem:
-        return self.coeff(0)
-
-    def leading(self) -> FFElem:
-        if not self.coeffs:
-            raise ZeroPolynomial("zero operator has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def _coerce(self, other):
-        if isinstance(other, OrePoly):
-            if other.field != self.field:
-                raise FieldMismatch("operators over different fields")
-            return other
-        if isinstance(other, FFElem):
-            return OrePoly.scalar(self.field.element(other))
-        return OrePoly(self.field, (other,))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return OrePoly(self.field, [self.coeff(i) + other.coeff(i)
-                                    for i in range(n)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return OrePoly(self.field, [self.coeff(i) - other.coeff(i)
-                                    for i in range(n)])
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return OrePoly(self.field, [-c for c in self.coeffs])
-
     def __mul__(self, other):
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
-            return OrePoly.zero(self.field)
-        p = self.field.p
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return OrePoly.zero(self.base)
+        p = self.base.p
+        out = [self.base.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         # tau^i * c = c^(p^i) * tau^i; row i is row i-1 raised to the p
         twisted = other.coeffs
         for i, a in enumerate(self.coeffs):
@@ -114,43 +43,22 @@ class OrePoly:
             for j, b in enumerate(twisted):
                 if b:
                     out[i + j] = out[i + j] + a * b
-        return OrePoly(self.field, out)
+        return OrePoly(self.base, out)
 
     def __rmul__(self, other):
         return self._coerce(other) * self
 
-    def __pow__(self, e: int):
-        return _power(self, e, OrePoly.one(self.field), operator.mul)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, FFElem)):
-            try:
-                other = self._coerce(other)
-            except FieldMismatch:
-                return False
-        return (isinstance(other, OrePoly) and other.field == self.field
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __call__(self, x: FFElem) -> FFElem:
         return ore_eval(self, x)
 
-    def map_field(self, emb) -> "OrePoly":
-        return OrePoly(emb.sup, [emb(c) for c in self.coeffs])
-
     def to_dict(self):
-        return {"field": self.field.to_dict(),
+        return {"field": self.base.to_dict(),
                 "coeffs": [c.to_list() for c in self.coeffs]}
 
     @classmethod
     def from_dict(cls, d):
-        field = FField.from_dict(d["field"])
-        return cls(field, [field.element(c) for c in d["coeffs"]])
+        base = FField.from_dict(d["field"])
+        return cls(base, [base.element(c) for c in d["coeffs"]])
 
     def __repr__(self):
         if self.is_zero():
@@ -160,7 +68,7 @@ class OrePoly:
             c = self.coeffs[i]
             if not c:
                 continue
-            body = "" if (c == self.field.one and i > 0) else repr(c)
+            body = "" if (c == self.base.one and i > 0) else repr(c)
             if i == 0:
                 parts.append(repr(c))
             else:
@@ -177,9 +85,8 @@ def ore_divmod_left(a: OrePoly, b: OrePoly):
     """(q, r) with a = q*b + r and deg r < deg b."""
     if b.is_zero():
         raise DivisionByZero("division by the zero operator")
-    field = a.field
-    if b.field != field:
-        raise FieldMismatch("operators over different fields")
+    field = a.base
+    b = a._coerce(b)
     db = b.deg
     r = list(a.coeffs)
     q = [field.zero] * max(len(r) - db, 0)
@@ -204,9 +111,8 @@ def ore_divmod_right(a: OrePoly, b: OrePoly):
     """(q, r) with a = b*q + r and deg r < deg b."""
     if b.is_zero():
         raise DivisionByZero("division by the zero operator")
-    field = a.field
-    if b.field != field:
-        raise FieldMismatch("operators over different fields")
+    field = a.base
+    b = a._coerce(b)
     q = OrePoly.zero(field)
     r = a
     db, lead = b.deg, b.leading()
@@ -222,12 +128,12 @@ def ore_divmod_right(a: OrePoly, b: OrePoly):
 
 def ore_eval(f: OrePoly, x: FFElem) -> FFElem:
     """Apply the additive polynomial: sum c_i x^(p^i)."""
-    if x.field == f.field:
+    if x.field == f.base:
         coeffs = f.coeffs
     else:
-        emb = ff_embed(f.field, x.field)
+        emb = ff_embed(f.base, x.field)
         coeffs = tuple(emb(c) for c in f.coeffs)
-    p = f.field.p
+    p = f.base.p
     acc = x.field.zero
     power = x
     for i, c in enumerate(coeffs):
@@ -266,7 +172,7 @@ def ore_kernel(f: OrePoly, ext: FField) -> KernelSpace:
     """All roots of f in ext, with an F_p-basis; |kernel| divides p^deg."""
     if f.is_zero():
         raise ZeroPolynomial("kernel of the zero operator is everything")
-    g = f.map_field(ff_embed(f.field, ext))
+    g = f.map_field(ff_embed(f.base, ext))
     p = ext.p
     cols = [ore_eval(g, ext.from_encoding(p ** j)).coeffs
             for j in range(ext.n)]
@@ -285,7 +191,7 @@ def ore_splitting_degree(f: OrePoly, cap: int) -> int:
         raise ZeroPolynomial("zero operator")
     if not f.constant():
         raise Inseparable("vanishing constant term: kernel cannot be full")
-    L = f.field
+    L = f.base
     # 1 mod f, which is 0 when f is a nonzero constant and splits at once
     r = r0 = ore_divmod_left(OrePoly.one(L), f)[1]
     for m in range(1, cap + 1):
@@ -307,5 +213,5 @@ def separable_part(f: OrePoly):
     s = 0
     while not f.coeff(s):
         s += 1
-    g = OrePoly(f.field, [c.p_root(s) for c in f.coeffs[s:]])
+    g = OrePoly(f.base, [c.p_root(s) for c in f.coeffs[s:]])
     return g, s

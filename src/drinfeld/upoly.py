@@ -13,17 +13,21 @@ import re
 from .errors import (BoundExceeded, DivisionByZero, FieldMismatch,
                      InvariantError, NonCoprimeModuli, ParseError,
                      ZeroPolynomial)
-from . import linalg
 from .finitefield import SCAN_LIMIT, FFElem, FField, FieldEmbedding, ff_embed
 from .intutil import _power
 
 NEG_INF = float("-inf")
 
 
-class UPoly:
-    """Polynomial with FFElem coefficients, low-to-high, trailing zeros stripped."""
+class DensePoly:
+    """FFElem coefficients low-to-high, trailing zeros stripped.
+
+    Everything that does not depend on the product lives here; subclasses
+    supply it.  NOUN names the elements in error messages.
+    """
 
     __slots__ = ("base", "coeffs")
+    NOUN = "polynomial"
 
     def __init__(self, base: FField, coeffs):
         elems = []
@@ -37,8 +41,6 @@ class UPoly:
         self.base = base
         self.coeffs = tuple(elems)
 
-    # -- constructors ---------------------------------------------------------
-
     @classmethod
     def zero(cls, base):
         return cls(base, ())
@@ -46,6 +48,83 @@ class UPoly:
     @classmethod
     def one(cls, base):
         return cls(base, (1,))
+
+    @property
+    def deg(self):
+        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def leading(self) -> FFElem:
+        if not self.coeffs:
+            raise ZeroPolynomial(f"zero {self.NOUN} has no leading coefficient")
+        return self.coeffs[-1]
+
+    def constant(self) -> FFElem:
+        return self.coeffs[0] if self.coeffs else self.base.zero
+
+    def coeff(self, i: int) -> FFElem:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.base.zero
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            if other.base != self.base:
+                raise FieldMismatch(f"{self.NOUN}s over different fields")
+            return other
+        return type(self)(self.base, (other,))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return type(self)(self.base, [self.coeff(i) + other.coeff(i)
+                                      for i in range(n)])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return type(self)(self.base, [self.coeff(i) - other.coeff(i)
+                                      for i in range(n)])
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __neg__(self):
+        return type(self)(self.base, [-c for c in self.coeffs])
+
+    def __pow__(self, e: int):
+        return _power(self, e, self.one(self.base), operator.mul)
+
+    def map_field(self, emb: FieldEmbedding):
+        if emb.sub != self.base:
+            raise FieldMismatch("embedding does not start at the base field")
+        return type(self)(emb.sup, [emb(c) for c in self.coeffs])
+
+    def map_coeffs(self, fn):
+        return type(self)(self.base, [fn(c) for c in self.coeffs])
+
+    def __eq__(self, other):
+        if isinstance(other, (int, FFElem)):
+            try:
+                other = self._coerce(other)
+            except FieldMismatch:
+                return False
+        return (isinstance(other, type(self)) and other.base == self.base
+                and other.coeffs == self.coeffs)
+
+    def __hash__(self):
+        return hash((self.base, self.coeffs))
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+
+class UPoly(DensePoly):
+    """Polynomial in F[x]: the commutative product, division and evaluation."""
+
+    __slots__ = ()
 
     @classmethod
     def x(cls, base):
@@ -60,28 +139,8 @@ class UPoly:
             k //= base.size
         return cls(base, digits)
 
-    # -- basic structure --------------------------------------------------------
-
-    @property
-    def deg(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self):
-        return not self.coeffs
-
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == self.base.one
-
-    def leading(self) -> FFElem:
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def constant(self) -> FFElem:
-        return self.coeffs[0] if self.coeffs else self.base.zero
-
-    def coeff(self, i: int) -> FFElem:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.base.zero
 
     def monic(self) -> "UPoly":
         if self.is_zero():
@@ -97,31 +156,6 @@ class UPoly:
 
     # -- ring operations --------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, UPoly):
-            if other.base != self.base:
-                raise FieldMismatch("polynomials over different fields")
-            return other
-        return UPoly(self.base, (other,))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly(self.base, [self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly(self.base, [self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return UPoly(self.base, [-c for c in self.coeffs])
-
     def __mul__(self, other):
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
@@ -135,9 +169,6 @@ class UPoly:
         return UPoly(self.base, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        return _power(self, e, UPoly.one(self.base), operator.mul)
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -184,31 +215,6 @@ class UPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + (emb(c) if emb else c)
         return acc
-
-    def map_field(self, emb: FieldEmbedding) -> "UPoly":
-        if emb.sub != self.base:
-            raise FieldMismatch("embedding does not start at the base field")
-        return UPoly(emb.sup, [emb(c) for c in self.coeffs])
-
-    def map_coeffs(self, fn) -> "UPoly":
-        return UPoly(self.base, [fn(c) for c in self.coeffs])
-
-    # -- misc --------------------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (int, FFElem)):
-            try:
-                other = self._coerce(other)
-            except FieldMismatch:
-                return False
-        return (isinstance(other, UPoly) and other.base == self.base
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash((self.base, self.coeffs))
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     def to_lists(self):
         return [c.to_list() for c in self.coeffs]
@@ -358,30 +364,25 @@ def irreducible_divisors(f: UPoly):
 
 def minimal_polynomial(elem: FFElem, sub: FField,
                        emb: FieldEmbedding | None = None) -> UPoly:
-    """Monic minimal polynomial of elem over the embedded subfield."""
+    """Monic minimal polynomial of elem over the embedded subfield.
+
+    It is the product of (X - c) over the conjugates c = elem^(|sub|^i),
+    whose coefficients descend to sub through the embedding.
+    """
     sup = elem.field
     if emb is None:
         emb = ff_embed(sub, sup)
-    sub_basis = [emb(sub.from_encoding(sub.p ** i)) for i in range(sub.n)]
-    powers = [sup.one]
-    for j in range(1, sup.n // sub.n + 1):
-        powers.append(powers[-1] * elem)
-    for j in range(1, len(powers)):
-        # columns: b_s * elem^i for i < j; solve for elem^j
-        cols = []
-        for i in range(j):
-            for b in sub_basis:
-                cols.append((b * powers[i]).coeffs)
-        rows = [[cols[c][r] for c in range(len(cols))] for r in range(sup.n)]
-        sol = linalg.solve(rows, list(powers[j].coeffs), sup.p)
-        if sol is None:
-            continue
-        coeffs = []
-        for i in range(j):
-            chunk = sol[i * sub.n:(i + 1) * sub.n]
-            coeffs.append(-sub.element(chunk))
-        return UPoly(sub, coeffs + [sub.one])
-    raise InvariantError("element has no relation below the field degree")
+    prod, c = UPoly.one(sup), elem
+    while True:
+        prod = prod * UPoly(sup, [-c, sup.one])
+        c = c ** sub.size
+        if c == elem:
+            break
+    coeffs = [emb.preimage(c) for c in prod.coeffs]
+    if None in coeffs:
+        raise InvariantError("minimal polynomial has a coefficient outside "
+                             "the subfield")
+    return UPoly(sub, coeffs)
 
 
 def lagrange_interpolator(xs, base: FField):
@@ -456,8 +457,8 @@ def parse_upoly(text: str, base: FField, var: str = "t") -> UPoly:
         if negate:
             cv = -cv
         coeffs[exp] = coeffs.get(exp, 0) + cv
-    size = max(coeffs) + 1 if coeffs else 0
-    vec = [0] * size
+    # a sparse text may name x^(2^21): build elements for its terms only
+    vec = [base.zero] * (max(coeffs) + 1 if coeffs else 0)
     for e, c in coeffs.items():
-        vec[e] = c % base.p
-    return UPoly(base, [base.element(c) for c in vec])
+        vec[e] = base.element(c)
+    return UPoly(base, vec)

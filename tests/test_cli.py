@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drinfeld
-from drinfeld import UPoly, motive
+from drinfeld import UPoly, cli, motive
 from drinfeld.cli import main
 
 CARLITZ_FAMILY = '{"p":2,"e":1,"r":1,"delta":[[0],[1]],"coeffs":[[[1]]]}'
@@ -387,6 +387,34 @@ def test_byte_identical_reruns():
     first = [run_cli(argv, text) for argv, text in battery]
     second = [run_cli(argv, text) for argv, text in battery]
     assert first == second
+
+
+def test_one_parser_serves_many_commands(monkeypatch, capsys):
+    battery = [
+        (["frobrec", "classify", "--p", "2", "--poly", "X^2-Y"], ""),
+        (["frobrec", "classify", "--poly", "X^2-Y"], ""),  # no --p: exit 2
+        (["motive", "det", "--module", "-"], RANK2_F4_MODULE),
+        (["carlitz", "table", "--p", "2", "--format", "csv"], ""),
+        (["frobrec", "theorem", "--p", "2", "--gens", "u"], ""),
+        (["drinfeld", "phi", "--module", "-", "--a", "t^2"], CARLITZ_F4_MODULE),
+    ]
+
+    def run(argv, text):
+        try:
+            result = run_cli(argv, text)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return result, capsys.readouterr()
+
+    first = []
+    for argv, text in battery:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        first.append(run(argv, text))
+    assert [r[0][0] for r in first] == [0, "exit", 0, 0, 2, 0]
+    assert first[1][0][1] == 2 and "--p" in first[1][1].err
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert [run(argv, text) for argv, text in battery] == first
+    assert cli._PARSER is not None
 
 
 def test_recover_monomial_loads_no_sympy():

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld import (FField, OrePoly, extension_of, ff_make, ore_divmod_left,
-                      ore_divmod_right, ore_eval, ore_kernel,
+from drinfeld import (FField, OrePoly, UPoly, extension_of, ff_embed, ff_make,
+                      ore_divmod_left, ore_divmod_right, ore_eval, ore_kernel,
                       ore_splitting_degree, separable_part)
-from drinfeld.errors import DivisionByZero, Inseparable, NotFound
+from drinfeld.errors import (DivisionByZero, FieldMismatch, Inseparable,
+                             NotFound, ZeroPolynomial)
 
 
 def _rand_ore(field, rng, max_deg):
@@ -82,7 +83,7 @@ def test_division_roundtrips_random(F4, F9):
 
 def _divmod_left_by_products(a, b):
     """Oracle: subtract (c tau^k) * b, formed by operator multiplication."""
-    field = a.field
+    field = a.base
     q = OrePoly.zero(field)
     r = a
     db, lead = b.deg, b.leading()
@@ -286,3 +287,32 @@ def test_power_matches_repeated_multiplication(F4):
             acc = acc * a
         with pytest.raises(ValueError):
             a ** -1
+
+
+def test_polynomials_and_operators_share_storage_not_identity(F4, F9):
+    c = [F4.gen, F4.one]
+    f, g = UPoly(F4, c), OrePoly(F4, c)
+    assert f.coeffs == g.coeffs and f.base == g.base == F4
+    assert f != g and g != f
+    with pytest.raises(TypeError):
+        f + g
+    with pytest.raises(TypeError):
+        g + f
+
+
+def test_each_container_keeps_its_wording(F4, F9):
+    for cls, noun in ((UPoly, "polynomial"), (OrePoly, "operator")):
+        with pytest.raises(FieldMismatch) as info:
+            cls.one(F4) + cls.one(F9)
+        assert str(info.value) == f"{noun}s over different fields"
+        with pytest.raises(ZeroPolynomial) as info:
+            cls.zero(F4).leading()
+        assert str(info.value) == f"zero {noun} has no leading coefficient"
+
+
+def test_operator_map_field_checks_the_source(F4):
+    F16 = ff_make(2, 4, 0)
+    f = OrePoly(F4, [F4.gen, F4.one])
+    assert f.map_field(ff_embed(F4, F16)).base == F16
+    with pytest.raises(FieldMismatch, match="does not start at the base"):
+        f.map_field(ff_embed(ff_make(2, 1, 0), F16))

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from drinfeld import (UPoly, ff_make, minimal_polynomial, monic_irreducibles,
                       parse_upoly, upoly_crt, upoly_gcd, upoly_irreducible,
                       upoly_roots, upoly_xgcd)
-from drinfeld.errors import NonCoprimeModuli, ZeroPolynomial
-from drinfeld.finitefield import _pirreducible
+from drinfeld import linalg
+from drinfeld.errors import InvariantError, NonCoprimeModuli, ZeroPolynomial
+from drinfeld.finitefield import FieldEmbedding, _pirreducible, ff_embed
 from drinfeld.upoly import (NEG_INF, irreducibles_of_degree,
                             lagrange_interpolate, upoly_powmod,
                             upoly_resultant)
@@ -181,6 +182,43 @@ def test_minimal_polynomial_of_w(F2, F4):
     mp = minimal_polynomial(F4.gen, F2)
     t = UPoly.x(F2)
     assert mp == t * t + t + 1
+
+
+def _minimal_polynomial_by_solves(elem, sub, emb):
+    """Oracle: solve for the first power of elem in the span of the lower ones."""
+    sup = elem.field
+    sub_basis = [emb(sub.from_encoding(sub.p ** i)) for i in range(sub.n)]
+    powers = [sup.one]
+    for _ in range(sup.n // sub.n):
+        powers.append(powers[-1] * elem)
+    for j in range(1, len(powers)):
+        cols = [(b * powers[i]).coeffs for i in range(j) for b in sub_basis]
+        rows = [[col[r] for col in cols] for r in range(sup.n)]
+        sol = linalg.solve(rows, list(powers[j].coeffs), sup.p)
+        if sol is not None:
+            return UPoly(sub, [-sub.element(sol[i * sub.n:(i + 1) * sub.n])
+                               for i in range(j)] + [sub.one])
+    raise AssertionError("no relation below the field degree")
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 4), (5, 3), (2, 8)])
+def test_minimal_polynomial_matches_linear_solves(p, n):
+    sup = ff_make(p, n, 0)
+    for m in (m for m in range(1, n) if n % m == 0):
+        sub = ff_make(p, m, 0)
+        emb = ff_embed(sub, sup)
+        for elem in sup.elements():
+            mp = minimal_polynomial(elem, sub, emb)
+            assert mp == _minimal_polynomial_by_solves(elem, sub, emb)
+            assert mp.is_monic() and not mp.map_field(emb).eval(elem)
+
+
+def test_minimal_polynomial_rejects_a_coefficient_outside_the_subfield():
+    # a map that is not a field embedding: F_4's generator sent to 0
+    F4, F16 = ff_make(2, 2, 0), ff_make(2, 4, 0)
+    fake = FieldEmbedding(F4, F16, F16.zero)
+    with pytest.raises(InvariantError):
+        minimal_polynomial(F16.gen, F4, fake)
 
 
 def test_parse_and_text_roundtrip(F3):
