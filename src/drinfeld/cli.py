@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .bivar import parse_bivar
 from .dmodule import DrinfeldModule, dm_characteristic
@@ -30,14 +29,6 @@ from .reports import family_norm_table, norm_report, residual_table
 from .torsion import (FrobeniusReport, dm_frobenius_matrix,
                       dm_frobenius_norm, dm_torsion)
 from .upoly import UPoly, parse_upoly, upoly_gcd
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    extension_cap: int = 12
-    fmt: str = "json"
-    output: str | None = None
 
 
 def _dump_json(obj) -> str:
@@ -95,66 +86,40 @@ def _load_module(args, stdin, seed) -> DrinfeldModule:
 
 
 # ---------------------------------------------------------------------------
-# renderers
+# tables
 
-def _render_norm_rows(rows, config, out):
-    all_ok = True
-    if config.fmt == "csv":
+def _render_rows(fmt, header, rows, out):
+    """Write rows (ok, JSON object, CSV cells, text line); 1 if any failed."""
+    if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(FrobeniusReport.CSV_HEADER)
-        for prime, rep in rows:
-            if isinstance(rep, str):
-                writer.writerow([prime.to_text("x"), "", "", rep, "", "", ""])
-                all_ok = False
-            else:
-                writer.writerow(rep.csv_row())
-                all_ok = all_ok and rep.all_ok
-    elif config.fmt == "text":
-        for prime, rep in rows:
-            if isinstance(rep, str):
-                out.write(f"{prime.to_text('x')}: {rep}\n")
-                all_ok = False
-            else:
-                out.write(f"{prime.to_text('x')}: s={rep.s_exact.to_text()} "
-                          f"independence={rep.independence} "
-                          f"deg={rep.degree_ok} "
-                          f"char|s={rep.char_divides}\n")
-                all_ok = all_ok and rep.all_ok
+        writer.writerow(header)
+        writer.writerows(cells for _, _, cells, _ in rows)
+    elif fmt == "text":
+        out.writelines(line + "\n" for _, _, _, line in rows)
     else:
-        payload = []
-        for prime, rep in rows:
-            if isinstance(rep, str):
-                payload.append({"place": prime.to_text("x"), "error": rep})
-                all_ok = False
-            else:
-                payload.append(rep.to_dict())
-                all_ok = all_ok and rep.all_ok
-        out.write(_dump_json(payload))
-    return 0 if all_ok else 1
+        out.write(_dump_json([obj for _, obj, _, _ in rows]))
+    return 0 if all(ok for ok, _, _, _ in rows) else 1
 
 
-def _render_residual_rows(rows, config, out):
-    all_ok = True
-    payload = []
-    for prime, k in rows:
-        ok = isinstance(k, int)
-        all_ok = all_ok and ok
-        payload.append({"place": prime.to_text("x"),
-                        "k": k if ok else None,
-                        "status": "ok" if ok else str(k or "fail")})
-    if config.fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["place", "k", "status"])
-        for row in payload:
-            writer.writerow([row["place"],
-                             "" if row["k"] is None else row["k"],
-                             row["status"]])
-    elif config.fmt == "text":
-        for row in payload:
-            out.write(f"{row['place']}: k={row['k']} ({row['status']})\n")
-    else:
-        out.write(_dump_json(payload))
-    return 0 if all_ok else 1
+def _norm_row(prime, rep):
+    place = prime.to_text("x")
+    if isinstance(rep, str):
+        return (False, {"place": place, "error": rep},
+                [place, "", "", rep, "", "", ""], f"{place}: {rep}")
+    return (rep.all_ok, rep.to_dict(), rep.csv_row(),
+            f"{place}: s={rep.s_exact.to_text()} "
+            f"independence={rep.independence} deg={rep.degree_ok} "
+            f"char|s={rep.char_divides}")
+
+
+def _residual_row(prime, k):
+    place = prime.to_text("x")
+    ok = isinstance(k, int)
+    status = "ok" if ok else str(k or "fail")
+    k = k if ok else None
+    return (ok, {"place": place, "k": k, "status": status},
+            [place, "" if k is None else k, status],
+            f"{place}: k={k} ({status})")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +140,7 @@ def _ore_inputs(op, payload):
     return f, ext_degree
 
 
-def _cmd_ore(args, config, stdin, out):
+def _cmd_ore(args, stdin, out):
     payload = json.loads(_read_payload(args.json, stdin))
     op = args.op
     try:
@@ -197,7 +162,7 @@ def _cmd_ore(args, config, stdin, out):
         out.write(_dump_json({"value": ore_eval(f, x).to_list()}))
     elif op == "kernel":
         f, ext_degree = inputs
-        ext, _ = extension_of(f.base, ext_degree, config.seed)
+        ext, _ = extension_of(f.base, ext_degree, args.seed)
         ker = ore_kernel(f, ext)
         out.write(_dump_json({
             "field": ext.to_dict(),
@@ -207,8 +172,8 @@ def _cmd_ore(args, config, stdin, out):
     return 0
 
 
-def _cmd_drinfeld(args, config, stdin, out):
-    E = _load_module(args, stdin, config.seed)
+def _cmd_drinfeld(args, stdin, out):
+    E = _load_module(args, stdin, args.seed)
     if args.op == "phi":
         a = _poly_arg(_required(args, "a"), E.constants, "t")
         theta, char = dm_characteristic(E)
@@ -218,8 +183,7 @@ def _cmd_drinfeld(args, config, stdin, out):
         return 0
     if args.op == "torsion":
         ell = _poly_arg(_required(args, "ell"), E.constants, "t")
-        T = dm_torsion(E, ell, args.n, cap=config.extension_cap,
-                       seed=config.seed)
+        T = dm_torsion(E, ell, args.n, cap=args.cap, seed=args.seed)
         out.write(_dump_json({
             "ext": T.ext.to_dict(),
             "count": len(T.points),
@@ -234,37 +198,32 @@ def _cmd_drinfeld(args, config, stdin, out):
                 text, _, power = chunk.partition(":")
                 primes.append((_poly_arg(text, E.constants, "t"),
                                int(power) if power else 1))
-            rep = dm_frobenius_norm(E, primes, cap=config.extension_cap,
-                                    seed=config.seed)
+            rep = dm_frobenius_norm(E, primes, cap=args.cap, seed=args.seed)
         else:
-            rep = norm_report(E, cap=config.extension_cap)
+            rep = norm_report(E, cap=args.cap)
         out.write(_dump_json(rep.to_dict()))
         return 0 if rep.all_ok else 1
     raise ParseError(f"unknown drinfeld op {args.op}")
 
 
-def _cmd_carlitz(args, config, stdin, out):
-    family = carlitz_family(args.p, args.e, config.seed)
-    rows = family_norm_table(family, args.max_prime_degree,
-                             cap=config.extension_cap, seed=config.seed)
-    return _render_norm_rows(rows, config, out)
+def _cmd_norm_table(args, stdin, out):
+    family = (carlitz_family(args.p, args.e, args.seed)
+              if args.command == "carlitz" else _load_family(args, stdin))
+    rows = family_norm_table(family, args.max_prime_degree, cap=args.cap,
+                             seed=args.seed)
+    return _render_rows(args.format, FrobeniusReport.CSV_HEADER,
+                        [_norm_row(*row) for row in rows], out)
 
 
-def _cmd_type2(args, config, stdin, out):
+def _cmd_residual(args, stdin, out):
     family = _load_family(args, stdin)
-    rows = family_norm_table(family, args.max_prime_degree,
-                             cap=config.extension_cap, seed=config.seed)
-    return _render_norm_rows(rows, config, out)
+    rows = residual_table(family, args.max_prime_degree, seed=args.seed)
+    return _render_rows(args.format, ("place", "k", "status"),
+                        [_residual_row(*row) for row in rows], out)
 
 
-def _cmd_residual(args, config, stdin, out):
-    family = _load_family(args, stdin)
-    rows = residual_table(family, args.max_prime_degree, seed=config.seed)
-    return _render_residual_rows(rows, config, out)
-
-
-def _cmd_motive(args, config, stdin, out):
-    E = _load_module(args, stdin, config.seed)
+def _cmd_motive(args, stdin, out):
+    E = _load_module(args, stdin, args.seed)
     if args.op == "det":
         data = motive_det(E)
         psi = det_drinfeld(E)
@@ -280,8 +239,7 @@ def _cmd_motive(args, config, stdin, out):
         results = {}
         ok = True
         for n in range(1, args.n + 1):
-            value = verify_tate_det(E, ell, n, cap=config.extension_cap,
-                                    seed=config.seed)
+            value = verify_tate_det(E, ell, n, cap=args.cap, seed=args.seed)
             results[f"n={n}"] = value
             ok = ok and value
         out.write(_dump_json({"ell": ell.to_text(), "results": results}))
@@ -289,11 +247,11 @@ def _cmd_motive(args, config, stdin, out):
     raise ParseError(f"unknown motive op {args.op}")
 
 
-def _cmd_frobrec(args, config, stdin, out):
-    base = ff_make(args.p, 1, config.seed)
+def _cmd_frobrec(args, stdin, out):
+    base = ff_make(args.p, 1, args.seed)
     if args.op == "classify":
         P = parse_bivar(_required(args, "poly"), args.p)
-        cls = classify_frobenius_bivariate(P, seed=config.seed)
+        cls = classify_frobenius_bivariate(P, seed=args.seed)
         out.write(_dump_json(cls.to_dict()))
         return 0
     if args.op == "recover-monomial":
@@ -310,7 +268,7 @@ def _cmd_frobrec(args, config, stdin, out):
                 for g in _required(args, "gens").split(",")]
         images = [parse_ratfunc(g, base, "u")
                   for g in _required(args, "images").split(",")]
-        decision = theorem_frob_res(gens, images, seed=config.seed)
+        decision = theorem_frob_res(gens, images, seed=args.seed)
         out.write(_dump_json(decision.to_dict()))
         return 0 if decision.ok else 1
     raise ParseError(f"unknown frobrec op {args.op}")
@@ -403,8 +361,8 @@ _PARSER = None
 _HANDLERS = {
     "ore": _cmd_ore,
     "drinfeld": _cmd_drinfeld,
-    "carlitz": _cmd_carlitz,
-    "type2": _cmd_type2,
+    "carlitz": _cmd_norm_table,
+    "type2": _cmd_norm_table,
     "residual": _cmd_residual,
     "motive": _cmd_motive,
     "frobrec": _cmd_frobrec,
@@ -418,11 +376,9 @@ def main(argv=None, stdin=None, stdout=None) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
-    config = RunConfig(seed=args.seed, extension_cap=args.cap,
-                       fmt=args.format, output=args.output)
     buffer = io.StringIO()
     try:
-        code = _HANDLERS[args.command](args, config, stdin, buffer)
+        code = _HANDLERS[args.command](args, stdin, buffer)
     except BadReduction as exc:
         buffer.write(_dump_json({"error": f"bad reduction: {exc}"}))
         code = 1
@@ -430,8 +386,8 @@ def main(argv=None, stdin=None, stdout=None) -> int:
         buffer.write(_dump_json({"error": str(exc)}))
         code = 2
     text = buffer.getvalue()
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         out_stream.write(text)

@@ -308,40 +308,51 @@ class FFElem:
         self.coeffs = coeffs
 
     def _check(self, other):
-        if not isinstance(other, FFElem):
-            other = self.field.element(other)
-        if other.field != self.field:
-            raise FieldMismatch("elements of different fields")
-        return other
+        """other as an element of this field, or NotImplemented."""
+        if isinstance(other, FFElem):
+            if other.field is not self.field and other.field != self.field:
+                raise FieldMismatch("elements of different fields")
+            return other
+        if isinstance(other, (int, list, tuple)):
+            return self.field.element(other)
+        return NotImplemented
 
     def __add__(self, other):
         other = self._check(other)
+        if other is NotImplemented:
+            return other
         return FFElem(self.field, self.field._add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._check(other)
+        if other is NotImplemented:
+            return other
         return FFElem(self.field, self.field._sub(self.coeffs, other.coeffs))
 
     def __rsub__(self, other):
-        return self._check(other).__sub__(self)
+        other = self._check(other)
+        return other if other is NotImplemented else other - self
 
     def __neg__(self):
         return FFElem(self.field, self.field._neg(self.coeffs))
 
     def __mul__(self, other):
         other = self._check(other)
+        if other is NotImplemented:
+            return other
         return FFElem(self.field, self.field._mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._check(other)
-        return self * other.inverse()
+        return other if other is NotImplemented else self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self._check(other) / self
+        other = self._check(other)
+        return other if other is NotImplemented else other / self
 
     def inverse(self):
         return FFElem(self.field, self.field._inv(self.coeffs))

@@ -3,9 +3,9 @@
 E[l^n] is materialized inside the minimal splitting extension, certified
 free of rank r over A/l^n by an explicit basis, and carries a lookup table
 from points to coordinates so Galois actions become matrix extractions.
-Its splitting degree alone needs no extension.  A norm report lifts
-per-prime residues by CRT; they come from Frobenius on torsion here, or
-from the motive norm (reports.norm_report).
+Its splitting degree alone needs no extension.  A norm report checks s
+against its residues mod l^n: here s is the CRT lift of Frobenius
+determinants on torsion; reports.norm_report takes s from the motive.
 """
 
 from __future__ import annotations
@@ -304,15 +304,15 @@ def dm_frobenius_norm(E: DrinfeldModule, primes, cap: int = 12, seed: int = 0,
         T = dm_torsion(E, ell, n, cap=cap, seed=seed)
         mat = dm_frobenius_matrix(T)
         residues.append((ell, n, mat, upoly_det(mat) % T.modulus))
-    return frobenius_report(E, residues, place)
+    s = _crt_lift([(det, ell ** n) for ell, n, _, det in residues], E.d, E.q)
+    return frobenius_report(E, residues, s, place)
 
 
-def frobenius_report(E: DrinfeldModule, residues,
+def frobenius_report(E: DrinfeldModule, residues, s: UPoly,
                      place: UPoly | None = None) -> FrobeniusReport:
-    """The norm CRT-lifted from residues (l, n, matrix | None, s mod l^n)."""
+    """The report on s from its residues (l, n, matrix | None, s mod l^n)."""
     d = E.d
     entries = [(det, ell ** n) for ell, n, _, det in residues]
-    s = _crt_lift(entries, d, E.q)
     degree_ok = s.deg == d
     char_divides = not E.delta(s)
 

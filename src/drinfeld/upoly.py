@@ -32,12 +32,13 @@ class DensePoly:
     def __init__(self, base: FField, coeffs):
         elems = []
         for c in coeffs:
-            elems.append(c if isinstance(c, FFElem) else base.element(c))
+            if not isinstance(c, FFElem):
+                c = base.element(c)
+            elif c.field is not base and c.field != base:
+                raise FieldMismatch("coefficient outside the base field")
+            elems.append(c)
         while elems and not elems[-1]:
             elems.pop()
-        for c in elems:
-            if c.field != base:
-                raise FieldMismatch("coefficient outside the base field")
         self.base = base
         self.coeffs = tuple(elems)
 

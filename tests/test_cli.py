@@ -162,6 +162,69 @@ def test_residual_check_pass_and_fail():
     assert rows[0]["place"] == "x" and rows[0]["k"] is None
 
 
+# a_1 = theta vanishes at x; delta(t) = theta + 1 gives k = None elsewhere
+SHIFT_LEAD_FAMILY = ('{"p":2,"e":1,"r":1,"delta":[[1],[1]],'
+                     '"coeffs":[[[0],[1]]]}')
+# rank 2 with a_2 = theta: bad at x, and no prime sets split within cap 6
+RANK2_LEAD_FAMILY = ('{"p":2,"e":1,"r":2,"delta":[[0],[1]],'
+                     '"coeffs":[[[1]],[[0],[1]]]}')
+SKIP = ("skipped: cannot assemble 2 reconstruction sets of degree {} "
+        "within cap 6")
+PINNED_TABLES = [
+    (["residual", "check", "--max-prime-degree", "3"], SHIFT_LEAD_FAMILY, {
+        "json": '[{"k":null,"place":"x","status":"bad reduction"},'
+                '{"k":null,"place":"x+1","status":"fail"},'
+                '{"k":1,"place":"x^2+x+1","status":"ok"},'
+                '{"k":null,"place":"x^3+x+1","status":"fail"},'
+                '{"k":null,"place":"x^3+x^2+1","status":"fail"}]\n',
+        "csv": "place,k,status\nx,,bad reduction\nx+1,,fail\nx^2+x+1,1,ok\n"
+               "x^3+x+1,,fail\nx^3+x^2+1,,fail\n",
+        "text": "x: k=None (bad reduction)\nx+1: k=None (fail)\n"
+                "x^2+x+1: k=1 (ok)\nx^3+x+1: k=None (fail)\n"
+                "x^3+x^2+1: k=None (fail)\n"}),
+    (["type2", "report", "--max-prime-degree", "2", "--cap", "6"],
+     RANK2_LEAD_FAMILY, {
+        "json": '[{"error":"bad reduction","place":"x"},'
+                f'{{"error":"{SKIP.format(2)}","place":"x+1"}},'
+                f'{{"error":"{SKIP.format(3)}","place":"x^2+x+1"}}]\n',
+        "csv": "place,d,ells,s,independence,deg_check,char_divides_check\n"
+               f"x,,,bad reduction,,,\nx+1,,,{SKIP.format(2)},,,\n"
+               f"x^2+x+1,,,{SKIP.format(3)},,,\n",
+        "text": f"x: bad reduction\nx+1: {SKIP.format(2)}\n"
+                f"x^2+x+1: {SKIP.format(3)}\n"}),
+    (["type2", "report", "--max-prime-degree", "2", "--cap", "24"],
+     RANK2_LEAD_FAMILY, {
+        "json": '[{"error":"bad reduction","place":"x"},'
+                '{"char_divides":true,"char_power":1,"d":1,"degree_ok":true,'
+                '"independence":true,"place":"x+1","primes":['
+                '{"det":"1","ell":"t","n":1},'
+                '{"det":"t+1","ell":"t^2+t+1","n":1},'
+                '{"det":"t+1","ell":"t^3+t^2+1","n":1}],'
+                '"s":"t+1","s_monic":"t+1"},'
+                '{"char_divides":true,"char_power":1,"d":2,"degree_ok":true,'
+                '"independence":true,"place":"x^2+x+1","primes":['
+                '{"det":"1","ell":"t","n":1},{"det":"1","ell":"t+1","n":1},'
+                '{"det":"t^2+t+1","ell":"t^4+t+1","n":1},'
+                '{"det":"t^2+t+1","ell":"t^4+t^3+1","n":1}],'
+                '"s":"t^2+t+1","s_monic":"t^2+t+1"}]\n',
+        "csv": "place,d,ells,s,independence,deg_check,char_divides_check\n"
+               "x,,,bad reduction,,,\n"
+               "x+1,1,t;t^2+t+1;t^3+t^2+1,t+1,true,true,true\n"
+               "x^2+x+1,2,t;t+1;t^4+t+1;t^4+t^3+1,t^2+t+1,true,true,true\n",
+        "text": "x: bad reduction\n"
+                "x+1: s=t+1 independence=True deg=True char|s=True\n"
+                "x^2+x+1: s=t^2+t+1 independence=True deg=True "
+                "char|s=True\n"}),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv,family,expected", PINNED_TABLES)
+def test_table_bytes_with_bad_failed_and_skipped_rows(argv, family, expected,
+                                                      fmt):
+    assert run_cli(argv + ["--format", fmt], family) == (1, expected[fmt])
+
+
 def test_motive_det_and_verify():
     code, out = run_cli(["motive", "det", "--module", "-"], RANK2_F4_MODULE)
     assert code == 0

@@ -309,3 +309,16 @@ def test_squaring_and_cubing_cost_one_and_two_products(monkeypatch):
     assert len(calls) == 1
     x ** 3
     assert len(calls) == 3
+
+
+def test_an_element_defers_to_a_polynomial_operand():
+    from drinfeld import OrePoly, UPoly
+
+    F4 = ff_make(2, 2, 0)
+    w, tau, x = F4.gen, OrePoly.tau(F4), UPoly.x(F4)
+    assert w * tau == OrePoly(F4, [w]) * tau
+    assert w * tau != tau * OrePoly(F4, [w])
+    assert w * x == x * w == UPoly(F4, [0, w])
+    assert w + x == x + w and w - x == UPoly(F4, [w]) - x
+    with pytest.raises(TypeError):
+        w * "a"

@@ -12,7 +12,8 @@ import drinfeld
 from drinfeld import (DetMotive, DrinfeldFamily, DrinfeldModule, UPoly,
                       carlitz_module, choose_prime_sets, dm_frobenius_norm,
                       ff_embed, ff_make, motive, motive_det,
-                      motive_frobenius_norm, parse_upoly)
+                      motive_frobenius_norm, norm_report, parse_upoly,
+                      upoly_crt)
 from drinfeld.cli import main
 from drinfeld.errors import InsufficientModulus, InvariantError
 
@@ -180,6 +181,18 @@ def test_norm_commands_build_no_torsion(monkeypatch):
     assert [_run(argv, text) for argv, text in NORM_COMMANDS] == expected
 
 
+def test_norm_commands_lift_nothing_by_crt(monkeypatch):
+    expected = [_run(argv, text) for argv, text in NORM_COMMANDS]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the motive norm needs no CRT lift")
+
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("drinfeld.") and hasattr(module, "upoly_crt"):
+            monkeypatch.setattr(module, "upoly_crt", refuse)
+    assert [_run(argv, text) for argv, text in NORM_COMMANDS] == expected
+
+
 def test_frobnorm_primes_still_reads_torsion(monkeypatch):
     argv = ["drinfeld", "frobnorm", "--family", "-", "--at", "x^2+x+1",
             "--primes", "t:2,t+1:1"]
@@ -196,11 +209,18 @@ def test_frobnorm_primes_still_reads_torsion(monkeypatch):
 
 def test_printed_residues_are_the_motive_norm_mod_each_prime():
     family = drinfeld.carlitz_family(3)
-    for place in ("x^2+1", "x^2+x+2"):
-        prime = parse_upoly(place, family.constants, "x")
-        rep = drinfeld.place_report(family, prime, cap=24)
-        E = family.specialize(prime)[0]
+    places = [parse_upoly(place, family.constants, "x")
+              for place in ("x^2+1", "x^2+x+2")]
+    reports = [(family.specialize(prime)[0],
+                drinfeld.place_report(family, prime, cap=24))
+               for prime in places]
+    rank2 = list(_benchmark_modules())[:len(MODULES)]
+    reports += [(E, norm_report(E, cap=24)) for E in rank2]
+    for E, rep in reports:
         s = motive_frobenius_norm(E)
         assert rep.s_exact == s
         assert all(mat is None and det == s % ell ** n
                    for ell, n, mat, det in rep.residues)
+        # the residues determine s: their CRT lift gives it back
+        assert upoly_crt([(det, ell ** n)
+                          for ell, n, _, det in rep.residues]) == s

@@ -8,8 +8,10 @@ from drinfeld import (UPoly, ff_make, minimal_polynomial, monic_irreducibles,
                       parse_upoly, upoly_crt, upoly_gcd, upoly_irreducible,
                       upoly_roots, upoly_xgcd)
 from drinfeld import linalg
-from drinfeld.errors import InvariantError, NonCoprimeModuli, ZeroPolynomial
-from drinfeld.finitefield import FieldEmbedding, _pirreducible, ff_embed
+from drinfeld.errors import (FieldMismatch, InvariantError, NonCoprimeModuli,
+                             ZeroPolynomial)
+from drinfeld.finitefield import (FField, FieldEmbedding, _pirreducible,
+                                  ff_embed)
 from drinfeld.upoly import (NEG_INF, irreducibles_of_degree,
                             lagrange_interpolate, upoly_powmod,
                             upoly_resultant)
@@ -261,3 +263,23 @@ def test_powmod_matches_repeated_multiplication(F3):
         assert upoly_powmod(a, e, m) == acc % m
         assert b ** e == acc_b
         acc, acc_b = (acc * a) % m, acc_b * b
+
+
+def test_own_field_coefficients_need_no_field_comparison(F4, monkeypatch):
+    calls = []
+    eq = FField.__eq__
+    monkeypatch.setattr(FField, "__eq__",
+                        lambda a, b: calls.append(1) or eq(a, b))
+    UPoly(F4, [F4.gen, 1, [1, 1], F4.zero, F4.one])
+    parse_upoly("t^300+t", F4)
+    assert calls == []
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_a_foreign_coefficient_raises_wherever_it_sits(F4, where):
+    F8 = ff_make(2, 3, 0)
+    for foreign in (F8.one, F8.zero):
+        coeffs = [F4.one, F4.gen, F4.one]
+        coeffs[where] = foreign
+        with pytest.raises(FieldMismatch):
+            UPoly(F4, coeffs)
