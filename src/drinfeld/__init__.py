@@ -18,7 +18,7 @@ from .frobrec import (NOT_FROBENIUS, XTOY, YTOX, FrobClassification,
 from .motive import (DetMotive, MotiveMatrix, det_drinfeld, motive_det,
                      motive_frobenius_norm, motive_matrix, verify_tate_det)
 from .ore import (OrePoly, ore_divmod_left, ore_divmod_right, ore_eval,
-                  ore_kernel, ore_mul, ore_splitting_degree, separable_part)
+                  ore_kernel, ore_splitting_degree, separable_part)
 from .ratfunc import RationalFunction, parse_ratfunc
 from .reports import (choose_prime_sets, family_norm_table, norm_report,
                       place_report, residual_table)

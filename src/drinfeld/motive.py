@@ -1,7 +1,8 @@
 """Matrix presentation of the module of additive morphisms attached to a
 Drinfeld module, its rank-1 exterior determinant, the Frobenius norm read
-off that determinant, and the torsion-side verification that the two
-constructions agree.
+off that determinant, the torsion splitting degrees read off the motive's
+Frobenius, and the torsion-side verification that the two constructions
+agree.
 
 The operator acts on column vectors over L[t] as v -> M * sigma(v), where
 sigma raises coefficients to the q-th power and fixes t.  In the companion
@@ -12,10 +13,12 @@ scalar in front transports to the rank-1 module below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .dmodule import DrinfeldModule
 from .errors import InvariantError
-from .torsion import dm_frobenius_matrix, dm_torsion
+from .ore import frobenius_order
+from .torsion import dm_frobenius_matrix, dm_torsion, splitting_degree
 from .upoly import UPoly, upoly_det
 
 
@@ -30,9 +33,9 @@ class MotiveMatrix:
     def size(self):
         return self.module.r
 
-    def sigma(self, poly: UPoly) -> UPoly:
-        """Coefficient q-power twist, fixing t."""
-        q_exp = self.module.e
+    def sigma(self, poly: UPoly, k: int = 1) -> UPoly:
+        """Coefficient q^k-power twist, fixing t."""
+        q_exp = self.module.e * k
         return poly.map_coeffs(lambda c: c.p_power(q_exp))
 
     def apply(self, vector):
@@ -116,6 +119,48 @@ def motive_frobenius_norm(E: DrinfeldModule) -> UPoly:
     if s.deg != E.d:
         raise InvariantError(f"motive norm has degree {s.deg}, not {E.d}")
     return s
+
+
+def motive_frobenius(E: DrinfeldModule):
+    """Rows over L[t] of the q^d-Frobenius A = M*sigma(M)*...*sigma^(d-1)(M).
+
+    With P_a the product of the first a factors, binary sigma-powering
+    P_(a+b) = P_a*sigma^a(P_b) builds A in O(log d) matrix products.
+    """
+    M = motive_matrix(E)
+    zero = UPoly.zero(E.L)
+
+    def times(P, Q, a):  # P * sigma^a(Q)
+        return tuple(tuple(sum((x * M.sigma(Q[k][j], a)
+                                for k, x in enumerate(row)), zero)
+                           for j in range(E.r)) for row in P)
+
+    P, a = M.entries, 1
+    for bit in bin(E.d)[3:]:
+        P, a = times(P, P, a), 2 * a
+        if bit == "1":
+            P, a = times(P, M.entries, a), a + 1
+    return P
+
+
+def motive_splitting_degree(E: DrinfeldModule, frob, ell: UPoly, n: int,
+                            cap: int) -> int:
+    """torsion.splitting_degree, read off frob = motive_frobenius(E).
+
+    M/l^n M is L{tau}/L{tau}phi_(l^n), where frob acts on (L[t]/l^n)^r as
+    the central tau^[L:F_p]; so it fixes e_1 = 1 only as the identity, and
+    the walk v -> frob*v from e_1 returns at the L{tau} walk's m.
+    """
+    L, zero = E.L, UPoly.zero(E.L)
+
+    def walk(lam):
+        lam = UPoly(L, [E.constant_action(c) for c in lam.coeffs])
+        A = [[x % lam for x in row] for row in frob]
+        return frobenius_order(
+            lambda v: tuple(sum(map(mul, row, v), zero) % lam for row in A),
+            (UPoly.one(L),) + (zero,) * (E.r - 1), L.size, cap)
+
+    return splitting_degree(E, ell, n, cap, walk)
 
 
 def det_drinfeld(E: DrinfeldModule) -> DrinfeldModule:

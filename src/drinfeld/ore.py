@@ -77,34 +77,42 @@ class OrePoly(DensePoly):
         return "OrePoly(" + " + ".join(parts) + ")"
 
 
-def ore_mul(a: OrePoly, b: OrePoly) -> OrePoly:
-    return a * b
+def _left_divider(b: OrePoly):
+    """a's coefficients -> (q, r) lists with a = q*b + r and deg r < deg b.
+
+    tau^k * b = sigma^k(b) tau^k and sigma^n is the identity on L: each twist
+    of b, and the inverse of its leading coefficient (a p-power of the
+    first), is made once per divisor, when a division first needs it.
+    """
+    field, db = b.base, b.deg
+    twisted, inverses = [b.coeffs], [b.leading().inverse()]
+
+    def divide(coeffs):
+        r = list(coeffs)
+        q = [field.zero] * max(len(r) - db, 0)
+        while len(r) > db:
+            k = len(r) - 1 - db
+            j = k % field.n
+            while len(twisted) <= j:
+                twisted.append(tuple(c ** field.p for c in twisted[-1]))
+                inverses.append(inverses[-1] ** field.p)
+            q[k] = c = r[-1] * inverses[j]
+            for i, bi in enumerate(twisted[j]):
+                if bi:
+                    r[k + i] = r[k + i] - c * bi
+            while r and not r[-1]:
+                r.pop()
+        return q, r
+
+    return divide
 
 
 def ore_divmod_left(a: OrePoly, b: OrePoly):
     """(q, r) with a = q*b + r and deg r < deg b."""
     if b.is_zero():
         raise DivisionByZero("division by the zero operator")
-    field = a.base
-    b = a._coerce(b)
-    db = b.deg
-    r = list(a.coeffs)
-    q = [field.zero] * max(len(r) - db, 0)
-    # tau^k * b = sigma^k(b) tau^k, and sigma^n is the identity on L
-    twisted = [b.coeffs]
-    for _ in range(min(len(q), field.n) - 1):
-        twisted.append(tuple(c ** field.p for c in twisted[-1]))
-    while len(r) > db:
-        k = len(r) - 1 - db
-        tb = twisted[k % field.n]
-        c = r[-1] / tb[-1]
-        q[k] = c
-        for j, bj in enumerate(tb):
-            if bj:
-                r[k + j] = r[k + j] - c * bj
-        while r and not r[-1]:
-            r.pop()
-    return OrePoly(field, q), OrePoly(field, r)
+    q, r = _left_divider(a._coerce(b))(a.coeffs)
+    return OrePoly(a.base, q), OrePoly(a.base, r)
 
 
 def ore_divmod_right(a: OrePoly, b: OrePoly):
@@ -181,6 +189,23 @@ def ore_kernel(f: OrePoly, ext: FField) -> KernelSpace:
                              for v in linalg.nullspace(rows, p)])
 
 
+def frobenius_order(step, start, size: int, cap: int) -> int:
+    """Least m <= cap with step^m(start) == start; NotFound past the cap.
+
+    step is the Frobenius of a field of the given size, so m is an extension
+    degree, and the desk-scale bound size^m <= 2^40 acts as a cap too.
+    """
+    x = start
+    for m in range(1, cap + 1):
+        if size ** m > FIELD_SIZE_LIMIT:
+            raise NotFound(m - 1,
+                           f"extension degree {m} leaves the desk scale")
+        x = step(x)
+        if x == start:
+            return m
+    raise NotFound(cap, f"no full kernel within extension degree {cap}")
+
+
 def ore_splitting_degree(f: OrePoly, cap: int) -> int:
     """Minimal extension degree of the base field where f has p^deg roots.
 
@@ -192,18 +217,12 @@ def ore_splitting_degree(f: OrePoly, cap: int) -> int:
     if not f.constant():
         raise Inseparable("vanishing constant term: kernel cannot be full")
     L = f.base
-    # 1 mod f, which is 0 when f is a nonzero constant and splits at once
-    r = r0 = ore_divmod_left(OrePoly.one(L), f)[1]
-    for m in range(1, cap + 1):
-        if L.size ** m > FIELD_SIZE_LIMIT:
-            # the desk-scale field bound acts as an effective cap
-            raise NotFound(m - 1,
-                           f"extension degree {m} leaves the desk scale")
-        # tau^n fixes L, so tau^n * r is r moved up n places
-        r = ore_divmod_left(OrePoly(L, (L.zero,) * L.n + r.coeffs), f)[1]
-        if r == r0:
-            return m
-    raise NotFound(cap, f"no full kernel within extension degree {cap}")
+    divide = _left_divider(f)
+    shift = [L.zero] * L.n
+    # from 1 mod f (0 when f is a constant); tau^n fixes L, so tau^n * r
+    # is r moved up n places
+    return frobenius_order(lambda r: divide(shift + r)[1],
+                           divide([L.one])[1], L.size, cap)
 
 
 def separable_part(f: OrePoly):

@@ -8,14 +8,13 @@ residue, and deg s is below the moduli's degree sum, so they lift to s.
 
 from __future__ import annotations
 
-import itertools
-
 from .dmodule import DrinfeldModule
 from .errors import (BadReduction, CapExceeded, InsufficientModulus,
                      InvariantError)
 from .family import DrinfeldFamily, dm_residual_frobenius_check
-from .motive import motive_frobenius_norm
-from .torsion import FrobeniusReport, frobenius_report, splitting_degree
+from .motive import (motive_frobenius, motive_frobenius_norm,
+                     motive_splitting_degree)
+from .torsion import FrobeniusReport, frobenius_report
 from .upoly import UPoly, irreducibles_of_degree, monic_irreducibles
 
 
@@ -24,29 +23,25 @@ def choose_prime_sets(E: DrinfeldModule, cap: int = 12, count: int = 2):
 
     Candidates are enumerated by (degree, encoding); an l is skipped when
     E[l] does not split within the cap, which its splitting degree alone
-    decides.  Each pass admits candidates of one more degree, from d + 1 to
-    d + 4, until every requested set fills.  Candidates are generated only
-    as far as a pass reaches, and each (l, n) is searched at most once.
+    decides, read off the motive's Frobenius.  Each pass admits candidates
+    of one more degree, from d + 1 to d + 4, until every requested set
+    fills.  A degree's candidates are listed only when a pass reaches it,
+    and each (l, n) is searched at most once.
     """
     need = E.d + 1
-    source = (ell for k in itertools.count(1)
-              for ell in irreducibles_of_degree(E.constants, k)
-              if ell != E.char_poly)
-    pool: list = []
+    frob = motive_frobenius(E)
     known: dict = {}
 
     def candidates(max_deg):
-        for i in itertools.count():
-            if i == len(pool):
-                pool.append(next(source))
-            if pool[i].deg > max_deg:
-                return
-            yield pool[i]
+        for k in range(1, max_deg + 1):
+            for ell in irreducibles_of_degree(E.constants, k):
+                if ell != E.char_poly:
+                    yield ell
 
     def splits(ell, n):
         if (ell, n) not in known:
             try:
-                splitting_degree(E, ell, n, cap)
+                motive_splitting_degree(E, frob, ell, n, cap)
                 known[ell, n] = True
             except CapExceeded:
                 known[ell, n] = False

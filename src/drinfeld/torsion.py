@@ -80,10 +80,13 @@ def _validate_ell(E: DrinfeldModule, ell: UPoly):
             f"l = {ell.to_text()} is the characteristic ideal")
 
 
-def splitting_degree(E: DrinfeldModule, ell: UPoly, n: int, cap: int) -> int:
+def splitting_degree(E: DrinfeldModule, ell: UPoly, n: int, cap: int,
+                     walk=None) -> int:
     """Degree over L of the field where E[l^n] splits; CapExceeded above cap.
 
-    l must be a valid torsion prime (see _validate_ell).
+    l must be a valid torsion prime (see _validate_ell).  walk(l^n) returns
+    the degree or raises NotFound; the default walks L{tau}, and
+    motive.motive_splitting_degree walks the motive under the same guards.
     """
     # |E[l^n]| = q^(r n deg l), and its splitting field is at least as large
     k = E.r * n * ell.deg
@@ -91,7 +94,9 @@ def splitting_degree(E: DrinfeldModule, ell: UPoly, n: int, cap: int) -> int:
         raise CapExceeded(f"E[({ell.to_text()})^{n}] has over 2^40 points")
     lam = ell ** n
     try:
-        return ore_splitting_degree(E.phi(lam), cap)
+        if walk is None:
+            return ore_splitting_degree(E.phi(lam), cap)
+        return walk(lam)
     except NotFound as exc:
         raise CapExceeded(
             f"splitting degree of E[{lam.to_text()}] exceeds {cap}") from exc

@@ -7,6 +7,7 @@ uniformly.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 
@@ -179,12 +180,13 @@ class UPoly(DensePoly):
             return UPoly.zero(self.base), self
         rem = list(self.coeffs)
         db = other.deg
-        inv = other.leading().inverse()
+        # a monic divisor, like every l^n and Ben-Or modulus, needs no inverse
+        inv = None if other.is_monic() else other.leading().inverse()
         q = [self.base.zero] * (len(rem) - db)
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c:
-                f = c * inv
+                f = c if inv is None else c * inv
                 q[i - db] = f
                 for j in range(db + 1):
                     rem[i - db + j] = rem[i - db + j] - f * other.coeffs[j]
@@ -328,13 +330,45 @@ def upoly_roots(f: UPoly, ext: FField):
     return [x for x in ext.elements() if not g.eval(x)]
 
 
-def irreducibles_of_degree(base: FField, d: int):
-    """The monic irreducibles of degree d, in encoding order."""
-    top = base.size ** d
-    for k in range(top, 2 * top):
-        f = UPoly.from_encoding(base, k)
-        if upoly_irreducible(f):
-            yield f
+@functools.lru_cache(maxsize=64)
+def irreducibles_of_degree(base: FField, d: int) -> tuple:
+    """The monic irreducibles of degree d, in encoding order, by a sieve.
+
+    It marks every g*h with g irreducible of degree j <= d/2 and h monic of
+    degree d - j.  Read base p, an encoding lists F_p-coordinates, and the
+    g*h are g*x^(d-j) plus the F_p-span of g*w^b*x^i (b < e, i < d - j),
+    enumerated by an odometer that adds one generator per digit step.
+    """
+    if d < 1:
+        return ()
+    p, top = base.p, base.size ** d
+    if top > SCAN_LIMIT:
+        raise BoundExceeded(f"{top} monic polynomials of degree {d} are too "
+                            "many to sieve")
+    weights = [p ** k for k in range(base.n * (d + 1))]
+    composite = bytearray(top)
+
+    def digits(f):
+        k = f.encode()
+        return [k // w % p for w in weights]
+
+    for j in range(1, d // 2 + 1):
+        for g in irreducibles_of_degree(base, j):
+            vec = digits(g.shift(d - j))
+            gens = [digits((g * base.from_encoding(p ** b)).shift(i))
+                    for i in range(d - j) for b in range(base.n)]
+            odometer = [0] * len(gens)
+            while True:
+                composite[sum(map(operator.mul, vec, weights)) - top] = 1
+                for k, v in enumerate(gens):
+                    vec = [(x + y) % p for x, y in zip(vec, v)]
+                    odometer[k] = (odometer[k] + 1) % p
+                    if odometer[k]:
+                        break
+                else:
+                    break
+    return tuple(UPoly.from_encoding(base, top + k)
+                 for k in range(top) if not composite[k])
 
 
 def monic_irreducibles(base: FField, max_deg: int):

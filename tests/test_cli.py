@@ -491,3 +491,48 @@ def test_recover_monomial_loads_no_sympy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines() == ['{"n":3,"ok":true}', "False"]
+
+
+# recorded before prime sets were chosen on the motive
+CARLITZ_TABLE_5_CSV = (
+    "place,d,ells,s,independence,deg_check,char_divides_check\n"
+    "x,1,t+1;t^2+t+1;t^3+t+1,t,true,true,true\n"
+    "x+1,1,t;t^2+t+1;t^3+t+1,t+1,true,true,true\n"
+    "x^2+x+1,2,t;t+1;t^3+t+1;t^3+t^2+1,t^2+t+1,true,true,true\n"
+    "x^3+x+1,3,t;t+1;t^2+t+1;t^3+t^2+1;t^4+t^3+1,t^3+t+1,true,true,true\n"
+    "x^3+x^2+1,3,t;t+1;t^2+t+1;t^3+t+1;t^4+t^3+t^2+t+1,t^3+t^2+1,"
+    "true,true,true\n"
+    "x^4+x+1,4,t;t+1;t^2+t+1;t^3+t+1;t^3+t^2+1;t^4+t^3+1,t^4+t+1,"
+    "true,true,true\n"
+    "x^4+x^3+1,4,t;t+1;t^2+t+1;t^3+t+1;t^3+t^2+1;t^4+t+1,t^4+t^3+1,"
+    "true,true,true\n"
+    "x^4+x^3+x^2+x+1,4,t;t+1;t^2+t+1;t^3+t+1;t^3+t^2+1;t^4+t+1,"
+    "t^4+t^3+t^2+t+1,true,true,true\n"
+    "x^5+x^2+1,5,t;t+1;t^2+t+1;t^3+t+1;t^3+t^2+1;t^4+t^3+t^2+t+1,"
+    "t^5+t^2+1,true,true,true\n"
+    "x^5+x^3+1,5,t;t+1;t^2+t+1;t^3+t+1;t^3+t^2+1;t^4+t+1,t^5+t^3+1,"
+    "true,true,true\n"
+    "x^5+x^3+x^2+x+1,5,t;t+1;t^2+t+1;t^3+t+1;t^3+t^2+1;t^6+t^4+t^2+t+1,"
+    "t^5+t^3+t^2+t+1,true,true,true\n"
+    "x^5+x^4+x^2+x+1,5,t;t+1;t^2+t+1;t^3+t+1;t^3+t^2+1;t^4+t^3+1,"
+    "t^5+t^4+t^2+t+1,true,true,true\n"
+    "x^5+x^4+x^3+x+1,5,t;t+1;t^2+t+1;t^3+t+1;t^3+t^2+1;t^6+t+1,"
+    "t^5+t^4+t^3+t+1,true,true,true\n"
+    "x^5+x^4+x^3+x^2+1,5,t;t+1;t^2+t+1;t^3+t+1;t^3+t^2+1;t^4+t+1,"
+    "t^5+t^4+t^3+t^2+1,true,true,true\n")
+
+
+def test_carlitz_table_to_degree_5_bytes():
+    argv = ["carlitz", "table", "--p", "2", "--max-prime-degree", "5",
+            "--cap", "24", "--format", "csv"]
+    assert run_cli(argv) == (0, CARLITZ_TABLE_5_CSV)
+
+
+def test_table_lists_the_irreducibles_of_each_degree_once():
+    listing = drinfeld.upoly.irreducibles_of_degree
+    listing.cache_clear()
+    code, _ = run_cli(["carlitz", "table", "--p", "2",
+                       "--max-prime-degree", "5"])
+    info = listing.cache_info()
+    assert code == 0 and info.hits > 0
+    assert info.misses == info.currsize < info.maxsize

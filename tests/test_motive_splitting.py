@@ -1,0 +1,120 @@
+"""Splitting degrees of torsion read off the motive's Frobenius, against
+the walk in L{tau}, and the Frobenius product they are read from."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from drinfeld import (DrinfeldModule, UPoly, carlitz_family, ff_make,
+                      family_norm_table, motive_matrix, reports)
+from drinfeld.errors import CapExceeded, InsufficientModulus
+from drinfeld.motive import motive_frobenius, motive_splitting_degree
+from drinfeld.torsion import splitting_degree
+from drinfeld.upoly import irreducibles_of_degree
+from test_motive_norm import _benchmark_modules
+
+# the Carlitz tables of the benchmark's carlitz_tables workload: (p, e, deg)
+CARLITZ_TABLES = ((2, 1, 5), (3, 1, 2), (5, 1, 2), (2, 2, 2))
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+def test_motive_frobenius_is_the_d_fold_operator(rank2_f4):
+    F64 = ff_make(2, 6, 0)
+    rank3 = DrinfeldModule(F64, F64.gen, [F64.one, F64.gen, F64.gen + 1])
+    for E in (rank2_f4, rank3):
+        M = motive_matrix(E)
+        columns = []
+        for j in range(E.r):
+            v = tuple(UPoly.one(E.L) if i == j else UPoly.zero(E.L)
+                      for i in range(E.r))
+            for _ in range(E.d):
+                v = M.apply(v)
+            columns.append(v)
+        A = motive_frobenius(E)
+        assert A == tuple(zip(*columns))
+        assert all(x.deg <= E.d for row in A for x in row)
+
+
+def test_motive_walk_matches_ore_walk_on_benchmark_modules(monkeypatch):
+    # every (l, n, cap) the benchmark's norm items ask, and the two rank-2
+    # modules over F_8 whose prime-set search fails at cap 24
+    outcomes = []
+    walk = reports.motive_splitting_degree
+
+    def both(E, frob, ell, n, cap):
+        got = _outcome(walk, E, frob, ell, n, cap)
+        assert got == _outcome(splitting_degree, E, ell, n, cap)
+        outcomes.append(got)
+        if isinstance(got, str):
+            raise CapExceeded(got)
+        return got
+
+    monkeypatch.setattr(reports, "motive_splitting_degree", both)
+    for p, e, max_deg in CARLITZ_TABLES:
+        rows = family_norm_table(carlitz_family(p, e), max_deg, cap=24)
+        assert all(not isinstance(rep, str) for _, rep in rows)
+    for E in _benchmark_modules():
+        reports.norm_report(E, cap=24)
+    F8 = ff_make(2, 3, 0)
+    for coeffs in ([F8.one, F8.one], [F8.gen, F8.gen + 1]):
+        with pytest.raises(InsufficientModulus):
+            reports.choose_prime_sets(DrinfeldModule(F8, F8.gen, coeffs),
+                                      cap=24)
+    degrees = [m for m in outcomes if isinstance(m, int)]
+    assert len(degrees) > 300 and len(outcomes) - len(degrees) > 20
+
+
+@st.composite
+def torsion_queries(draw):
+    """(E, l, n, cap): ranks 1-3 over F_2, F_3, F_4, F_8 and F_9, and F_4
+    and F_9 over themselves with every twist; l of degree <= 3."""
+    p, n, e = draw(st.sampled_from([(2, 1, 1), (3, 1, 1), (2, 2, 1),
+                                    (2, 3, 1), (3, 2, 1), (2, 2, 2),
+                                    (3, 2, 2)]))
+    L = ff_make(p, n, 0)
+    constants = ff_make(p, e, 0)
+    r = draw(st.integers(1, 3))
+    theta = L.from_encoding(draw(st.integers(0, L.size - 1)))
+    coeffs = [L.from_encoding(draw(st.integers(0, L.size - 1)))
+              for _ in range(r - 1)]
+    coeffs.append(L.from_encoding(draw(st.integers(1, L.size - 1))))
+    E = DrinfeldModule(L, theta, coeffs, constants=constants,
+                       twist=draw(st.integers(0, e - 1)))
+    ells = [[ell for ell in irreducibles_of_degree(constants, k)
+             if ell != E.char_poly] for k in (1, 2, 3)]
+    k = draw(st.sampled_from([0, 0, 1, 2]))
+    ell = draw(st.sampled_from(ells[k] or ells[0]))
+    return E, ell, draw(st.integers(1, 2)), draw(st.integers(1, 24))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(query=torsion_queries())
+def test_motive_walk_matches_ore_walk(query):
+    E, ell, n, cap = query
+    assert (_outcome(motive_splitting_degree, E, motive_frobenius(E), ell, n,
+                     cap)
+            == _outcome(splitting_degree, E, ell, n, cap))
+
+
+@pytest.mark.parametrize("twist", [0, 1])
+def test_motive_walk_maps_l_through_the_twisted_constants(F4, twist):
+    # constants act on L as c -> c^(p^twist), so l^n enters L[t] that way
+    F16 = ff_make(2, 4, 0)
+    found = 0
+    for coeffs in ([F16.gen, F16.one], [F16.one], [F16.one, F16.gen]):
+        E = DrinfeldModule(F16, F16.gen + 1, coeffs, constants=F4,
+                           twist=twist)
+        frob = motive_frobenius(E)
+        ells = irreducibles_of_degree(F4, 1) + irreducibles_of_degree(F4, 2)
+        for ell in (ell for ell in ells if ell != E.char_poly):
+            for n in (1, 2):
+                got = _outcome(motive_splitting_degree, E, frob, ell, n, 24)
+                assert got == _outcome(splitting_degree, E, ell, n, 24)
+                found += isinstance(got, int)
+    assert found > 10

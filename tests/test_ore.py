@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld import (FField, OrePoly, UPoly, extension_of, ff_embed, ff_make,
-                      ore_divmod_left, ore_divmod_right, ore_eval, ore_kernel,
-                      ore_splitting_degree, separable_part)
+from drinfeld import (FFElem, FField, OrePoly, UPoly, extension_of, ff_embed,
+                      ff_make, ore_divmod_left, ore_divmod_right, ore_eval,
+                      ore_kernel, ore_splitting_degree, separable_part)
 from drinfeld.errors import (DivisionByZero, FieldMismatch, Inseparable,
                              NotFound, ZeroPolynomial)
 
@@ -316,3 +316,24 @@ def test_operator_map_field_checks_the_source(F4):
     assert f.map_field(ff_embed(F4, F16)).base == F16
     with pytest.raises(FieldMismatch, match="does not start at the base"):
         f.map_field(ff_embed(ff_make(2, 1, 0), F16))
+
+
+def test_divisions_by_one_operator_share_one_inversion(monkeypatch):
+    # a walk divides by f once per step, and every quotient term needs the
+    # inverse leading coefficient of some sigma^k(f): one inversion serves
+    L = ff_make(2, 4, 0)
+    rng = random.Random(11)
+    calls = []
+    inverse = FFElem.inverse
+    monkeypatch.setattr(FFElem, "inverse",
+                        lambda c: calls.append(c) or inverse(c))
+    for _ in range(6):
+        f = OrePoly(L, [L.from_encoding(rng.randrange(1, L.size))
+                        for _ in range(4)])
+        del calls[:]
+        ore_splitting_degree(f, 12)
+        assert 0 < len(calls) <= L.n
+    a, b = _rand_ore(L, rng, 9), OrePoly(L, [L.gen, L.one, L.gen])
+    del calls[:]
+    q, r = ore_divmod_left(a, b)
+    assert q * b + r == a and r.deg < b.deg and len(calls) == 1

@@ -7,7 +7,7 @@ from drinfeld import (DrinfeldModule, OrePoly, UPoly, carlitz_family,
                       dm_frobenius_norm, dm_torsion, ff_make,
                       monic_irreducibles, ore_eval, parse_upoly,
                       torsion_point_count, upoly_crt)
-from drinfeld import torsion, upoly
+from drinfeld import reports, torsion
 from drinfeld.errors import (CapExceeded, CharacteristicIdeal,
                              InsufficientModulus)
 from drinfeld.torsion import _crt_lift, _independent
@@ -177,40 +177,50 @@ def test_oversized_torsion_fails_before_the_splitting_search(
             dm_torsion(E, ell, n, cap=10 ** 6)
 
 
+def _count_motive_walks(monkeypatch):
+    walked = []
+    walk = reports.motive_splitting_degree
+
+    def counting(E, frob, ell, n, cap):
+        walked.append((ell.encode(), n))
+        return walk(E, frob, ell, n, cap)
+
+    monkeypatch.setattr(reports, "motive_splitting_degree", counting)
+    return walked
+
+
 def test_prime_set_search_tests_each_candidate_once(monkeypatch):
     # the Carlitz module at x needs pool degree d + 2 = 3 at cap 8; the
     # second set fills at t^3+t+1 (encoding 11), so the scan stops there
     family = carlitz_family(2)
     E = family.specialize(parse_upoly("x", family.constants, "x"))[0]
-    tested = []
-    irreducible = upoly.upoly_irreducible
+    walked = _count_motive_walks(monkeypatch)
+    built = []
+    listing = reports.irreducibles_of_degree
 
-    def counting(f):
-        tested.append(f.encode())
-        return irreducible(f)
+    def recording(base, k):
+        built.append(k)
+        return listing(base, k)
 
-    monkeypatch.setattr(upoly, "upoly_irreducible", counting)
+    monkeypatch.setattr(reports, "irreducibles_of_degree", recording)
     assert len(choose_prime_sets(E, cap=8)) == 2
-    assert len(tested) == len(set(tested))
-    assert sorted(tested) == list(range(2, 12))
+    assert len(walked) == len(set(walked))
+    assert max(enc for enc, _ in walked) == 11
+    assert max(built) == 3
 
 
 def test_failing_prime_set_search_splits_each_candidate_once(monkeypatch):
     # rank 2 over F_8, coefficients (theta, theta + 1): all four passes fail
     F8 = ff_make(2, 3, 0)
     E = DrinfeldModule(F8, F8.gen, [F8.gen, F8.gen + 1])
-    searched = []
-    search = torsion.ore_splitting_degree
-
-    def counting(f, cap):
-        searched.append(f.coeffs)
-        return search(f, cap)
-
-    monkeypatch.setattr(torsion, "ore_splitting_degree", counting)
+    walked = _count_motive_walks(monkeypatch)
+    ore_walks = []
+    monkeypatch.setattr(torsion, "ore_splitting_degree",
+                        lambda *args: ore_walks.append(args))
     with pytest.raises(InsufficientModulus, match="within cap 24"):
         choose_prime_sets(E, cap=24)
-    # phi(l^n) determines (l, n), so no (l, n) was searched twice
-    assert len(searched) == len(set(searched)) > 0
+    assert len(walked) == len(set(walked)) > 0
+    assert ore_walks == []
 
 
 def test_determinant_helper(F2):

@@ -8,10 +8,10 @@ from drinfeld import (UPoly, ff_make, minimal_polynomial, monic_irreducibles,
                       parse_upoly, upoly_crt, upoly_gcd, upoly_irreducible,
                       upoly_roots, upoly_xgcd)
 from drinfeld import linalg
-from drinfeld.errors import (FieldMismatch, InvariantError, NonCoprimeModuli,
-                             ZeroPolynomial)
-from drinfeld.finitefield import (FField, FieldEmbedding, _pirreducible,
-                                  ff_embed)
+from drinfeld.errors import (BoundExceeded, FieldMismatch, InvariantError,
+                             NonCoprimeModuli, ZeroPolynomial)
+from drinfeld.finitefield import (FFElem, FField, FieldEmbedding,
+                                  _pirreducible, ff_embed)
 from drinfeld.upoly import (NEG_INF, irreducibles_of_degree,
                             lagrange_interpolate, upoly_powmod,
                             upoly_resultant)
@@ -283,3 +283,37 @@ def test_a_foreign_coefficient_raises_wherever_it_sits(F4, where):
         coeffs[where] = foreign
         with pytest.raises(FieldMismatch):
             UPoly(F4, coeffs)
+
+
+@pytest.mark.parametrize("p, n, max_deg", [(2, 1, 10), (3, 1, 6), (2, 2, 5),
+                                           (5, 1, 4), (7, 1, 3)])
+def test_sieve_matches_ben_or(p, n, max_deg):
+    F = ff_make(p, n, 0)
+    for k in range(1, max_deg + 1):
+        top = F.size ** k
+        monic = (UPoly.from_encoding(F, e) for e in range(top, 2 * top))
+        ben_or = [f for f in monic if upoly_irreducible(f)]
+        assert list(irreducibles_of_degree(F, k)) == ben_or
+
+
+def test_sieve_beyond_the_scan_limit_fails_fast(F2, F3):
+    # 2^22 and 3^14 candidates: no table of that size is built
+    for F, k in ((F2, 22), (F3, 14)):
+        with pytest.raises(BoundExceeded, match="too many to sieve"):
+            irreducibles_of_degree(F, k)
+
+
+def test_dividing_by_a_monic_polynomial_inverts_nothing(F3, F4, monkeypatch):
+    calls = []
+    inverse = FFElem.inverse
+    monkeypatch.setattr(FFElem, "inverse",
+                        lambda c: calls.append(c) or inverse(c))
+    m = parse_upoly("t^4+2*t+2", F3)
+    a = parse_upoly("2*t^9+t^5+t^2+1", F3)
+    q, r = divmod(a, m)
+    assert q * m + r == a and r.deg < m.deg
+    f = UPoly(F4, [F4.gen, F4.one, F4.one])
+    assert upoly_powmod(UPoly.x(F4), 4 ** 5, f) == UPoly.x(F4) ** 4 ** 5 % f
+    assert calls == []
+    q2, r2 = divmod(a, m * 2)
+    assert (q2 * 2, r2) == (q, r) and len(calls) == 1
