@@ -1,0 +1,63 @@
+#!/usr/bin/env python3
+"""Time the finite-field layer: product, sum, inverse, Frobenius, search.
+
+Prints one JSON object mapping each field name to microseconds per
+operation: `mul_us`, `add_us`, `inverse_us` and `p_power_us` (x -> x^p)
+over 200 seeded random nonzero elements, and `ff_make_us`, the modulus
+search from an empty field cache.  Each number is the best of --reps
+repetitions.  These are wall-clock times on the host that runs the script,
+so compare them only with numbers from the same host and session.
+
+    python scripts/field_bench.py --reps 5
+"""
+
+import argparse
+import json
+import random
+import sys
+import timeit
+
+from drinfeld import finitefield, ff_make
+
+FIELDS = ((2, 12), (2, 24), (2, 36), (2, 40), (3, 24), (5, 17), (65537, 2))
+BATCH = 200
+
+
+def per_op(fn, count, reps):
+    return round(min(timeit.repeat(fn, number=1, repeat=reps)) / count * 1e6,
+                 2)
+
+
+def bench(p, n, reps):
+    F = ff_make(p, n)
+    rng = random.Random(f"{p}^{n}")
+    xs = [F.from_encoding(rng.randrange(1, F.size)) for _ in range(BATCH)]
+    pairs = list(zip(xs, xs[1:] + xs[:1]))
+
+    def search():
+        finitefield._FIELD_CACHE.clear()
+        ff_make(p, n)
+
+    return {
+        "mul_us": per_op(lambda: [a * b for a, b in pairs], BATCH, reps),
+        "add_us": per_op(lambda: [a + b for a, b in pairs], BATCH, reps),
+        "inverse_us": per_op(lambda: [a.inverse() for a in xs], BATCH, reps),
+        "p_power_us": per_op(lambda: [a.p_power(1) for a in xs], BATCH, reps),
+        "ff_make_us": per_op(search, 1, reps),
+    }
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("--reps", type=int, default=5)
+    args = ap.parse_args()
+    if args.reps < 1:
+        ap.error("--reps must be at least 1")
+    results = {f"F_{p}^{n}": bench(p, n, args.reps) for p, n in FIELDS}
+    print(json.dumps(results, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

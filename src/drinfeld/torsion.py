@@ -17,10 +17,12 @@ from .dmodule import DrinfeldModule
 from .errors import (CapExceeded, CharacteristicIdeal, InsufficientModulus,
                      InvariantError, NotFound)
 from .finitefield import FIELD_SIZE_LIMIT, extension_of
+from .intutil import LRUCache
 from .ore import ore_eval, ore_kernel, ore_splitting_degree, separable_part
 from .upoly import UPoly, upoly_crt, upoly_det, upoly_gcd, upoly_irreducible
 
-_TORSION_CACHE: dict = {}
+# a module holds all its points and coordinates, so keep only a few
+_TORSION_CACHE = LRUCache(16)
 BASIS_RETRY_LIMIT = 100
 
 

@@ -294,6 +294,34 @@ def test_missing_or_ill_typed_argument_is_parse_error(argv, message):
     assert json.loads(out) == {"error": message}
 
 
+F8_FIELD = '"field":{"p":2,"n":3,"modulus":[1,1,0,1]}'
+FROBNORM_MODULE = ["drinfeld", "frobnorm", "--module", "-"]
+
+
+@pytest.mark.parametrize("argv, stdin_text, power", [
+    # theta = x + x^3 = 1 in F_8; it used to be read as theta = x
+    (FROBNORM_MODULE,
+     '{%s,"theta":[0,1,0,1],"coeffs":[[1,0,0],[0,1,0]]}' % F8_FIELD, 3),
+    (FROBNORM_MODULE,
+     '{%s,"theta":[0,1,0],"coeffs":[[1,0,0],[0,1,0,0,1]]}' % F8_FIELD, 4),
+    (["ore", "eval"], '{"f":{%s,"coeffs":[[0,1,0]]},"x":[1,0,0,1]}'
+     % F8_FIELD, 3),
+])
+def test_an_element_past_the_field_degree_exits_2(argv, stdin_text, power):
+    code, out = run_cli(argv, stdin_text)
+    assert code == 2
+    assert json.loads(out) == {"error": f"nonzero coefficient of x^{power} "
+                                        "in an element of F_2^3 (degree "
+                                        "below 3)"}
+
+
+def test_zero_entries_past_the_field_degree_change_nothing():
+    plain = '{%s,"theta":[0,1,0],"coeffs":[[1,0,0],[0,1,0]]}' % F8_FIELD
+    padded = '{%s,"theta":[0,1,0,0,0],"coeffs":[[1,0,0,2],[0,1,0]]}' % F8_FIELD
+    code, out = run_cli(FROBNORM_MODULE, plain)
+    assert code == 0 and run_cli(FROBNORM_MODULE, padded) == (code, out)
+
+
 @pytest.mark.parametrize("argv, stdin_text, message", [
     (["carlitz", "table", "--p", "2", "--e", "100000000"], "",
      "F_2^100000000 has more than 2^40 elements"),

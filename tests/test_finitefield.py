@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from drinfeld import FField, extension_of, ff_embed, ff_generator, ff_make
 from drinfeld import finitefield
 from drinfeld.errors import BoundExceeded, NoEmbedding, NotPrime, Reducible
-from drinfeld.intutil import _power, factorize, is_prime
+from drinfeld.intutil import LRUCache, _power, factorize, is_prime
 
 
 def test_prime_field_modulus_is_x():
@@ -73,6 +73,28 @@ def test_seeded_moduli_are_pinned(p, n, terms):
     assert ff_make(p, n, 0).modulus == tuple(expected)
 
 
+# ff_make(p, n).modulus for n = 1, 2, ... up to the 2^40 bound, recorded
+# with the tuple kernel: the modulus minus x^n as its base-p encoding
+PINNED_MODULI = {
+    2: [0, 3, 3, 3, 5, 3, 3, 27, 3, 9, 5, 9, 27, 33, 3, 43, 9, 9, 39, 9, 5,
+        3, 33, 27, 9, 27, 39, 3, 5, 3, 9, 141, 75, 27, 5, 53, 63, 99, 17,
+        57],
+    3: [0, 1, 7, 5, 7, 5, 11, 11, 64, 19, 11, 11, 7, 5, 11, 37, 7, 34, 11,
+        34, 31, 37, 31, 83, 55],
+    5: [0, 2, 6, 2, 21, 7, 6, 2, 38, 33, 11, 9, 42, 77, 27, 2, 39],
+    7: [0, 1, 2, 8, 10, 2, 43, 10, 2, 17, 10, 58, 52, 11],
+}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_MODULI))
+def test_every_searched_modulus_within_the_bound_is_pinned(p):
+    codes = PINNED_MODULI[p]
+    assert p ** len(codes) <= 2 ** 40 < p ** (len(codes) + 1)
+    for n, code in enumerate(codes, start=1):
+        low = tuple(code // p ** i % p for i in range(n))
+        assert ff_make(p, n).modulus == low + (1,), n
+
+
 def test_non_integer_parameters_rejected(F4):
     for args in ((2.0, 2, (1, 1, 1)), (2, 2.0, (1, 1, 1)),
                  (2, 2, (1, 1.0, 1)), (2, 2, (1, None, 1)), (2, 2, 1.5)):
@@ -82,6 +104,15 @@ def test_non_integer_parameters_rejected(F4):
         with pytest.raises(TypeError):
             F4.element(coeffs)
     assert F4.element([1, 2 ** 70 + 1]) == F4.element([1, 1])
+
+
+def test_coefficients_past_the_degree_must_vanish(F4):
+    assert F4.element([1, 1, 0, 2, 4]) == F4.element([1, 1])
+    for coeffs in ([1, 1, 1], [0, 0, 0, 3]):
+        with pytest.raises(ValueError, match="nonzero coefficient of x\\^"):
+            F4.element(coeffs)
+    with pytest.raises(ValueError, match="x\\^2 in an element of F_2\\^2"):
+        F4.gen + [0, 1, 1]
 
 
 def test_reducible_modulus_rejected():
@@ -322,3 +353,26 @@ def test_an_element_defers_to_a_polynomial_operand():
     assert w + x == x + w and w - x == UPoly(F4, [w]) - x
     with pytest.raises(TypeError):
         w * "a"
+
+
+def test_lru_cache_keeps_the_most_recently_used():
+    cache = LRUCache(2)
+    cache["a"], cache["b"] = 1, 2
+    assert cache.get("a") == 1  # a is now the most recent
+    cache["c"] = 3
+    assert list(cache) == ["a", "c"] and cache.get("b") is None
+    cache.clear()
+    assert not cache
+
+
+def test_module_caches_are_bounded(monkeypatch):
+    from drinfeld import torsion
+
+    for cache in (finitefield._FIELD_CACHE, finitefield._EMBED_CACHE,
+                  torsion._TORSION_CACHE):
+        assert isinstance(cache, LRUCache) and cache.maxsize <= 256
+    monkeypatch.setattr(finitefield, "_FIELD_CACHE", LRUCache(4))
+    fields = [ff_make(2, 3, seed) for seed in range(10)]
+    assert len(finitefield._FIELD_CACHE) == 4
+    assert ff_make(2, 3, 9) is fields[9]
+    assert ff_make(2, 3, 0) is not fields[0] and ff_make(2, 3, 0) == fields[0]
