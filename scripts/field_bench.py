@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Time the finite-field layer: product, sum, inverse, Frobenius, search.
+"""Time the finite-field layer and the F_{p^e}[t] products built on it.
 
 Prints one JSON object mapping each field name to microseconds per
 operation: `mul_us`, `add_us`, `inverse_us` and `p_power_us` (x -> x^p)
 over 200 seeded random nonzero elements, and `ff_make_us`, the modulus
-search from an empty field cache.  Each number is the best of --reps
+search from an empty field cache.  The polynomial rows F_{p^e}[t] time
+`UPoly` arithmetic on the packed kernel: `mul_us`, a product of two
+polynomials of degree 8, and `rem_us`, such a product mod a monic
+polynomial of degree 9.  Each number is the best of --reps
 repetitions.  These are wall-clock times on the host that runs the script,
 so compare them only with numbers from the same host and session.
 
@@ -17,9 +20,11 @@ import random
 import sys
 import timeit
 
-from drinfeld import finitefield, ff_make
+from drinfeld import UPoly, finitefield, ff_make
 
 FIELDS = ((2, 12), (2, 24), (2, 36), (2, 40), (3, 24), (5, 17), (65537, 2))
+POLY_FIELDS = ((2, 5), (3, 2), (13, 2))
+POLY_DEG, MOD_DEG = 8, 9
 BATCH = 200
 
 
@@ -47,6 +52,26 @@ def bench(p, n, reps):
     }
 
 
+def bench_poly(p, e, reps):
+    F = ff_make(p, e)
+    rng = random.Random(f"{p}^{e}[t]")
+
+    def poly(deg, monic=False):
+        top = [F.one] if monic else [F.from_encoding(rng.randrange(1, F.size))]
+        return UPoly(F, [F.from_encoding(rng.randrange(F.size))
+                         for _ in range(deg)] + top)
+
+    count = BATCH // 4
+    pairs = [(poly(POLY_DEG), poly(POLY_DEG)) for _ in range(count)]
+    prods = [a * b for a, b in pairs]
+    mods = [poly(MOD_DEG, monic=True) for _ in range(count)]
+    return {
+        "mul_us": per_op(lambda: [a * b for a, b in pairs], count, reps),
+        "rem_us": per_op(lambda: [c % m for c, m in zip(prods, mods)],
+                         count, reps),
+    }
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawTextHelpFormatter)
@@ -55,6 +80,8 @@ def main():
     if args.reps < 1:
         ap.error("--reps must be at least 1")
     results = {f"F_{p}^{n}": bench(p, n, args.reps) for p, n in FIELDS}
+    results.update({f"F_{p}^{e}[t]": bench_poly(p, e, args.reps)
+                    for p, e in POLY_FIELDS})
     print(json.dumps(results, indent=1))
     return 0
 

@@ -26,6 +26,9 @@ ones word by word through `struct`.
 * Ben-Or's test and the inverse run Euclid on packed ints over F_p.  The
   modulus search runs Ben-Or alone on each candidate and builds a field's
   tables only for the modulus that passes.
+
+Polynomials over these fields in a second variable t are packed into the
+same slots by `polykernel`, which keeps its tables on the field.
 """
 
 from __future__ import annotations
@@ -54,8 +57,22 @@ PACKED_MIN_DEGREE = 4
 _WORD_CODES = {2: "H", 4: "I", 8: "Q"}
 
 
+@functools.lru_cache(maxsize=256)
+def _words(code, count):
+    """The compiled struct of `count` little-endian words of one code."""
+    return struct.Struct(f"<{count}{code}")
+
+
 # ---------------------------------------------------------------------------
 # packed polynomials over F_p: c_0 + c_1 x + ... is the int sum c_i 2^(w i)
+
+def _slot_width(bound):
+    """The least of 8, 16, 32, ... bits w with 2^w > bound."""
+    w = 8
+    while 1 << w <= bound:
+        w *= 2
+    return w
+
 
 def _width(p, n):
     """The slot width in bits: the least of 8, 16, 32, ... with 2^w > n p^2.
@@ -63,10 +80,7 @@ def _width(p, n):
     Slots of 2, 4 or 8 bytes are read as words by `struct`; n >= 2
     and p^n <= 2^40 keep w <= 64 for every field above F_p.
     """
-    w = 8
-    while 1 << w <= n * p * p:
-        w *= 2
-    return w
+    return _slot_width(n * p * p)
 
 
 class _Slots:
@@ -90,7 +104,7 @@ class _Slots:
         if self.table is not None:
             return int.from_bytes(bytes(coeffs), "little")
         if self.code is not None:
-            words = struct.pack(f"<{len(coeffs)}{self.code}", *coeffs)
+            words = _words(self.code, len(coeffs)).pack(*coeffs)
             return int.from_bytes(words, "little")
         size = self.size
         return int.from_bytes(b"".join(c.to_bytes(size, "little")
@@ -103,7 +117,7 @@ class _Slots:
             return raw.translate(self.table)
         p = self.p
         if self.code is not None:
-            return [c % p for c in struct.unpack(f"<{slots}{self.code}", raw)]
+            return [c % p for c in _words(self.code, slots).unpack(raw)]
         size = self.size
         return [int.from_bytes(raw[i:i + size], "little") % p
                 for i in range(0, len(raw), size)]
@@ -212,7 +226,8 @@ def _check_size(p, n):
 class FField:
     """The finite field with p**n elements."""
 
-    __slots__ = ("p", "n", "modulus", "size", "_slots", "_red", "_frob")
+    __slots__ = ("p", "n", "modulus", "size", "_slots", "_red", "_frob",
+                 "_kernels")
 
     def __init__(self, p, n, modulus):
         modulus = tuple(modulus)
@@ -261,6 +276,7 @@ class FField:
             red = [tuple(k.unpack(row, n)) for row in red]
         self._red = tuple(red)
         self._frob = None
+        self._kernels = {}  # slot width -> polykernel.PolyKernel over it
 
     # -- raw tuple arithmetic ------------------------------------------------
 
@@ -548,8 +564,12 @@ class FFElem:
         return any(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.element(other)
+        # what +, - and * accept; a list naming no element is unequal
+        if isinstance(other, (int, list, tuple)):
+            try:
+                other = self.field.element(other)
+            except (TypeError, ValueError):
+                return False
         return (isinstance(other, FFElem) and other.field == self.field
                 and other.coeffs == self.coeffs)
 

@@ -18,6 +18,7 @@ from operator import mul
 from .dmodule import DrinfeldModule
 from .errors import InvariantError
 from .ore import frobenius_order
+from .polykernel import ResidueRing
 from .torsion import dm_frobenius_matrix, dm_torsion, splitting_degree
 from .upoly import UPoly, upoly_det
 
@@ -149,16 +150,20 @@ def motive_splitting_degree(E: DrinfeldModule, frob, ell: UPoly, n: int,
 
     M/l^n M is L{tau}/L{tau}phi_(l^n), where frob acts on (L[t]/l^n)^r as
     the central tau^[L:F_p]; so it fixes e_1 = 1 only as the identity, and
-    the walk v -> frob*v from e_1 returns at the L{tau} walk's m.
+    the walk v -> frob*v from e_1 returns at the L{tau} walk's m.  It runs
+    on tuples of packed residues mod l^n (polykernel.ResidueRing).
     """
-    L, zero = E.L, UPoly.zero(E.L)
+    L = E.L
 
     def walk(lam):
-        lam = UPoly(L, [E.constant_action(c) for c in lam.coeffs])
-        A = [[x % lam for x in row] for row in frob]
+        ring = ResidueRing(
+            L, [E.constant_action(c).coeffs for c in lam.coeffs], E.r)
+        A = [[ring.pack(x.vectors()) for x in row] for row in frob]
+        count = 2 * ring.D - 1
         return frobenius_order(
-            lambda v: tuple(sum(map(mul, row, v), zero) % lam for row in A),
-            (UPoly.one(L),) + (zero,) * (E.r - 1), L.size, cap)
+            lambda v: tuple(ring.reduce(sum(map(mul, row, v)), count)
+                            for row in A),
+            (1,) + (0,) * (E.r - 1), L.size, cap)
 
     return splitting_degree(E, ell, n, cap, walk)
 

@@ -2,7 +2,9 @@
 
 UPoly doubles as the coefficient ring F_q[t] and as F_q[theta]; deg of the
 zero polynomial is the -infinity sentinel so Euclidean contracts read
-uniformly.
+uniformly.  Coefficients are FFElems; products, division and powers mod a
+polynomial pack them into ints and run on the packed F_q[t] kernel of
+`polykernel`.
 """
 
 from __future__ import annotations
@@ -10,12 +12,14 @@ from __future__ import annotations
 import functools
 import operator
 import re
+from itertools import repeat
 
 from .errors import (BoundExceeded, DivisionByZero, FieldMismatch,
                      InvariantError, NonCoprimeModuli, ParseError,
                      ZeroPolynomial)
 from .finitefield import SCAN_LIMIT, FFElem, FField, FieldEmbedding, ff_embed
 from .intutil import _power
+from .polykernel import ResidueRing, poly_kernel
 
 NEG_INF = float("-inf")
 
@@ -158,17 +162,29 @@ class UPoly(DensePoly):
 
     # -- ring operations --------------------------------------------------------
 
+    @classmethod
+    def _of_vectors(cls, base, vecs):
+        """The polynomial of reduced coefficient vectors, unchecked."""
+        vecs = list(vecs)
+        while vecs and not any(vecs[-1]):
+            vecs.pop()
+        poly = object.__new__(cls)
+        poly.base = base
+        poly.coeffs = tuple(map(FFElem, repeat(base), vecs))
+        return poly
+
+    def vectors(self):
+        """The coefficient vectors over F_p, low to high."""
+        return list(map(operator.attrgetter("coeffs"), self.coeffs))
+
     def __mul__(self, other):
         other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return UPoly.zero(self.base)
-        out = [self.base.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return UPoly(self.base, out)
+        kernel = poly_kernel(self.base, min(len(a), len(b)))
+        return UPoly._of_vectors(
+            self.base, kernel.product(self.vectors(), other.vectors()))
 
     __rmul__ = __mul__
 
@@ -178,19 +194,14 @@ class UPoly(DensePoly):
             raise DivisionByZero("division by the zero polynomial")
         if self.deg < other.deg:
             return UPoly.zero(self.base), self
-        rem = list(self.coeffs)
-        db = other.deg
         # a monic divisor, like every l^n and Ben-Or modulus, needs no inverse
-        inv = None if other.is_monic() else other.leading().inverse()
-        q = [self.base.zero] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                f = c if inv is None else c * inv
-                q[i - db] = f
-                for j in range(db + 1):
-                    rem[i - db + j] = rem[i - db + j] - f * other.coeffs[j]
-        return UPoly(self.base, q), UPoly(self.base, rem[:db])
+        lead = other.coeffs[-1]
+        monic = lead.coeffs[0] == 1 and not any(lead.coeffs[1:])
+        inv = None if monic else lead.inverse().coeffs
+        kernel = poly_kernel(self.base, max(other.deg, 2))
+        q, r = kernel.divmod(self.vectors(), other.vectors(), inv)
+        return (UPoly._of_vectors(self.base, q),
+                UPoly._of_vectors(self.base, r))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -290,7 +301,13 @@ def upoly_crt(residues) -> UPoly:
 
 
 def upoly_powmod(a: UPoly, e: int, m: UPoly) -> UPoly:
-    return _power(a % m, e, UPoly.one(a.base), lambda u, v: (u * v) % m)
+    """a^e mod m, squared and multiplied in the packed residue ring."""
+    a = a % m
+    if not a:  # as is every residue modulo a unit
+        return _power(a, e, UPoly.one(a.base), operator.mul)
+    ring = ResidueRing(m.base, m.vectors())
+    h = _power(ring.pack(a.vectors()), e, 1, ring.mulmod)
+    return UPoly._of_vectors(m.base, ring.unpack(h))
 
 
 def upoly_det(rows) -> UPoly:
@@ -311,10 +328,13 @@ def upoly_irreducible(f: UPoly) -> bool:
     """Ben-Or's test: gcd(x^(q^i) - x, f) = 1 for every i <= deg f / 2."""
     if f.deg < 1:
         return False
-    h = x = UPoly.x(f.base)
+    ring = ResidueRing(f.base, f.vectors())
+    x = UPoly.x(f.base)
+    h = ring.pack(x.vectors())
     for _ in range(f.deg // 2):
-        h = upoly_powmod(h, f.base.size, f)
-        if upoly_gcd(h - x, f).deg != 0:
+        h = _power(h, f.base.size, None, ring.mulmod)
+        if upoly_gcd(UPoly._of_vectors(f.base, ring.unpack(h)) - x,
+                     f).deg != 0:
             return False
     return True
 

@@ -355,6 +355,15 @@ def test_an_element_defers_to_a_polynomial_operand():
         w * "a"
 
 
+def test_equality_coerces_what_arithmetic_coerces(F4):
+    w = F4.gen
+    assert w - [0, 1] == 0 and w == [0, 1] and w == (0, 1)
+    assert w != [1, 0] and F4.one == 1 and F4.one == [1] and F4.one == (1,)
+    # the trailing zero pads; a nonzero x^2 or a non-integer names no element
+    assert w == [0, 1, 0] and w != [0, 1, 1] and w != ["a", 1]
+    assert F4.zero == [] and F4.zero != "0"
+
+
 def test_lru_cache_keeps_the_most_recently_used():
     cache = LRUCache(2)
     cache["a"], cache["b"] = 1, 2

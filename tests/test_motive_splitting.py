@@ -1,6 +1,8 @@
 """Splitting degrees of torsion read off the motive's Frobenius, against
 the walk in L{tau}, and the Frobenius product they are read from."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from drinfeld import (DrinfeldModule, UPoly, carlitz_family, ff_make,
                       family_norm_table, motive_matrix, reports)
 from drinfeld.errors import CapExceeded, InsufficientModulus
 from drinfeld.motive import motive_frobenius, motive_splitting_degree
+from drinfeld.polykernel import poly_kernel
 from drinfeld.torsion import splitting_degree
 from drinfeld.upoly import irreducibles_of_degree
 from test_motive_norm import _benchmark_modules
@@ -118,3 +121,32 @@ def test_motive_walk_maps_l_through_the_twisted_constants(F4, twist):
                 assert got == _outcome(splitting_degree, E, ell, n, 24)
                 found += isinstance(got, int)
     assert found > 10
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_motive_walk_matches_ore_walk_on_wide_slots(p):
+    # over F_25, F_49 and F_169 the walk's residues mod l^n need slots of
+    # two bytes or more once (p - 1) + r deg(l^n) 2 (p - 1)^2 >= 2^8
+    L = ff_make(p, 2, 0)
+    Fp = ff_make(p, 1, 0)
+    rng = random.Random(p)
+    widths, found = set(), 0
+    for r in (1, 2):
+        for _ in range(3):
+            theta = L.from_encoding(rng.randrange(p, L.size))
+            coeffs = [L.from_encoding(rng.randrange(L.size))
+                      for _ in range(r - 1)]
+            coeffs.append(L.from_encoding(rng.randrange(1, L.size)))
+            E = DrinfeldModule(L, theta, coeffs, constants=Fp)
+            frob = motive_frobenius(E)
+            ells = [ell for ell in list(irreducibles_of_degree(Fp, 1))
+                    + rng.sample(irreducibles_of_degree(Fp, 2), 2)
+                    if ell != E.char_poly]
+            for ell in ells:
+                for n in (1, 2):
+                    widths.add(poly_kernel(L, r * n * ell.deg).k.w)
+                    got = _outcome(motive_splitting_degree, E, frob, ell, n,
+                                   24)
+                    assert got == _outcome(splitting_degree, E, ell, n, 24)
+                    found += isinstance(got, int)
+    assert found > 10 and max(widths) > 8
