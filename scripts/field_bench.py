@@ -22,7 +22,9 @@ import timeit
 
 from drinfeld import UPoly, finitefield, ff_make
 
-FIELDS = ((2, 12), (2, 24), (2, 36), (2, 40), (3, 24), (5, 17), (65537, 2))
+# F_4, F_8 and F_9 are the busiest small fields; F_65537 is a prime field
+FIELDS = ((2, 2), (2, 3), (3, 2), (2, 12), (2, 24), (2, 36), (2, 40), (3, 24),
+          (5, 17), (65537, 1), (65537, 2))
 POLY_FIELDS = ((2, 5), (3, 2), (13, 2))
 POLY_DEG, MOD_DEG = 8, 9
 BATCH = 200

@@ -2,10 +2,9 @@
 
 Every field is immutable once built.  Moduli come from a deterministic
 seeded search, so identical parameters reproduce identical fields with no
-external tables.  Elements are coefficient vectors over F_p stored as
-tuples of ints.
+external tables.
 
-Arithmetic runs on packed integers (Kronecker substitution).  A polynomial
+An element is one int (Kronecker substitution).  A polynomial
 c_0 + c_1 x + ... over F_p is the int sum of c_i 2^(w i), one w-bit slot
 per coefficient.  For a field of degree n the slot width w is the least of
 8, 16, 32, 64, ... bits with 2^w > n p^2.  A slot of the product of two
@@ -13,19 +12,19 @@ polynomials with at most n terms each is a sum of at most n products below
 p^2, so one big-int product computes the whole convolution with no carry
 between slots.  Normalizing takes every slot mod p: with one-byte slots
 (w = 8, so p < 16) through a 256-entry `bytes.translate` table, with wider
-ones word by word through `struct`.
+ones word by word through `struct`.  An element of F_p is its residue,
+which is also its one slot, and normalizes by `% p`.  `FFElem.coeffs`
+reads the slots back as a tuple.
 
 * A product in F_{p^n} is one big-int product, normalized; then conv[0:n]
   plus the sum of conv[n+k] times the packed x^(n+k) mod the modulus (the
   reduction table), normalized once.
-* Sums, differences and negation with one-byte slots go through the same
-  translate tables.
+* A sum, difference or negation is one int sum, normalized.
 * Frobenius is the F_p-linear map whose packed rows (x^i)^p a field
   builds on first use; p_power(i) applies it i times.
-* Prime fields (n = 1) need no packing: their inverse is one `pow`.
-* Ben-Or's test and the inverse run Euclid on packed ints over F_p.  The
-  modulus search runs Ben-Or alone on each candidate and builds a field's
-  tables only for the modulus that passes.
+* The inverse runs Euclid on packed ints over F_p, or one `pow` in F_p;
+  so does Ben-Or's test.  The modulus search runs Ben-Or alone on each
+  candidate and builds a field's tables only for the modulus that passes.
 
 Polynomials over these fields in a second variable t are packed into the
 same slots by `polykernel`, which keeps its tables on the field.
@@ -36,7 +35,6 @@ from __future__ import annotations
 import functools
 import operator
 import struct
-from itertools import repeat
 
 from . import linalg
 from .errors import (BoundExceeded, DivisionByZero, FieldMismatch,
@@ -45,14 +43,6 @@ from .intutil import LRUCache, _power, factorize, is_prime
 
 FIELD_SIZE_LIMIT = 2 ** 40
 SCAN_LIMIT = 2 ** 21  # cap for exhaustive element enumeration
-# Products in F_{p^n} use the packed kernel from this degree on, and the
-# n^2 tuple loop below it.  Measured against that loop, per product: at
-# n = 3 the packed kernel ran 0.92-0.95x as fast for p = 2 (F_8 is the
-# busiest small field) and 1.1-1.3x for p = 3, 5, 7; at n = 4 1.2-1.75x and
-# at n = 5 1.5-2.1x for p = 2, 3, 5, 7 (one-byte slots).  With two-byte
-# slots (p = 11, 13, 17) it ran 0.76-0.79x at n = 4, 0.94-0.96x at n = 5
-# and 1.3x at n = 6, so those fields lose a little at n = 4 and 5.
-PACKED_MIN_DEGREE = 4
 # struct codes of little-endian unsigned words by size in bytes
 _WORD_CODES = {2: "H", 4: "I", 8: "Q"}
 
@@ -78,7 +68,8 @@ def _width(p, n):
     """The slot width in bits: the least of 8, 16, 32, ... with 2^w > n p^2.
 
     Slots of 2, 4 or 8 bytes are read as words by `struct`; n >= 2
-    and p^n <= 2^40 keep w <= 64 for every field above F_p.
+    and p^n <= 2^40 keep w <= 64 for every field above F_p.  An element of
+    F_p is its one slot, so there only packing reads the width.
     """
     return _slot_width(n * p * p)
 
@@ -226,8 +217,8 @@ def _check_size(p, n):
 class FField:
     """The finite field with p**n elements."""
 
-    __slots__ = ("p", "n", "modulus", "size", "_slots", "_red", "_frob",
-                 "_kernels")
+    __slots__ = ("p", "n", "modulus", "size", "_slots", "_norm", "_red",
+                 "_frob", "_kernels")
 
     def __init__(self, p, n, modulus):
         modulus = tuple(modulus)
@@ -258,81 +249,49 @@ class FField:
         self.n = n
         self.modulus = modulus
         self.size = p ** n
-        # F_p itself needs no packing: its arithmetic is on single ints
-        self._slots = k = _slots(p, _width(p, n)) if n > 1 else None
+        self._slots = k = _slots(p, _width(p, n))
+        # an element of F_p is its residue, so F_p normalizes by % p
+        self._norm = p.__rmod__ if n == 1 else k.norm
         # reduction table: x^(n+j) mod modulus for j < n - 1, packed;
         # x^n = -(low part), and each next row is x times the last
+        high = k.w * n
         red = []
         for _ in range(n - 1):
             if red:
-                high = k.w * n
                 row = red[-1] << k.w
                 c = row >> high
                 row = k.norm(row - (c << high) + c * red[0])
             else:
                 row = k.norm((p - 1) * k.pack(modulus[:-1]))
             red.append(row)
-        if n < PACKED_MIN_DEGREE:
-            red = [tuple(k.unpack(row, n)) for row in red]
         self._red = tuple(red)
         self._frob = None
         self._kernels = {}  # slot width -> polykernel.PolyKernel over it
 
-    # -- raw tuple arithmetic ------------------------------------------------
+    # -- arithmetic on element ints ------------------------------------------
 
-    # Sums go through the byte tables whenever w = 8, at every degree > 1.
+    # Every slot of a sum, difference or negation stays below p^2 < 2^w.
 
     def _add(self, a, b):
-        k = self._slots
-        if k is not None and k.table is not None:
-            return tuple(bytes(map(operator.add, a, b)).translate(k.table))
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return self._norm(a + b)
 
     def _sub(self, a, b):
-        k = self._slots
-        if k is not None and k.table is not None:  # a + (p - b) < 2p
-            b = map(operator.sub, repeat(self.p), b)
-            return tuple(bytes(map(operator.add, a, b)).translate(k.table))
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return self._norm(a + (self.p - 1) * b)
 
     def _neg(self, a):
-        k = self._slots
-        if k is not None and k.table is not None:
-            b = map(operator.sub, repeat(self.p), a)
-            return tuple(bytes(b).translate(k.table))
-        p = self.p
-        return tuple(-x % p for x in a)
+        return self._norm((self.p - 1) * a)
 
     def _mul(self, a, b):
-        p, n = self.p, self.n
-        if n < PACKED_MIN_DEGREE:
-            conv = [0] * (2 * n - 1)
-            for i in range(n):
-                ai = a[i]
-                if ai:
-                    for j in range(n):
-                        conv[i + j] = (conv[i + j] + ai * b[j]) % p
-            out = conv[:n]
-            for c, row in zip(conv[n:], self._red):
-                if c:
-                    for j in range(n):
-                        out[j] = (out[j] + c * row[j]) % p
-            return tuple(out)
+        n = self.n
+        if n == 1:
+            return a * b % self.p
         k = self._slots
-        if k.table is not None:  # one byte per slot, packed in place
-            prod = (int.from_bytes(bytes(a), "little")
-                    * int.from_bytes(bytes(b), "little"))
-            conv = prod.to_bytes(2 * n - 1, "little").translate(k.table)
-            acc = int.from_bytes(conv[:n], "little")
-        else:
-            conv = k.unpack(k.pack(a) * k.pack(b), 2 * n - 1)
-            acc = k.pack(conv[:n])
+        conv = k.unpack(a * b, 2 * n - 1)
+        acc = k.pack(conv[:n])
         for c, row in zip(conv[n:], self._red):
             if c:
                 acc += c * row
-        return tuple(k.unpack(acc, n))
+        return k.norm(acc)
 
     def _frobenius(self, a, i):
         """a^(p^i) for 0 <= i < n, by i applications of the cached map."""
@@ -342,29 +301,28 @@ class FField:
         rows = self._frob
         if rows is None:
             # row j is (x^j)^p = (x^p)^j
-            x = (0, 1) + (0,) * (n - 2)
-            xp = _power(x, self.p, None, self._mul)
-            rows, cur = [1], (1,) + (0,) * (n - 1)
+            xp = _power(1 << k.w, self.p, None, self._mul)
+            rows = [1]
             for _ in range(n - 1):
-                cur = self._mul(cur, xp)
-                rows.append(k.pack(cur))
+                rows.append(self._mul(rows[-1], xp))
             self._frob = rows = tuple(rows)
         for _ in range(i):
             acc = 0
-            for c, row in zip(a, rows):
+            for c, row in zip(k.unpack(a, n), rows):
                 if c:
                     acc += c * row
-            a = k.unpack(acc, n)
-        return tuple(a)
+            a = k.norm(acc)
+        return a
 
     def _inv(self, a):
-        if not any(a):
+        if not a:
             raise DivisionByZero("inverse of zero")
-        k, p = self._slots, self.p
-        if k is None:
-            return (pow(a[0], -1, p),)
+        p = self.p
+        if self.n == 1:
+            return pow(a, -1, p)
         # extended Euclid on packed polynomials: s1 a = r1 mod modulus
-        r0, r1 = k.pack(self.modulus), k.pack(a)
+        k = self._slots
+        r0, r1 = k.pack(self.modulus), a
         s0, s1 = 0, 1
         while r1:
             q, r = _pdivmod(r0, r1, k)
@@ -372,7 +330,7 @@ class FField:
             s0, s1 = s1, k.norm(s0 + (p - 1) * k.norm(q * s1))
         if r0 >> k.w:
             raise Reducible("element shares a factor with the modulus")
-        return tuple(k.unpack(k.norm(s0 * pow(r0, -1, p)), self.n))
+        return k.norm(s0 * pow(r0, -1, p))
 
     # -- element construction -------------------------------------------------
 
@@ -382,9 +340,7 @@ class FField:
                 raise FieldMismatch("element belongs to a different field")
             return coeffs
         if isinstance(coeffs, int):
-            vec = [0] * self.n
-            vec[0] = coeffs % self.p
-            return FFElem(self, tuple(vec))
+            return FFElem(self, coeffs % self.p)
         vec = list(coeffs)
         if not all(isinstance(c, int) for c in vec):
             raise TypeError(f"coefficients must be integers: {coeffs!r}")
@@ -393,30 +349,29 @@ class FField:
             if vec[i] % p:
                 raise ValueError(f"nonzero coefficient of x^{i} in an element "
                                  f"of F_{p}^{n} (degree below {n})")
-        vec += [0] * (n - len(vec))
-        return FFElem(self, tuple(c % p for c in vec[:n]))
+        return FFElem(self, self._slots.pack([c % p for c in vec[:n]]))
 
     @property
     def zero(self):
-        return FFElem(self, (0,) * self.n)
+        return FFElem(self, 0)
 
     @property
     def one(self):
-        return self.element(1)
+        return FFElem(self, 1)
 
     @property
     def gen(self):
         """The class of x, i.e. a root of the modulus."""
         if self.n == 1:
-            return self.element([(-self.modulus[0]) % self.p])
-        return self.element([0, 1])
+            return self.element(-self.modulus[0])
+        return FFElem(self, 1 << self._slots.w)
 
     def from_encoding(self, k: int) -> "FFElem":
         digits = []
         for _ in range(self.n):
             digits.append(k % self.p)
             k //= self.p
-        return FFElem(self, tuple(digits))
+        return FFElem(self, self._slots.pack(digits))
 
     def elements(self):
         """All elements in encoding order.  Guarded by the scan limit."""
@@ -428,13 +383,13 @@ class FField:
     def span(self, basis):
         """The F_p-span of the given elements, sorted by encoding."""
         add = self._add
-        points = [(0,) * self.n]
+        points = [0]
         for b in basis:
-            multiples = [b.coeffs]
+            multiples = [b.v]
             for _ in range(2, self.p):
-                multiples.append(add(multiples[-1], b.coeffs))
+                multiples.append(add(multiples[-1], b.v))
             points = points + [add(q, s) for s in multiples for q in points]
-        elems = [FFElem(self, t) for t in points]
+        elems = [FFElem(self, v) for v in points]
         elems.sort(key=FFElem.encode)
         return elems
 
@@ -456,7 +411,7 @@ class FField:
         if len(basis) != m:
             raise NoEmbedding(f"fixed space of Frob^{m} has dimension "
                               f"{len(basis)}, not {m}")
-        return self.span([FFElem(self, tuple(b)) for b in basis])
+        return self.span([self.element(b) for b in basis])
 
     # -- misc -----------------------------------------------------------------
 
@@ -481,13 +436,25 @@ class FField:
 
 
 class FFElem:
-    """An element of an FField; immutable coefficient vector."""
+    """An element of an FField, immutable.
 
-    __slots__ = ("field", "coeffs")
+    v is the element's int: the residue in F_p, and above F_p the field's
+    w-bit slots, one coefficient over F_p per slot, low degree first.
+    """
 
-    def __init__(self, field, coeffs):
+    __slots__ = ("field", "v")
+
+    def __init__(self, field, v):
         self.field = field
-        self.coeffs = coeffs
+        self.v = v
+
+    @property
+    def coeffs(self):
+        """The coefficients over F_p, low degree first, as a tuple."""
+        field = self.field
+        if field.n == 1:
+            return (self.v,)
+        return tuple(field._slots.unpack(self.v, field.n))
 
     def _check(self, other):
         """other as an element of this field, or NotImplemented."""
@@ -503,7 +470,7 @@ class FFElem:
         other = self._check(other)
         if other is NotImplemented:
             return other
-        return FFElem(self.field, self.field._add(self.coeffs, other.coeffs))
+        return FFElem(self.field, self.field._add(self.v, other.v))
 
     __radd__ = __add__
 
@@ -511,20 +478,20 @@ class FFElem:
         other = self._check(other)
         if other is NotImplemented:
             return other
-        return FFElem(self.field, self.field._sub(self.coeffs, other.coeffs))
+        return FFElem(self.field, self.field._sub(self.v, other.v))
 
     def __rsub__(self, other):
         other = self._check(other)
         return other if other is NotImplemented else other - self
 
     def __neg__(self):
-        return FFElem(self.field, self.field._neg(self.coeffs))
+        return FFElem(self.field, self.field._neg(self.v))
 
     def __mul__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return other
-        return FFElem(self.field, self.field._mul(self.coeffs, other.coeffs))
+        return FFElem(self.field, self.field._mul(self.v, other.v))
 
     __rmul__ = __mul__
 
@@ -537,7 +504,7 @@ class FFElem:
         return other if other is NotImplemented else other / self
 
     def inverse(self):
-        return FFElem(self.field, self.field._inv(self.coeffs))
+        return FFElem(self.field, self.field._inv(self.v))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -547,7 +514,7 @@ class FFElem:
     def p_power(self, i: int):
         """Frobenius power x -> x^(p^i)."""
         field = self.field
-        return FFElem(field, field._frobenius(self.coeffs, i % field.n))
+        return FFElem(field, field._frobenius(self.v, i % field.n))
 
     def p_root(self, i: int):
         """Unique p^i-th root (the field is perfect)."""
@@ -561,7 +528,7 @@ class FFElem:
         return k
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.v)
 
     def __eq__(self, other):
         # what +, - and * accept; a list naming no element is unequal
@@ -571,17 +538,17 @@ class FFElem:
             except (TypeError, ValueError):
                 return False
         return (isinstance(other, FFElem) and other.field == self.field
-                and other.coeffs == self.coeffs)
+                and other.v == self.v)
 
     def __hash__(self):
-        return hash((self.coeffs, self.field.p, self.field.n))
+        return hash((self.v, self.field.p, self.field.n))
 
     def to_list(self):
         return list(self.coeffs)
 
     def __repr__(self):
         if self.field.n == 1:
-            return str(self.coeffs[0])
+            return str(self.v)
         return str(list(self.coeffs))
 
 
@@ -640,11 +607,13 @@ class FieldEmbedding:
     def __call__(self, elem: FFElem) -> FFElem:
         if elem.field != self.sub:
             raise FieldMismatch("element not in the source field")
-        acc = self.sup.zero
+        # one sum of c_i w_i over the packed powers, normalized once: its
+        # slots stay below sub.n p^2 < 2^w
+        acc = 0
         for c, w in zip(elem.coeffs, self._powers):
             if c:
-                acc = acc + w * c
-        return acc
+                acc += c * w.v
+        return FFElem(self.sup, self.sup._norm(acc))
 
     def preimage(self, elem: FFElem):
         """The element of sub mapping to elem, or None if elem is not an image."""

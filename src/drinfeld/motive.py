@@ -157,7 +157,7 @@ def motive_splitting_degree(E: DrinfeldModule, frob, ell: UPoly, n: int,
 
     def walk(lam):
         ring = ResidueRing(
-            L, [E.constant_action(c).coeffs for c in lam.coeffs], E.r)
+            L, [E.constant_action(c).v for c in lam.coeffs], E.r)
         A = [[ring.pack(x.vectors()) for x in row] for row in frob]
         count = 2 * ring.D - 1
         return frobenius_order(

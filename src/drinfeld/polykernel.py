@@ -1,21 +1,20 @@
 """Packed polynomials over a finite field F = F_{p^e} in a variable t.
 
 A polynomial is one int, one block of 2e - 1 slots per t-coefficient,
-in the slots of `finitefield` (`PolyKernel`): a product in F[t] is one
-big-int product, one normalization and e - 1 vectorized folds of x^(e+k)
-down by the field's reduction rows, one per column of slots.  The slot
-width follows the field's rule with the bound the operands imply,
-n e (p - 1)^2 + p - 1 for n summed products, so every p goes through the
-one kernel.  For a fixed modulus f in F[t], a `ResidueRing` keeps the
-packed rows t^(deg f + i) mod f and multiplies residues as canonical ints.
-`UPoly`'s product, division and powering, and the motive's splitting
-walk, run on these.
+in the slots of `finitefield` (`PolyKernel`).  Coefficients come and go
+as element ints (`FFElem.v`): a block starts with the element's e slots,
+re-slotted through its digits only where the kernel's slot width differs
+from the field's.  A product in F[t] is one big-int product, one
+normalization and e - 1 vectorized folds of x^(e+k) down by the field's
+reduction rows, one per column of slots.  The slot width follows the
+field's rule with the bound the operands imply, n e (p - 1)^2 + p - 1 for
+n summed products, so every p goes through the one kernel.  For a fixed
+modulus f in F[t], a `ResidueRing` keeps the packed rows t^(deg f + i)
+mod f and multiplies residues as canonical ints.  `UPoly`'s product,
+division and powering, and the motive's splitting walk, run on these.
 """
 
 from __future__ import annotations
-
-import operator
-from itertools import chain, repeat
 
 from .errors import DivisionByZero
 from .finitefield import _pdivmod, _slot_width, _slots
@@ -57,8 +56,8 @@ class PolyKernel:
         self.k = k = _slots(p, w)
         self.bits = B * w
         self.pad = (0,) * (e - 1)
-        red = [row if isinstance(row, tuple) else field._slots.unpack(row, e)
-               for row in field._red]  # x^(e+j) mod the modulus, j < e - 1
+        # x^(e+j) mod the modulus, j < e - 1, as coefficients over F_p
+        red = [field._slots.unpack(row, e) for row in field._red]
         # row j plus (p - 1) x^(e+j): a slot c at x^(e+j) plus c times
         # row j is c p = 0 there, mod p
         self.rows = tuple(k.pack(row) + ((p - 1) << w * (e + j))
@@ -73,20 +72,39 @@ class PolyKernel:
                 fold[B - 1 - j + i * span] = c
         self.fold = k.pack(fold)
 
-    def pack(self, vecs):
-        """The canonical int of coefficient vectors (tuples over F_p)."""
-        if self.pad:
-            vecs = map(operator.add, vecs, repeat(self.pad))
-        return self.k.pack(list(chain.from_iterable(vecs)))
+    def pack(self, elems):
+        """The canonical int of field elements, given as element ints."""
+        if self.e == 1:  # an element of F_p is its slot
+            return self.k.pack(elems)
+        slots = self.field._slots
+        if slots.w == self.k.w:  # an element's int is its block's first slots
+            size = self.bits // 8
+            return int.from_bytes(b"".join(v.to_bytes(size, "little")
+                                           for v in elems), "little")
+        digits = []
+        for v in elems:
+            digits += slots.unpack(v, self.e)
+            digits += self.pad
+        return self.k.pack(digits)
 
     def unpack(self, v, count):
-        """The first `count` coefficient vectors of v, every slot mod p.
+        """The first `count` coefficients of v as element ints.
 
         v must have slots e..B-1 of every block 0 mod p: canonical, or
         folded by `_fold`.
         """
-        raw, B = self.k.unpack(v, count * self.B), self.B
-        return list(zip(*[raw[j::B] for j in range(self.e)]))
+        k, e = self.k, self.e
+        if e == 1:
+            return list(k.unpack(v, count))
+        slots = self.field._slots
+        if slots.w == k.w:  # a block's first e slots are the element's int
+            step = self.bits // 8
+            raw = k.norm(v).to_bytes(count * step, "little")
+            size = e * k.size
+            return [int.from_bytes(raw[i:i + size], "little")
+                    for i in range(0, len(raw), step)]
+        raw = k.unpack(v, count * self.B)
+        return [slots.pack(raw[i:i + e]) for i in range(0, len(raw), self.B)]
 
     def _fold(self, v, count):
         """v, of `count` blocks, with x^(e+j) folded down mod the modulus.
@@ -111,7 +129,7 @@ class PolyKernel:
         return self.k.norm(self._fold(v, count))
 
     def product(self, a, b):
-        """The coefficient vectors of the product of two nonempty lists."""
+        """The coefficients of the product of two nonempty lists."""
         count = len(a) + len(b) - 1
         if count == 1:
             return [self.field._mul(a[0], b[0])]
@@ -119,11 +137,11 @@ class PolyKernel:
                            count)
 
     def divmod(self, a, b, inv=None):
-        """Quotient and remainder vectors, len(a) >= len(b), b[-1] != 0.
+        """Quotient and remainder coefficients, len(a) >= len(b), b[-1] != 0.
 
-        inv is the vector of 1/b[-1], or None when b is monic.  The kernel
-        needs room for max(deg b, 2) sums.  Long division from the top: the
-        raw top block, reduced and times inv, is the next quotient
+        inv is the element int of 1/b[-1], or None when b is monic.  The
+        kernel needs room for max(deg b, 2) sums.  Long division from the
+        top: the raw top block, reduced and times inv, is the next quotient
         coefficient c; the block is cleared exactly, and -c times the rest
         of b is added below it, so a slot gains at most deg b products
         below p^2.
@@ -135,8 +153,9 @@ class PolyKernel:
             q, r = _pdivmod(self.pack(a), self.pack(b), self.k)
             return self.unpack(q, len(a) - db), self.unpack(r, db)
         block, bits = self._block, self.bits
-        scale = None if inv is None else self.k.pack(inv)
-        low = self.pack([self.field._neg(c) for c in b[:-1]])
+        scale = None if inv is None else self.pack([inv])
+        # -b[0], ..., -b[db - 1], packed: each slot times p - 1, mod p
+        low = self.k.norm((self.k.p - 1) * self.pack(b[:-1]))
         rem, quot = self.pack(a), 0
         for s in range(len(a) - 1 - db, -1, -1):
             pos = (s + db) * bits
@@ -162,7 +181,7 @@ class PolyKernel:
 class ResidueRing:
     """F[t]/(f) over a field F, for f of degree D >= 1, on canonical ints.
 
-    A residue is the canonical int of its D coefficient vectors.  The ring
+    A residue is the canonical int of its D coefficients.  The ring
     keeps the packed rows t^(D+i) mod f, i < D, and folds block D + i of a
     canonical int down as its coefficient times row i.  Its kernel has
     room for sums of `terms` products of residues.
@@ -171,7 +190,7 @@ class ResidueRing:
     __slots__ = ("kernel", "D", "rows")
 
     def __init__(self, field, modulus, terms=1):
-        """modulus: the coefficient vectors of f, low to high, f[-1] != 0."""
+        """modulus: the element ints of f, low to high, f[-1] != 0."""
         D = len(modulus) - 1
         if D < 1:
             raise DivisionByZero("a residue ring needs a modulus of degree "
@@ -212,22 +231,22 @@ class ResidueRing:
     def mulmod(self, a, b):
         return self.reduce(a * b, 2 * self.D - 1)
 
-    def pack(self, vecs):
-        """The residue of the polynomial with these coefficient vectors.
+    def pack(self, elems):
+        """The residue of the polynomial with these element ints.
 
         From the top, D blocks at a time: the residue so far, times t^k,
         plus the next k <= D coefficients has at most 2D blocks.
         """
         K, D = self.kernel, self.D
-        top = max(len(vecs) - D, 0)
-        acc = K.pack(vecs[top:])
+        top = max(len(elems) - D, 0)
+        acc = K.pack(elems[top:])
         while top:
             low = max(top - D, 0)
             acc = self.reduce((acc << (top - low) * K.bits)
-                              + K.pack(vecs[low:top]), D + top - low)
+                              + K.pack(elems[low:top]), D + top - low)
             top = low
         return acc
 
     def unpack(self, v):
-        """The D coefficient vectors of a residue."""
+        """The D coefficients of a residue, as element ints."""
         return self.kernel.unpack(v, self.D)

@@ -25,11 +25,13 @@ class RationalFunction:
         if num.is_zero():
             num, den = UPoly.zero(num.base), UPoly.one(num.base)
         else:
-            g = upoly_gcd(num, den)
-            if g.deg > 0:
-                num, den = num // g, den // g
-            lead = den.leading().inverse()
-            num, den = num * lead, den * lead
+            if den.deg > 0:
+                g = upoly_gcd(num, den)
+                if g.deg > 0:
+                    num, den = num // g, den // g
+            if not den.is_monic():
+                lead = den.leading().inverse()
+                num, den = num * lead, den * lead
         self.num = num
         self.den = den
 

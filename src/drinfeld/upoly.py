@@ -3,8 +3,8 @@
 UPoly doubles as the coefficient ring F_q[t] and as F_q[theta]; deg of the
 zero polynomial is the -infinity sentinel so Euclidean contracts read
 uniformly.  Coefficients are FFElems; products, division and powers mod a
-polynomial pack them into ints and run on the packed F_q[t] kernel of
-`polykernel`.
+polynomial hand their element ints to the packed F_q[t] kernel of
+`polykernel`, and comparison compares those ints.
 """
 
 from __future__ import annotations
@@ -22,6 +22,11 @@ from .intutil import _power
 from .polykernel import ResidueRing, poly_kernel
 
 NEG_INF = float("-inf")
+
+
+def _ints(elems):
+    """The element ints of a sequence of FFElems."""
+    return [c.v for c in elems]
 
 
 class DensePoly:
@@ -118,7 +123,7 @@ class DensePoly:
             except FieldMismatch:
                 return False
         return (isinstance(other, type(self)) and other.base == self.base
-                and other.coeffs == self.coeffs)
+                and _ints(other.coeffs) == _ints(self.coeffs))
 
     def __hash__(self):
         return hash((self.base, self.coeffs))
@@ -164,9 +169,9 @@ class UPoly(DensePoly):
 
     @classmethod
     def _of_vectors(cls, base, vecs):
-        """The polynomial of reduced coefficient vectors, unchecked."""
+        """The polynomial of element ints of base, unchecked."""
         vecs = list(vecs)
-        while vecs and not any(vecs[-1]):
+        while vecs and not vecs[-1]:
             vecs.pop()
         poly = object.__new__(cls)
         poly.base = base
@@ -174,8 +179,8 @@ class UPoly(DensePoly):
         return poly
 
     def vectors(self):
-        """The coefficient vectors over F_p, low to high."""
-        return list(map(operator.attrgetter("coeffs"), self.coeffs))
+        """The element ints of the coefficients, low to high."""
+        return _ints(self.coeffs)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -196,8 +201,7 @@ class UPoly(DensePoly):
             return UPoly.zero(self.base), self
         # a monic divisor, like every l^n and Ben-Or modulus, needs no inverse
         lead = other.coeffs[-1]
-        monic = lead.coeffs[0] == 1 and not any(lead.coeffs[1:])
-        inv = None if monic else lead.inverse().coeffs
+        inv = None if lead.v == 1 else lead.inverse().v
         kernel = poly_kernel(self.base, max(other.deg, 2))
         q, r = kernel.divmod(self.vectors(), other.vectors(), inv)
         return (UPoly._of_vectors(self.base, q),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from drinfeld import FField, ff_make
 from drinfeld.errors import DivisionByZero, Reducible
-from drinfeld.finitefield import PACKED_MIN_DEGREE, _pirreducible, _width
+from drinfeld.finitefield import _pirreducible, _width
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ SEARCHED = [(p, n) for p in PRIMES for n in range(1, _bound(p) + 1)]
 EDGES = [(5, 10), (5, 11), (7, 5), (7, 6), (11, 2), (11, 3), (13, 1),
          (13, 2), (127, 4), (127, 5), (251, 1), (251, 2)]
 DENSE = sorted({(p, n) for p in PRIMES
-                for n in (2, 3, PACKED_MIN_DEGREE, _bound(p) // 2, _bound(p))
+                for n in (2, 3, 4, _bound(p) // 2, _bound(p))
                 if 2 <= n <= _bound(p)} | {e for e in EDGES if e[1] >= 2})
 
 
@@ -189,6 +189,12 @@ def test_kernel_matches_schoolbook(key):
     elems = samples(F, 3, repr(key))
     for a in elems:
         x = F.element(list(a))
+        # one element, however it is built: equal, with equal hashes
+        w = F.element(list(elems[-1]))
+        built = [F.element(x.coeffs), F.from_encoding(x.encode()),
+                 -(-x), x * F.one, (x + w) - w, (x - w) + w]
+        assert x.coeffs == a and bool(x) == any(a)
+        assert all(z == x and hash(z) == hash(x) for z in built), a
         assert (-x).coeffs == ref_neg(a, p)
         for b in elems:
             y = F.element(list(b))

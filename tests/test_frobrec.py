@@ -7,13 +7,13 @@ from drinfeld import (NOT_FROBENIUS, XTOY, YTOX, BivarPoly, RationalFunction,
                       consistency_exponents, ff_make, frobenius_target,
                       parse_bivar, parse_ratfunc, recover_monomial_exponent,
                       strip_p_powers, theorem_frob_res)
-from drinfeld import frobrec
+from drinfeld import frobrec, ratfunc
 from drinfeld.errors import (NonUnitContent, NotAMorphism, Reducible,
                              RootDoesNotExist, ZeroDenominator,
                              ZeroPolynomial)
 from drinfeld.finitefield import FField
 from drinfeld.frobrec import _algebraic_monomial_test, _kummer_monomial_test
-from drinfeld.upoly import upoly_gcd
+from drinfeld.upoly import parse_upoly, upoly_gcd
 
 
 def _verify_witness(P, witness):
@@ -107,6 +107,23 @@ def test_recover_builds_no_field(F3, F4, monkeypatch):
     monkeypatch.setattr(FField, "__init__", refuse)
     assert [recover_monomial_exponent(r1, r2) for r1, r2 in cases] == [5, 5]
     assert recover_monomial_exponent(UPoly.one(F3), UPoly.x(F3) ** 40) == -40
+
+
+def test_polynomial_over_one_takes_no_gcd_and_no_product(F2, F4,
+                                                         monkeypatch):
+    # a sparse u^(2^21) passes through RationalFunction on every theorem
+    # call; a gcd or a scaling product would rebuild all its coefficients
+    def refuse(*args):
+        raise AssertionError("RationalFunction took a gcd or a product")
+
+    polys = [parse_upoly("u^2097152", F2, "u"),
+             UPoly(F4, [F4.gen, 0, 1]), UPoly(F4, [F4.one, F4.gen])]
+    monkeypatch.setattr(ratfunc, "upoly_gcd", refuse)
+    monkeypatch.setattr(UPoly, "__mul__", refuse)
+    for poly in polys:
+        for r in (RationalFunction(poly, UPoly.one(poly.base)),
+                  RationalFunction.from_poly(poly)):
+            assert r.num is poly and r.den == UPoly.one(poly.base)
 
 
 def test_algebraic_and_sampling_routes_agree():

@@ -13,7 +13,7 @@ import pytest
 
 from drinfeld import UPoly, ff_make
 from drinfeld.errors import DivisionByZero, FieldMismatch
-from drinfeld.finitefield import _slot_width
+from drinfeld.finitefield import FFElem, _slot_width
 from drinfeld.polykernel import ResidueRing, poly_kernel
 from drinfeld.upoly import upoly_irreducible, upoly_powmod
 
@@ -145,21 +145,21 @@ def test_residue_ring_matches_schoolbook(p, e):
     for D in (1, 2, 5, 11):
         f = draw(F, rng, D + 1)  # not monic in general
         for terms in (1, 3):
-            ring = ResidueRing(F, [c.coeffs for c in f], terms)
+            ring = ResidueRing(F, [c.v for c in f], terms)
             xs = [draw(F, rng, D, zeros=0.3) for _ in range(2 * terms)]
-            packed = [ring.pack([c.coeffs for c in v]) for v in xs]
+            packed = [ring.pack([c.v for c in v]) for v in xs]
             total, ref = 0, []
             for k in range(terms):
                 total += packed[2 * k] * packed[2 * k + 1]
                 ref = _add(F, ref, ref_mul(F, xs[2 * k], xs[2 * k + 1]))
             got = ring.reduce(total, 2 * D - 1)
             want = ref_divmod(F, ref, f)[1]
-            assert _trim(F.element(list(v)) for v in ring.unpack(got)) == want
+            assert _trim(FFElem(F, v) for v in ring.unpack(got)) == want
             # a long polynomial packs to its remainder, any length
             for length in (D, D + 1, 2 * D + 1, 4 * D + 3):
                 v = draw(F, rng, length, zeros=0.3)
-                got = ring.unpack(ring.pack([c.coeffs for c in v]))
-                assert _trim(F.element(list(c)) for c in got) == \
+                got = ring.unpack(ring.pack([c.v for c in v]))
+                assert _trim(FFElem(F, c) for c in got) == \
                     ref_divmod(F, v, f)[1]
 
 
@@ -171,7 +171,7 @@ def _add(F, a, b):
 
 def test_residue_ring_needs_a_modulus_of_positive_degree():
     F = ff_make(3, 2)
-    for modulus in ([], [F.one.coeffs]):
+    for modulus in ([], [F.one.v]):
         with pytest.raises(DivisionByZero):
             ResidueRing(F, modulus)
 
