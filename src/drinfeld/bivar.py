@@ -2,7 +2,9 @@
 
 Supports the graph-annihilator pipeline: resultant elimination by
 evaluation/interpolation, content and p-power normalization, and a
-squarefree radical.  Coefficients are plain ints mod p.
+squarefree radical.  Coefficients are plain ints mod p.  Content, gcd and
+division work on the Y-rows, the coefficients of Y^j in F_p[X], without
+fractions of F_p(X).
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ class BivarPoly:
         for j, poly in enumerate(polys):
             for i, c in enumerate(poly.coeffs):
                 if c:
-                    terms[(i, j)] = c.encode()
+                    terms[(i, j)] = c.v
         return cls(p, terms)
 
     def swap(self):
@@ -143,21 +145,17 @@ class BivarPoly:
     # -- normalization ------------------------------------------------------------
 
     def content_y(self) -> UPoly:
-        """gcd in F_p[X] of the Y-coefficients."""
-        polys = [c for c in self.y_coeffs() if not c.is_zero()]
-        if not polys:
+        """Monic gcd in F_p[X] of the Y-coefficients."""
+        g = _content(self.y_coeffs())
+        if g is None:
             raise ZeroPolynomial("content of zero")
-        g = polys[0]
-        for h in polys[1:]:
-            g = upoly_gcd(g, h)
-        return g.monic()
+        return g
 
     def divide_content_y(self):
-        g = self.content_y()
-        if g.deg <= 0:
-            return self
-        return BivarPoly.from_y_coeffs(self.p,
-                                       [c // g for c in self.y_coeffs()])
+        """The primitive part in F_p[X][Y]; zero stays zero."""
+        rows = self.y_coeffs()
+        prim = _primitive(rows)
+        return self if prim is rows else BivarPoly.from_y_coeffs(self.p, prim)
 
     def is_p_power(self) -> bool:
         return (not self.is_zero()
@@ -292,108 +290,84 @@ def annihilator_resultant(num_x: UPoly, den_x: UPoly, num_y: UPoly,
     return BivarPoly(p, terms)
 
 
+def _content(rows):
+    """Monic gcd in F_p[X] of the nonzero rows, or None if every row is 0."""
+    g = None
+    for c in rows:
+        if not c.is_zero():
+            g = c if g is None else upoly_gcd(g, c)
+    return None if g is None else g.monic()
+
+
+def _primitive(rows):
+    """The rows divided by their content; the same list if that is 1."""
+    g = _content(rows)
+    if g is None or g.deg == 0:
+        return rows
+    return [c // g for c in rows]
+
+
+def _pseudo_rem(f, g):
+    """Pseudo-remainder of Y-rows f by Y-rows g, without trailing zero rows."""
+    dg = len(g) - 1
+    lead_g = g[-1]
+    while len(f) - 1 >= dg:
+        shift = len(f) - 1 - dg
+        lead_f = f[-1]
+        f = [c * lead_g for c in f]
+        for k in range(dg + 1):
+            f[shift + k] = f[shift + k] - lead_f * g[k]
+        while f and f[-1].is_zero():
+            f.pop()
+    return f
+
+
 def bivar_gcd_y(a: BivarPoly, b: BivarPoly) -> BivarPoly:
     """gcd as polynomials in Y over F_p(X), returned primitive in F_p[X][Y]."""
-    fa, fb = a.y_coeffs(), b.y_coeffs()
-
-    def pseudo_rem(f, g):
-        # f, g: lists of UPoly (Y-coefficients); returns pseudo remainder
-        f = list(f)
-        dg = len(g) - 1
-        lead_g = g[-1]
-        while len(f) - 1 >= dg and any(not c.is_zero() for c in f):
-            while f and f[-1].is_zero():
-                f.pop()
-            if len(f) - 1 < dg:
-                break
-            shift = len(f) - 1 - dg
-            lead_f = f[-1]
-            f = [c * lead_g for c in f]
-            for k in range(dg + 1):
-                f[shift + k] = f[shift + k] - lead_f * g[k]
-            while f and f[-1].is_zero():
-                f.pop()
-        return f
-
-    def primitive(f):
-        nz = [c for c in f if not c.is_zero()]
-        if not nz:
-            return f
-        g = nz[0]
-        for h in nz[1:]:
-            g = upoly_gcd(g, h)
-        return [c // g for c in f]
-
-    fa, fb = primitive(fa), primitive(fb)
-    while any(not c.is_zero() for c in fb):
-        fa, fb = fb, primitive(pseudo_rem(fa, fb))
-    if not any(not c.is_zero() for c in fa):
-        return BivarPoly.zero(a.p)
-    return BivarPoly.from_y_coeffs(a.p, primitive(fa))
+    if a.deg_y() == 0 or b.deg_y() == 0:
+        # a nonzero polynomial free of Y is a unit of F_p(X)[Y]
+        return BivarPoly.monomial(a.p, 0, 0)
+    fa, fb = _primitive(a.y_coeffs()), _primitive(b.y_coeffs())
+    while fb:
+        fa, fb = fb, _primitive(_pseudo_rem(fa, fb))
+    return BivarPoly.from_y_coeffs(a.p, fa)
 
 
 def bivar_radical(P: BivarPoly) -> BivarPoly:
-    """Squarefree, p-power-free part; for prime powers c*P0^m returns P0."""
+    """Squarefree, p-power-free part: P0 up to a unit for c*P0^m, where c
+    is in F_p[X] and p does not divide m, or c is a p-th power.
+
+    The repeated factors come out in Y, or in X when P lies in F_p[X, Y^p].
+    """
     if P.is_zero():
         raise ZeroPolynomial("radical of zero")
-    while P.is_p_power():
+    while P.is_p_power() and (P.deg_x(), P.deg_y()) != (0, 0):
         P = P.p_root()
-    dy = P.partial_y()
-    if not dy.is_zero():
-        g = bivar_gcd_y(P, dy)
-        if g.deg_y() > 0 or g.deg_x() > 0:
-            P = _bivar_exact_div_y(P, g)
-    else:
-        dx = P.partial_x()
-        if not dx.is_zero():
-            sw = P.swap()
-            g = bivar_gcd_y(sw, sw.partial_y())
-            if g.deg_y() > 0 or g.deg_x() > 0:
-                sw = _bivar_exact_div_y(sw, g)
-            P = sw.swap()
-    return P.divide_content_y()
+    swap = P.partial_y().is_zero()
+    Q = P.swap() if swap else P
+    g = bivar_gcd_y(Q, Q.partial_y())
+    if g.deg_y() > 0:
+        Q = _bivar_exact_div_y(Q, g)
+    return (Q.swap() if swap else Q).divide_content_y()
 
 
 def _bivar_exact_div_y(a: BivarPoly, b: BivarPoly) -> BivarPoly:
-    """Exact division in F_p(X)[Y], result cleared back into F_p[X][Y]."""
-    fa, fb = a.y_coeffs(), b.y_coeffs()
-    base = ff_make(a.p, 1, 0)
-    # long division with rational bookkeeping: multiply through by lead_b powers
-    quot: list = []
-    rem = [(c, UPoly.one(base)) for c in fa]  # (num, den) pairs
-    lead_num = fb[-1]
+    """a / b in F_p[X][Y] with its Y-content removed.
+
+    b is primitive (it comes from bivar_gcd_y), so by Gauss's lemma it
+    divides a in F_p[X][Y] as soon as it does in F_p(X)[Y]: every quotient
+    row is an exact quotient in F_p[X] by b's leading row.
+    """
+    rem, fb = a.y_coeffs(), b.y_coeffs()
     db = len(fb) - 1
-    while len(rem) - 1 >= db:
-        while rem and rem[-1][0].is_zero():
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        top_num, top_den = rem[-1]
-        qn, qd = top_num, top_den * lead_num
-        g = upoly_gcd(qn, qd)
-        if g.deg > 0:
-            qn, qd = qn // g, qd // g
-        shift = len(rem) - 1 - db
-        quot.insert(0, (shift, qn, qd))
-        for k in range(db + 1):
-            rn, rd = rem[shift + k]
-            # rem -= q * b
-            num = rn * qd - qn * fb[k] * rd
-            den = rd * qd
-            g2 = upoly_gcd(num, den)
-            if g2.deg > 0:
-                num, den = num // g2, den // g2
-            rem[shift + k] = (num, den)
-        rem.pop()
-    if any(not rn.is_zero() for rn, _ in rem):
+    quot = [None] * max(len(rem) - db, 0)
+    for shift in reversed(range(len(quot))):
+        q, r = divmod(rem[shift + db], fb[-1])
+        if not r.is_zero():
+            raise ZeroPolynomial("division was not exact")
+        quot[shift] = q
+        for k in range(db):
+            rem[shift + k] = rem[shift + k] - q * fb[k]
+    if any(not c.is_zero() for c in rem[:db]):
         raise ZeroPolynomial("division was not exact")
-    # clear denominators
-    common = UPoly.one(base)
-    for _, _, qd in quot:
-        common = common * (qd // upoly_gcd(common, qd))
-    size = max(s for s, _, _ in quot) + 1
-    out = [UPoly.zero(base)] * size
-    for s, qn, qd in quot:
-        out[s] = qn * (common // qd)
-    result = BivarPoly.from_y_coeffs(a.p, out)
-    return result.divide_content_y()
+    return BivarPoly.from_y_coeffs(a.p, _primitive(quot))

@@ -3,8 +3,10 @@
 Three layers: the pure monomial exponent of a rational function (confirmed
 by the Kummer criterion), the two Frobenius graph shapes of a bivariate
 annihilator, and one global power from per-generator exponents.  Every
-Frobenius verdict is an exact comparison; sampling fields and annihilators
-only explain a rejection, with a witness root outside a Frobenius orbit.
+Frobenius verdict is an exact comparison.  The morphism check builds one
+annihilator per pair of non-constant generators before any verdict;
+sampling fields and the annihilator of a generator and its image only
+explain a rejection, with a witness root outside a Frobenius orbit.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from .dmodule import DrinfeldModule
 from .errors import InvariantError
 from .ore import frobenius_order
 from .polykernel import ResidueRing
-from .torsion import dm_frobenius_matrix, dm_torsion, splitting_degree
+from .torsion import dm_frobenius_det, dm_torsion, splitting_degree
 from .upoly import UPoly, upoly_det
 
 
@@ -182,8 +182,6 @@ def verify_tate_det(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
     Both sides are computed independently through the torsion machinery.
     """
     T = dm_torsion(E, ell, n, cap=cap, seed=seed)
-    lhs = upoly_det(dm_frobenius_matrix(T)) % T.modulus
-    D = det_drinfeld(E)
-    TD = dm_torsion(D, ell, n, cap=cap, seed=seed)
-    rhs = upoly_det(dm_frobenius_matrix(TD)) % TD.modulus
-    return lhs == rhs
+    lhs = dm_frobenius_det(T)[1]
+    TD = dm_torsion(det_drinfeld(E), ell, n, cap=cap, seed=seed)
+    return lhs == dm_frobenius_det(TD)[1]

@@ -118,9 +118,15 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
                 f"splitting degree {cached.ext.n // E.L.n} exceeds {cap}")
         return cached
 
-    m = splitting_degree(E, ell, n, cap)
+    phi_lam = None
+
+    def walk(lam):  # the default L{tau} walk, keeping phi_(l^n) for the kernel
+        nonlocal phi_lam
+        phi_lam = E.phi(lam)
+        return ore_splitting_degree(phi_lam, cap)
+
+    m = splitting_degree(E, ell, n, cap, walk)
     ext, emb = extension_of(E.L, m, seed)
-    phi_lam = E.phi(ell ** n)
     kernel = ore_kernel(phi_lam, ext)
     points = kernel.points
 
@@ -128,7 +134,7 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
     residues = tuple(UPoly.from_encoding(E.constants, k)
                      for k in range(E.constants.size ** width))
     phi_t_ext = E.phi_t.map_field(emb)
-    scalars = {c.encode(): emb(E.constant_action(c))
+    scalars = {c: emb(E.constant_action(c))
                for c in E.constants.elements()}
 
     rng = random.Random(seed)
@@ -151,7 +157,7 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
             for k in range(width):
                 c = rep.coeff(k)
                 if c:
-                    acc = acc + scalars[c.encode()] * w_chain[k]
+                    acc = acc + scalars[c] * w_chain[k]
             table.append(acc)
         new_span = {}
         clash = False
@@ -179,13 +185,19 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
     return T
 
 
-def dm_frobenius_matrix(T: TorsionModule):
-    """Matrix of the base-field Frobenius on T's basis; must be invertible."""
+def dm_frobenius_det(T: TorsionModule):
+    """The base-field Frobenius on T's basis: its matrix and its determinant
+    mod l^n, which must be a unit mod l."""
     m = T.frobenius_matrix()
     det = upoly_det(m) % T.modulus
     if upoly_gcd(det, T.ell).deg != 0:
         raise InvariantError("Frobenius matrix is singular modulo l")
-    return m
+    return m, det
+
+
+def dm_frobenius_matrix(T: TorsionModule):
+    """Matrix of the base-field Frobenius on T's basis; must be invertible."""
+    return dm_frobenius_det(T)[0]
 
 
 def torsion_point_count(E: DrinfeldModule, a: UPoly, cap: int = 12):
@@ -309,8 +321,7 @@ def dm_frobenius_norm(E: DrinfeldModule, primes, cap: int = 12, seed: int = 0,
     residues = []
     for ell, n in primes:
         T = dm_torsion(E, ell, n, cap=cap, seed=seed)
-        mat = dm_frobenius_matrix(T)
-        residues.append((ell, n, mat, upoly_det(mat) % T.modulus))
+        residues.append((ell, n) + dm_frobenius_det(T))
     s = _crt_lift([(det, ell ** n) for ell, n, _, det in residues], E.d, E.q)
     return frobenius_report(E, residues, s, place)
 

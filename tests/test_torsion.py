@@ -10,6 +10,7 @@ from drinfeld import (DrinfeldModule, OrePoly, UPoly, carlitz_family,
 from drinfeld import reports, torsion
 from drinfeld.errors import (CapExceeded, CharacteristicIdeal,
                              InsufficientModulus)
+from drinfeld.intutil import LRUCache
 from drinfeld.torsion import _crt_lift, _independent
 from drinfeld.upoly import upoly_det
 
@@ -106,6 +107,38 @@ def test_rank2_norm_degree_one(F2, rank2_f2):
     assert rep.s_exact.deg == 1
     assert rep.s_monic == t + 1  # the characteristic ideal
     assert rep.all_ok
+
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_torsion_miss_builds_its_operator_once(F2, rank2_f2, monkeypatch):
+    # phi_(l^n) serves both the splitting search and the kernel
+    monkeypatch.setattr(torsion, "_TORSION_CACHE", LRUCache(16))
+    built = _count_calls(monkeypatch, DrinfeldModule, "phi")
+    ell = UPoly.x(F2)
+    for n in (1, 2):
+        dm_torsion(rank2_f2, ell, n)
+        dm_torsion(rank2_f2, ell, n)  # a hit builds nothing
+    assert [a for _, a in built] == [ell, ell ** 2]
+
+
+def test_norm_takes_one_determinant_per_prime(F2, rank2_f2, monkeypatch):
+    t = UPoly.x(F2)
+    primes = [(t, 1), (parse_upoly("t^2+t+1", F2), 1)]
+    dets = _count_calls(monkeypatch, torsion, "upoly_det")
+    dm_frobenius_norm(rank2_f2, primes, cap=20)
+    assert len(dets) == len(primes)
 
 
 def _independent_by_subsets(entries, s, d):
