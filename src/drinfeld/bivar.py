@@ -10,6 +10,7 @@ fractions of F_p(X).
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .errors import BoundExceeded, InvariantError, ParseError, ZeroPolynomial
 from .finitefield import SCAN_LIMIT, ff_embed, ff_make
@@ -259,12 +260,13 @@ def annihilator_resultant(num_x: UPoly, den_x: UPoly, num_y: UPoly,
     def specialize(num, den, v):
         return num - den * v
 
-    def lead_ok(num, den, v, degree):
-        poly = specialize(num, den, v)
-        return poly.deg == degree
+    def good_points(num, den, degree, count):
+        """The first count points, in encoding order, keeping the degree."""
+        return list(islice((v for v in F.elements()
+                            if specialize(num, den, v).deg == degree), count))
 
-    xs = [x for x in F.elements() if lead_ok(nx, dx, x, n1)][: n2 + 1]
-    ys = [y for y in F.elements() if lead_ok(ny, dy, y, n2)][: n1 + 1]
+    xs = good_points(nx, dx, n1, n2 + 1)
+    ys = good_points(ny, dy, n2, n1 + 1)
     if len(xs) < n2 + 1 or len(ys) < n1 + 1:  # pragma: no cover
         raise InvariantError("not enough good interpolation points")
 

@@ -4,8 +4,9 @@ Three layers: the pure monomial exponent of a rational function (confirmed
 by the Kummer criterion), the two Frobenius graph shapes of a bivariate
 annihilator, and one global power from per-generator exponents.  Every
 Frobenius verdict is an exact comparison.  The morphism check builds one
-annihilator per pair of non-constant generators before any verdict;
-sampling fields and the annihilator of a generator and its image only
+annihilator per pair of non-constant generators, and only before a
+rejection: an accepted Frobenius power satisfies every relation.
+Sampling fields and the annihilator of a generator and its image only
 explain a rejection, with a witness root outside a Frobenius orbit.
 """
 
@@ -400,11 +401,17 @@ def _frobenius_exponent(b: RationalFunction, fb: RationalFunction):
 def theorem_frob_res(gens, images, seed: int = 0) -> FrobeniusDecision:
     """Decide whether generator images define a global Frobenius power.
 
-    gens/images: parallel lists of rational functions over F_p(u).  The
-    assignment must extend to a ring morphism; pairwise annihilator
-    relations are checked first and violations raise NotAMorphism.  Each
-    image is then compared exactly with the one Frobenius power its degree
-    allows; annihilators are classified only to explain a rejection.
+    gens/images: parallel lists of rational functions over F_p(u).  Each
+    image is compared exactly with the one Frobenius power its degree
+    allows; annihilators are classified only to explain a rejection.  The
+    assignment must extend to a ring morphism: before any rejection the
+    pairwise annihilator relations are checked, and a violation raises
+    NotAMorphism.  An acceptance needs no such check.  There fb_i =
+    b_i^(p^k) for one common k (or b_i = fb_i^(p^|k|) when k < 0) and
+    constants are fixed, so the assignment is a Frobenius power on
+    F_p(gens), or its inverse, and fixes F_p.  For every relation R over
+    F_p, R(fb_i, fb_j) = R(b_i, b_j)^(p^k) = 0, and for k < 0
+    R(fb_i, fb_j)^(p^|k|) = 0 in the reduced ring F_p(u).
     """
     if len(gens) != len(images) or not gens:
         raise ValueError("need matching nonempty generator/image lists")
@@ -415,28 +422,32 @@ def theorem_frob_res(gens, images, seed: int = 0) -> FrobeniusDecision:
         if b.base != base:
             raise ValueError("all entries must share one base field")
 
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if gens[i].is_constant() or gens[j].is_constant():
-                continue
-            rel = pair_annihilator(gens[i], gens[j])
-            value = rel.eval_pair(images[i], images[j])
-            if value != RationalFunction.constant(base, 0):
-                raise NotAMorphism(
-                    f"images break the relation {rel.to_text()}")
+    def check_morphism():
+        for i in range(len(gens)):
+            for j in range(i + 1, len(gens)):
+                if gens[i].is_constant() or gens[j].is_constant():
+                    continue
+                rel = pair_annihilator(gens[i], gens[j])
+                value = rel.eval_pair(images[i], images[j])
+                if value != RationalFunction.constant(base, 0):
+                    raise NotAMorphism(
+                        f"images break the relation {rel.to_text()}")
 
     pairs = []
     for b, fb in zip(gens, images):
         if b.is_constant():
             if fb != b:  # constants of F_p are fixed by every Frobenius power
+                check_morphism()
                 return FrobeniusDecision(ok=False,
                                          reason="a prime-field constant moves")
             continue
         if fb.is_constant():
+            check_morphism()
             return FrobeniusDecision(
                 ok=False, reason="a transcendental maps to a constant")
         k_i = _frobenius_exponent(b, fb)
         if k_i is None:
+            check_morphism()
             try:
                 cls = classify_frobenius_bivariate(pair_annihilator(b, fb),
                                                    seed=seed)
@@ -453,6 +464,7 @@ def theorem_frob_res(gens, images, seed: int = 0) -> FrobeniusDecision:
 
     k = consistency_exponents(pairs)
     if k is None:
+        check_morphism()
         return FrobeniusDecision(ok=False,
                                  reason="per-generator exponents conflict")
     return FrobeniusDecision(ok=True, k=k)

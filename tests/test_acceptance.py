@@ -388,3 +388,13 @@ def test_criterion_8_cli_determinism():
     second = run_all()
     assert first == second
     assert all(code == 0 for code, _ in first)
+
+
+@criterion("Frobenius theorem at image degree 2^20", 5.0)
+def test_frontier_theorem_accepts_without_annihilators():
+    # an accepted decision builds no pair annihilator, whose evaluation at
+    # images of degree 2^20 would take tens of seconds and about 1 GB
+    out = io.StringIO()
+    code = cli_main(["frobrec", "theorem", "--p", "2", "--gens", "u^2,u^3",
+                     "--images", "u^1048576,u^1572864"], stdout=out)
+    assert (code, out.getvalue()) == (0, '{"k":19,"ok":true}\n')

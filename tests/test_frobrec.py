@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from drinfeld import (NOT_FROBENIUS, XTOY, YTOX, BivarPoly, RationalFunction,
                       UPoly, classify_frobenius_bivariate,
@@ -365,8 +367,8 @@ def test_shape_test_precedes_content_and_degree_checks(monkeypatch):
     assert (cls.kind, cls.k, cls.unit) == (YTOX, 30, 2)
 
 
-def test_theorem_builds_annihilators_only_for_relations(F2, F3,
-                                                        monkeypatch):
+def test_theorem_builds_annihilators_only_before_rejections(F2, F3,
+                                                            monkeypatch):
     calls = []
     original = frobrec.annihilator_resultant
 
@@ -375,19 +377,79 @@ def test_theorem_builds_annihilators_only_for_relations(F2, F3,
         return original(*args)
 
     monkeypatch.setattr(frobrec, "annihilator_resultant", counting)
-    cases = [
-        (F2, ["u^2", "u^3", "(u)/(u+1)", "1"], 2, 3),
-        (F2, ["u^4", "u^6"], -1, 1),
-        (F3, ["u+2", "u^2"], 1, 1),
-        (F3, ["u^2+1"], 3, 0),
+    accepted = [
+        (F2, ["u^2", "u^3", "(u)/(u+1)", "1"], 2),
+        (F2, ["u^4", "u^6"], -1),
+        (F3, ["u+2", "u^2"], 1),
+        (F3, ["u^2+1"], 3),
     ]
-    for base, texts, k, relations in cases:
+    for base, texts, k in accepted:
         gens = [parse_ratfunc(t, base) for t in texts]
         images = [b.frobenius_power(k) for b in gens]
         calls.clear()
         out = theorem_frob_res(gens, images)
         assert (out.ok, out.k) == (True, k)
-        assert len(calls) == relations
+        assert calls == []
+    # a rejection first checks the one pair relation, which the images break
+    calls.clear()
+    with pytest.raises(NotAMorphism, match="images break the relation "
+                                           "Y\\^2\\+X\\^3"):
+        theorem_frob_res([parse_ratfunc("u^2", F2), parse_ratfunc("u^3", F2)],
+                         [parse_ratfunc("u^4", F2), parse_ratfunc("u^5", F2)])
+    assert len(calls) == 1
+    # a single generator has no pair; its one build explains the rejection
+    calls.clear()
+    out = theorem_frob_res([parse_ratfunc("u", F2)],
+                           [parse_ratfunc("u^2+u", F2)])
+    assert not out.ok and len(calls) == 1
+
+
+def _coeffs(data, p, min_deg, max_deg):
+    """A coefficient list, low degree first, with nonzero leading term."""
+    deg = data.draw(st.integers(min_deg, max_deg))
+    low = data.draw(st.lists(st.integers(0, p - 1), min_size=deg,
+                             max_size=deg))
+    return low + [data.draw(st.integers(1, p - 1))]
+
+
+def _ratfunc(data, base, max_deg=4):
+    """A non-constant num/den over F_p with max(deg num, deg den) <= max_deg."""
+    b = RationalFunction(UPoly(base, _coeffs(data, base.p, 1, max_deg)),
+                         UPoly(base, _coeffs(data, base.p, 0, max_deg)))
+    assume(not b.is_constant())
+    return b
+
+
+POWER_SIDE_DEGREE = 27
+
+
+@pytest.mark.parametrize("p,k", [
+    (p, k) for p in (2, 3, 5, 7) for k in range(-2, 4)
+    if p ** abs(k) <= POWER_SIDE_DEGREE])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(st.integers(2, 3), st.data())
+def test_accepted_powers_satisfy_every_pair_relation(p, k, count, data):
+    """The accept path skips the morphism check; the relations still hold.
+
+    For k < 0 the drawn functions are the images and the generators are
+    their p^|k|-th powers, so both sides stay exact Frobenius powers.  The
+    p^|k|-th power side has degree at most POWER_SIDE_DEGREE, which keeps
+    its annihilator cheap to build; that leaves out k = +-2 and 3 for
+    p = 7, and k = 3 for p = 5."""
+    base = ff_make(p, 1, 0)
+    max_deg = min(4, POWER_SIDE_DEGREE // p ** abs(k))
+    drawn = [_ratfunc(data, base, max_deg) for _ in range(count)]
+    if k >= 0:
+        gens, images = drawn, [b.frobenius_power(k) for b in drawn]
+    else:
+        gens, images = [b.frobenius_power(-k) for b in drawn], drawn
+    out = theorem_frob_res(gens, images)
+    assert (out.ok, out.k) == (True, k)
+    zero = RationalFunction.constant(base, 0)
+    for i in range(count):
+        for j in range(i + 1, count):
+            rel = frobrec.pair_annihilator(gens[i], gens[j])
+            assert rel.eval_pair(images[i], images[j]) == zero
 
 
 def test_theorem_rejection_keeps_reason_and_witness(F2):
