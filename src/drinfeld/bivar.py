@@ -96,20 +96,19 @@ class BivarPoly:
             rows[j][i] = c
         out = []
         for row in rows:
-            size = max(row) + 1 if row else 0
-            vec = [0] * size
+            vs = [0] * (max(row) + 1 if row else 0)
             for i, c in row.items():
-                vec[i] = c
-            out.append(UPoly(base, vec))
+                vs[i] = c
+            out.append(UPoly._of(base, vs))
         return out
 
     @classmethod
     def from_y_coeffs(cls, p, polys):
         terms = {}
         for j, poly in enumerate(polys):
-            for i, c in enumerate(poly.coeffs):
+            for i, c in enumerate(poly.vs):
                 if c:
-                    terms[(i, j)] = c.v
+                    terms[(i, j)] = c
         return cls(p, terms)
 
     def swap(self):
@@ -118,14 +117,14 @@ class BivarPoly:
     def eval_x(self, x):
         """Univariate in Y after substituting X = x (an FFElem)."""
         field = x.field
-        dy = self.deg_y()
-        vec = [field.zero] * (dy + 1)
-        xpow = {0: field.one}
+        mul, add = field._mul, field._add
+        vs = [0] * (self.deg_y() + 1)
+        xpow = {0: 1}
         for (i, j), c in sorted(self.terms.items()):
             if i not in xpow:
-                xpow[i] = x ** i
-            vec[j] = vec[j] + xpow[i] * c
-        return UPoly(field, vec)
+                xpow[i] = (x ** i).v
+            vs[j] = add(vs[j], mul(xpow[i], c))
+        return UPoly._of(field, vs)
 
     def eval_pair(self, x, y):
         """Full evaluation; x and y may be field elements or ring elements."""
@@ -168,10 +167,6 @@ class BivarPoly:
         # over F_p coefficients are already p-th powers of themselves
         return BivarPoly(self.p, {(i // self.p, j // self.p): c
                                   for (i, j), c in self.terms.items()})
-
-    def partial_x(self):
-        return BivarPoly(self.p, {(i - 1, j): c * i
-                                  for (i, j), c in self.terms.items() if i})
 
     def partial_y(self):
         return BivarPoly(self.p, {(i, j - 1): c * j
@@ -262,7 +257,8 @@ def annihilator_resultant(num_x: UPoly, den_x: UPoly, num_y: UPoly,
 
     def good_points(num, den, degree, count):
         """The first count points, in encoding order, keeping the degree."""
-        return list(islice((v for v in F.elements()
+        points = map(F.from_encoding, range(F.size))
+        return list(islice((v for v in points
                             if specialize(num, den, v).deg == degree), count))
 
     xs = good_points(nx, dx, n1, n2 + 1)
@@ -283,12 +279,12 @@ def annihilator_resultant(num_x: UPoly, den_x: UPoly, num_y: UPoly,
 
     terms = {}
     for j, col in enumerate(cols):
-        for i, c in enumerate(col.coeffs):
-            if c:
-                if any(c.coeffs[1:]):
-                    raise InvariantError(
-                        "resultant coefficient fell outside the prime field")
-                terms[(i, j)] = c.coeffs[0]
+        for i, c in enumerate(col.vs):
+            # an element int below p is its residue in the prime field
+            if c >= p:
+                raise InvariantError(
+                    "resultant coefficient fell outside the prime field")
+            terms[(i, j)] = c
     return BivarPoly(p, terms)
 
 

@@ -111,7 +111,7 @@ class DrinfeldModule:
             m = minimal_polynomial(self.theta, self.constants,
                                    self.const_embedding)
             if self.twist:
-                m = m.map_coeffs(lambda c: c.p_root(self.twist))
+                m = m.frobenius(-self.twist)
             if not upoly_irreducible(m):
                 raise Reducible(f"characteristic polynomial {m.to_text()} "
                                 "is reducible")

@@ -314,6 +314,10 @@ class FField:
             a = k.norm(acc)
         return a
 
+    def _digits(self, a):
+        """The coefficients over F_p of the element int a, low degree first."""
+        return (a,) if self.n == 1 else self._slots.unpack(a, self.n)
+
     def _inv(self, a):
         if not a:
             raise DivisionByZero("inverse of zero")
@@ -451,10 +455,7 @@ class FFElem:
     @property
     def coeffs(self):
         """The coefficients over F_p, low degree first, as a tuple."""
-        field = self.field
-        if field.n == 1:
-            return (self.v,)
-        return tuple(field._slots.unpack(self.v, field.n))
+        return tuple(self.field._digits(self.v))
 
     def _check(self, other):
         """other as an element of this field, or NotImplemented."""
@@ -607,13 +608,17 @@ class FieldEmbedding:
     def __call__(self, elem: FFElem) -> FFElem:
         if elem.field != self.sub:
             raise FieldMismatch("element not in the source field")
+        return FFElem(self.sup, self._image(elem.v))
+
+    def _image(self, a):
+        """The element int of the image of sub's element int a."""
         # one sum of c_i w_i over the packed powers, normalized once: its
         # slots stay below sub.n p^2 < 2^w
         acc = 0
-        for c, w in zip(elem.coeffs, self._powers):
+        for c, w in zip(self.sub._digits(a), self._powers):
             if c:
                 acc += c * w.v
-        return FFElem(self.sup, self.sup._norm(acc))
+        return self.sup._norm(acc)
 
     def preimage(self, elem: FFElem):
         """The element of sub mapping to elem, or None if elem is not an image."""

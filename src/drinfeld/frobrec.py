@@ -98,7 +98,7 @@ def strip_p_powers(P: BivarPoly):
 
 def _algebraic_monomial_test(r1: UPoly, r2: UPoly):
     def single_term(poly):
-        nz = [(i, c) for i, c in enumerate(poly.coeffs) if c]
+        nz = [(i, c) for i, c in enumerate(poly.vs) if c]
         return nz[0] if len(nz) == 1 else None
 
     t1, t2 = single_term(r1), single_term(r2)

@@ -36,8 +36,7 @@ class MotiveMatrix:
 
     def sigma(self, poly: UPoly, k: int = 1) -> UPoly:
         """Coefficient q^k-power twist, fixing t."""
-        q_exp = self.module.e * k
-        return poly.map_coeffs(lambda c: c.p_power(q_exp))
+        return poly.frobenius(self.module.e * k)
 
     def apply(self, vector):
         """One application of the operator to a vector of L[t]-polynomials."""
@@ -108,15 +107,12 @@ def motive_frobenius_norm(E: DrinfeldModule) -> UPoly:
     s = UPoly.one(det.base)
     for _ in range(E.d):
         s = s * det
-        det = det.map_coeffs(lambda c: c.p_power(E.e))
-    coeffs = []
-    for c in s.coeffs:
-        down = E.const_embedding.preimage(c)
-        if down is None:
-            raise InvariantError("motive norm has a coefficient outside F_q")
-        # constants act on L as c -> c^(p^twist), as in char_poly
-        coeffs.append(down.p_root(E.twist))
-    s = UPoly(E.constants, coeffs)
+        det = det.frobenius(E.e)
+    coeffs = [E.const_embedding.preimage(c) for c in s.coeffs]
+    if None in coeffs:
+        raise InvariantError("motive norm has a coefficient outside F_q")
+    # constants act on L as c -> c^(p^twist), as in char_poly
+    s = UPoly(E.constants, coeffs).frobenius(-E.twist)
     if s.deg != E.d:
         raise InvariantError(f"motive norm has degree {s.deg}, not {E.d}")
     return s
@@ -156,9 +152,10 @@ def motive_splitting_degree(E: DrinfeldModule, frob, ell: UPoly, n: int,
     L = E.L
 
     def walk(lam):
-        ring = ResidueRing(
-            L, [E.constant_action(c).v for c in lam.coeffs], E.r)
-        A = [[ring.pack(x.vectors()) for x in row] for row in frob]
+        # constant_action on every coefficient: the twist, then the embedding
+        lam = lam.frobenius(E.twist).map_field(E.const_embedding)
+        ring = ResidueRing(L, lam.vs, E.r)
+        A = [[ring.pack(x.vs) for x in row] for row in frob]
         count = 2 * ring.D - 1
         return frobenius_order(
             lambda v: tuple(ring.reduce(sum(map(mul, row, v)), count)

@@ -21,7 +21,7 @@ class OrePoly(DensePoly):
 
     @classmethod
     def tau(cls, base, i: int = 1):
-        return cls(base, (0,) * i + (1,))
+        return cls._of(base, (0,) * i + (1,))
 
     @classmethod
     def scalar(cls, c: FFElem):
@@ -31,19 +31,20 @@ class OrePoly(DensePoly):
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
             return OrePoly.zero(self.base)
-        p = self.base.p
-        out = [self.base.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        # tau^i * c = c^(p^i) * tau^i; row i is row i-1 raised to the p
-        twisted = other.coeffs
-        for i, a in enumerate(self.coeffs):
-            if i:
-                twisted = [c ** p for c in twisted]
+        field = self.base
+        mul, add = field._mul, field._add
+        out = [0] * (len(self.vs) + len(other.vs) - 1)
+        # tau^i * c = sigma^i(c) * tau^i, and sigma^n is the identity on L
+        twisted = [other]
+        for i, a in enumerate(self.vs):
             if not a:
                 continue
-            for j, b in enumerate(twisted):
+            while len(twisted) <= i % field.n:
+                twisted.append(twisted[-1].frobenius(1))
+            for j, b in enumerate(twisted[i % field.n].vs, i):
                 if b:
-                    out[i + j] = out[i + j] + a * b
-        return OrePoly(self.base, out)
+                    out[j] = add(out[j], mul(a, b))
+        return OrePoly._of(field, out)
 
     def __rmul__(self, other):
         return self._coerce(other) * self
@@ -64,8 +65,9 @@ class OrePoly(DensePoly):
         if self.is_zero():
             return "OrePoly(0)"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        coeffs = self.coeffs
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if not c:
                 continue
             body = "" if (c == self.base.one and i > 0) else repr(c)
@@ -85,21 +87,24 @@ def _left_divider(b: OrePoly):
     first), is made once per divisor, when a division first needs it.
     """
     field, db = b.base, b.deg
-    twisted, inverses = [b.coeffs], [b.leading().inverse()]
+    mul, sub = field._mul, field._sub
+    # sigma^j(b) with the inverse of its leading coefficient appended
+    twisted = [OrePoly._of(field, b.vs + (b.leading().inverse().v,))]
 
-    def divide(coeffs):
-        r = list(coeffs)
-        q = [field.zero] * max(len(r) - db, 0)
+    def divide(vs):
+        r = list(vs)
+        q = [0] * max(len(r) - db, 0)
         while len(r) > db:
             k = len(r) - 1 - db
             j = k % field.n
             while len(twisted) <= j:
-                twisted.append(tuple(c ** field.p for c in twisted[-1]))
-                inverses.append(inverses[-1] ** field.p)
-            q[k] = c = r[-1] * inverses[j]
-            for i, bi in enumerate(twisted[j]):
-                if bi:
-                    r[k + i] = r[k + i] - c * bi
+                twisted.append(twisted[-1].frobenius(1))
+            tb = twisted[j].vs
+            q[k] = c = mul(r[-1], tb[-1])
+            for i in range(db):
+                if tb[i]:
+                    r[k + i] = sub(r[k + i], mul(c, tb[i]))
+            r.pop()
             while r and not r[-1]:
                 r.pop()
         return q, r
@@ -111,8 +116,8 @@ def ore_divmod_left(a: OrePoly, b: OrePoly):
     """(q, r) with a = q*b + r and deg r < deg b."""
     if b.is_zero():
         raise DivisionByZero("division by the zero operator")
-    q, r = _left_divider(a._coerce(b))(a.coeffs)
-    return OrePoly(a.base, q), OrePoly(a.base, r)
+    q, r = _left_divider(a._coerce(b))(a.vs)
+    return OrePoly._of(a.base, q), OrePoly._of(a.base, r)
 
 
 def ore_divmod_right(a: OrePoly, b: OrePoly):
@@ -136,20 +141,17 @@ def ore_divmod_right(a: OrePoly, b: OrePoly):
 
 def ore_eval(f: OrePoly, x: FFElem) -> FFElem:
     """Apply the additive polynomial: sum c_i x^(p^i)."""
-    if x.field == f.base:
-        coeffs = f.coeffs
-    else:
-        emb = ff_embed(f.base, x.field)
-        coeffs = tuple(emb(c) for c in f.coeffs)
-    p = f.base.p
-    acc = x.field.zero
-    power = x
-    for i, c in enumerate(coeffs):
+    field = x.field
+    if field != f.base:
+        f = f.map_field(ff_embed(f.base, field))
+    mul, add = field._mul, field._add
+    acc, power, step = 0, x.v, 1 % field.n
+    for i, c in enumerate(f.vs):
         if i:
-            power = power ** p
+            power = field._frobenius(power, step)
         if c:
-            acc = acc + c * power
-    return acc
+            acc = add(acc, mul(c, power))
+    return FFElem(field, acc)
 
 
 class KernelSpace:
@@ -218,11 +220,11 @@ def ore_splitting_degree(f: OrePoly, cap: int) -> int:
         raise Inseparable("vanishing constant term: kernel cannot be full")
     L = f.base
     divide = _left_divider(f)
-    shift = [L.zero] * L.n
+    shift = [0] * L.n
     # from 1 mod f (0 when f is a constant); tau^n fixes L, so tau^n * r
     # is r moved up n places
     return frobenius_order(lambda r: divide(shift + r)[1],
-                           divide([L.one])[1], L.size, cap)
+                           divide([1])[1], L.size, cap)
 
 
 def separable_part(f: OrePoly):
@@ -230,7 +232,6 @@ def separable_part(f: OrePoly):
     if f.is_zero():
         raise ZeroPolynomial("zero operator")
     s = 0
-    while not f.coeff(s):
+    while not f.vs[s]:
         s += 1
-    g = OrePoly(f.base, [c.p_root(s) for c in f.coeffs[s:]])
-    return g, s
+    return OrePoly._of(f.base, f.vs[s:]).frobenius(-s), s

@@ -2,16 +2,17 @@
 
 A polynomial is one int, one block of 2e - 1 slots per t-coefficient,
 in the slots of `finitefield` (`PolyKernel`).  Coefficients come and go
-as element ints (`FFElem.v`): a block starts with the element's e slots,
-re-slotted through its digits only where the kernel's slot width differs
-from the field's.  A product in F[t] is one big-int product, one
-normalization and e - 1 vectorized folds of x^(e+k) down by the field's
-reduction rows, one per column of slots.  The slot width follows the
-field's rule with the bound the operands imply, n e (p - 1)^2 + p - 1 for
-n summed products, so every p goes through the one kernel.  For a fixed
-modulus f in F[t], a `ResidueRing` keeps the packed rows t^(deg f + i)
-mod f and multiplies residues as canonical ints.  `UPoly`'s product,
-division and powering, and the motive's splitting walk, run on these.
+as element ints, the `vs` that `upoly.DensePoly` stores: a block starts
+with the element's e slots, re-slotted through its digits only where the
+kernel's slot width differs from the field's.  A product in F[t] is one
+big-int product, one normalization and e - 1 vectorized folds of x^(e+k)
+down by the field's reduction rows, one per column of slots.  The slot
+width follows the field's rule with the bound the operands imply,
+n e (p - 1)^2 + p - 1 for n summed products, so every p goes through the
+one kernel.  For a fixed modulus f in F[t], a `ResidueRing` keeps the
+packed rows t^(deg f + i) mod f and multiplies residues as canonical
+ints.  `UPoly`'s product, division and powering, and the motive's
+splitting walk, run on these.
 """
 
 from __future__ import annotations

@@ -120,9 +120,9 @@ class RationalFunction:
         p = self.base.p
         step = p ** k
         return (all(i % step == 0 or not c
-                    for i, c in enumerate(self.num.coeffs))
+                    for i, c in enumerate(self.num.vs))
                 and all(i % step == 0 or not c
-                        for i, c in enumerate(self.den.coeffs)))
+                        for i, c in enumerate(self.den.vs)))
 
     def __eq__(self, other):
         if not isinstance(other, (RationalFunction, UPoly, int)):
@@ -150,25 +150,20 @@ def _poly_p_power(poly: UPoly, k: int) -> UPoly:
     if poly.is_zero() or k == 0:
         return poly
     step = poly.base.p ** k
-    out = [poly.base.zero] * (poly.deg * step + 1)
-    for i, c in enumerate(poly.coeffs):
-        if c:
-            out[i * step] = c.p_power(k)
-    return UPoly(poly.base, out)
+    out = [0] * (poly.deg * step + 1)
+    out[::step] = poly.frobenius(k).vs
+    return UPoly._of(poly.base, out)
 
 
 def _poly_p_root(poly: UPoly, k: int) -> UPoly:
     if poly.is_zero() or k == 0:
         return poly
     step = poly.base.p ** k
-    out = []
-    for i, c in enumerate(poly.coeffs):
-        if i % step == 0:
-            out.append(c.p_root(k))
-        elif c:
+    for i, c in enumerate(poly.vs):
+        if c and i % step:
             raise RootDoesNotExist(
                 f"no p^{k}-th root: exponent {i} not divisible by {step}")
-    return UPoly(poly.base, out)
+    return UPoly._of(poly.base, poly.vs[::step]).frobenius(-k)
 
 
 def parse_ratfunc(text: str, base: FField, var: str = "u") -> RationalFunction:

@@ -2,9 +2,10 @@
 
 UPoly doubles as the coefficient ring F_q[t] and as F_q[theta]; deg of the
 zero polynomial is the -infinity sentinel so Euclidean contracts read
-uniformly.  Coefficients are FFElems; products, division and powers mod a
-polynomial hand their element ints to the packed F_q[t] kernel of
-`polykernel`, and comparison compares those ints.
+uniformly.  A polynomial stores its coefficients as element ints
+(`FFElem.v`), low to high; `coeffs` and `coeff` hand out FFElem views.
+Sums run on those ints, and products, division and powers mod a
+polynomial hand them to the packed F_q[t] kernel of `polykernel`.
 """
 
 from __future__ import annotations
@@ -24,59 +25,70 @@ from .polykernel import ResidueRing, poly_kernel
 NEG_INF = float("-inf")
 
 
-def _ints(elems):
-    """The element ints of a sequence of FFElems."""
-    return [c.v for c in elems]
-
-
 class DensePoly:
-    """FFElem coefficients low-to-high, trailing zeros stripped.
+    """Coefficients low-to-high as element ints vs, trailing zeros stripped.
 
     Everything that does not depend on the product lives here; subclasses
     supply it.  NOUN names the elements in error messages.
     """
 
-    __slots__ = ("base", "coeffs")
+    __slots__ = ("base", "vs")
     NOUN = "polynomial"
 
     def __init__(self, base: FField, coeffs):
-        elems = []
+        vs = []
         for c in coeffs:
             if not isinstance(c, FFElem):
                 c = base.element(c)
             elif c.field is not base and c.field != base:
                 raise FieldMismatch("coefficient outside the base field")
-            elems.append(c)
-        while elems and not elems[-1]:
-            elems.pop()
+            vs.append(c.v)
+        while vs and not vs[-1]:
+            vs.pop()
         self.base = base
-        self.coeffs = tuple(elems)
+        self.vs = tuple(vs)
+
+    @classmethod
+    def _of(cls, base, vs):
+        """The polynomial of element ints of base, unchecked."""
+        vs = list(vs)
+        while vs and not vs[-1]:
+            vs.pop()
+        poly = object.__new__(cls)
+        poly.base = base
+        poly.vs = tuple(vs)
+        return poly
 
     @classmethod
     def zero(cls, base):
-        return cls(base, ())
+        return cls._of(base, ())
 
     @classmethod
     def one(cls, base):
-        return cls(base, (1,))
+        return cls._of(base, (1,))
+
+    @property
+    def coeffs(self):
+        """The coefficients as FFElems, low to high."""
+        return tuple(map(FFElem, repeat(self.base), self.vs))
 
     @property
     def deg(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.vs) - 1 if self.vs else NEG_INF
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.vs
 
     def leading(self) -> FFElem:
-        if not self.coeffs:
+        if not self.vs:
             raise ZeroPolynomial(f"zero {self.NOUN} has no leading coefficient")
-        return self.coeffs[-1]
+        return FFElem(self.base, self.vs[-1])
 
     def constant(self) -> FFElem:
-        return self.coeffs[0] if self.coeffs else self.base.zero
+        return self.coeff(0)
 
     def coeff(self, i: int) -> FFElem:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.base.zero
+        return FFElem(self.base, self.vs[i] if 0 <= i < len(self.vs) else 0)
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
@@ -86,35 +98,42 @@ class DensePoly:
         return type(self)(self.base, (other,))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return type(self)(self.base, [self.coeff(i) + other.coeff(i)
-                                      for i in range(n)])
+        a, b = self.vs, self._coerce(other).vs
+        if len(a) < len(b):
+            a, b = b, a
+        add = self.base._add
+        return self._of(self.base, list(map(add, a, b)) + list(a[len(b):]))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return type(self)(self.base, [self.coeff(i) - other.coeff(i)
-                                      for i in range(n)])
+        a, b = self.vs, self._coerce(other).vs
+        field, n = self.base, min(len(a), len(b))
+        return self._of(field, list(map(field._sub, a, b)) + list(a[n:])
+                        + list(map(field._neg, b[n:])))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return type(self)(self.base, [-c for c in self.coeffs])
+        return self._of(self.base, map(self.base._neg, self.vs))
 
     def __pow__(self, e: int):
         return _power(self, e, self.one(self.base), operator.mul)
 
+    def frobenius(self, i: int):
+        """sigma^i coefficientwise, sigma the p-power of the base field."""
+        field = self.base
+        i %= field.n
+        if not i:
+            return self
+        return self._of(field, [field._frobenius(v, i) if v else 0
+                                for v in self.vs])
+
     def map_field(self, emb: FieldEmbedding):
         if emb.sub != self.base:
             raise FieldMismatch("embedding does not start at the base field")
-        return type(self)(emb.sup, [emb(c) for c in self.coeffs])
-
-    def map_coeffs(self, fn):
-        return type(self)(self.base, [fn(c) for c in self.coeffs])
+        return self._of(emb.sup, map(emb._image, self.vs))
 
     def __eq__(self, other):
         if isinstance(other, (int, FFElem)):
@@ -123,13 +142,13 @@ class DensePoly:
             except FieldMismatch:
                 return False
         return (isinstance(other, type(self)) and other.base == self.base
-                and _ints(other.coeffs) == _ints(self.coeffs))
+                and other.vs == self.vs)
 
     def __hash__(self):
-        return hash((self.base, self.coeffs))
+        return hash((self.base, self.vs))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.vs)
 
 
 class UPoly(DensePoly):
@@ -139,25 +158,25 @@ class UPoly(DensePoly):
 
     @classmethod
     def x(cls, base):
-        return cls(base, (0, 1))
+        return cls._of(base, (0, 1))
 
     @classmethod
     def from_encoding(cls, base, k: int):
         """Polynomial whose coefficient vector is k written base |F|."""
         digits = []
         while k:
-            digits.append(base.from_encoding(k % base.size))
+            digits.append(base.from_encoding(k % base.size).v)
             k //= base.size
-        return cls(base, digits)
+        return cls._of(base, digits)
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.base.one
+        return bool(self.vs) and self.vs[-1] == 1
 
     def monic(self) -> "UPoly":
         if self.is_zero():
             return self
-        inv = self.leading().inverse()
-        return UPoly(self.base, tuple(c * inv for c in self.coeffs))
+        inv, mul = self.leading().inverse().v, self.base._mul
+        return UPoly._of(self.base, [mul(v, inv) for v in self.vs])
 
     def encode(self) -> int:
         k = 0
@@ -167,29 +186,12 @@ class UPoly(DensePoly):
 
     # -- ring operations --------------------------------------------------------
 
-    @classmethod
-    def _of_vectors(cls, base, vecs):
-        """The polynomial of element ints of base, unchecked."""
-        vecs = list(vecs)
-        while vecs and not vecs[-1]:
-            vecs.pop()
-        poly = object.__new__(cls)
-        poly.base = base
-        poly.coeffs = tuple(map(FFElem, repeat(base), vecs))
-        return poly
-
-    def vectors(self):
-        """The element ints of the coefficients, low to high."""
-        return _ints(self.coeffs)
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.vs, self._coerce(other).vs
         if not a or not b:
             return UPoly.zero(self.base)
         kernel = poly_kernel(self.base, min(len(a), len(b)))
-        return UPoly._of_vectors(
-            self.base, kernel.product(self.vectors(), other.vectors()))
+        return UPoly._of(self.base, kernel.product(a, b))
 
     __rmul__ = __mul__
 
@@ -200,12 +202,10 @@ class UPoly(DensePoly):
         if self.deg < other.deg:
             return UPoly.zero(self.base), self
         # a monic divisor, like every l^n and Ben-Or modulus, needs no inverse
-        lead = other.coeffs[-1]
-        inv = None if lead.v == 1 else lead.inverse().v
+        inv = None if other.is_monic() else other.leading().inverse().v
         kernel = poly_kernel(self.base, max(other.deg, 2))
-        q, r = kernel.divmod(self.vectors(), other.vectors(), inv)
-        return (UPoly._of_vectors(self.base, q),
-                UPoly._of_vectors(self.base, r))
+        q, r = kernel.divmod(self.vs, other.vs, inv)
+        return UPoly._of(self.base, q), UPoly._of(self.base, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -217,22 +217,23 @@ class UPoly(DensePoly):
         """Multiply by x^k."""
         if self.is_zero():
             return self
-        return UPoly(self.base, (self.base.zero,) * k + self.coeffs)
+        return UPoly._of(self.base, (0,) * k + self.vs)
 
     def derivative(self) -> "UPoly":
-        return UPoly(self.base,
-                     [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        mul, p = self.base._mul, self.base.p
+        return UPoly._of(self.base, [mul(v, i % p)
+                                     for i, v in enumerate(self.vs) if i])
 
     def eval(self, x: FFElem) -> FFElem:
         """Horner evaluation; x may live in an extension of the base field."""
-        if x.field == self.base:
-            emb = None
-        else:
-            emb = ff_embed(self.base, x.field)
-        acc = x.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + (emb(c) if emb else c)
-        return acc
+        field = x.field
+        vs = self.vs
+        if field != self.base:
+            vs = map(ff_embed(self.base, field)._image, vs)
+        mul, add, acc = field._mul, field._add, 0
+        for c in reversed(list(vs)):
+            acc = add(mul(acc, x.v), c)
+        return FFElem(field, acc)
 
     def to_lists(self):
         return [c.to_list() for c in self.coeffs]
@@ -241,8 +242,9 @@ class UPoly(DensePoly):
         if self.is_zero():
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        coeffs = self.coeffs
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if not c:
                 continue
             if self.base.n == 1:
@@ -309,9 +311,9 @@ def upoly_powmod(a: UPoly, e: int, m: UPoly) -> UPoly:
     a = a % m
     if not a:  # as is every residue modulo a unit
         return _power(a, e, UPoly.one(a.base), operator.mul)
-    ring = ResidueRing(m.base, m.vectors())
-    h = _power(ring.pack(a.vectors()), e, 1, ring.mulmod)
-    return UPoly._of_vectors(m.base, ring.unpack(h))
+    ring = ResidueRing(m.base, m.vs)
+    h = _power(ring.pack(a.vs), e, 1, ring.mulmod)
+    return UPoly._of(m.base, ring.unpack(h))
 
 
 def upoly_det(rows) -> UPoly:
@@ -332,13 +334,12 @@ def upoly_irreducible(f: UPoly) -> bool:
     """Ben-Or's test: gcd(x^(q^i) - x, f) = 1 for every i <= deg f / 2."""
     if f.deg < 1:
         return False
-    ring = ResidueRing(f.base, f.vectors())
+    ring = ResidueRing(f.base, f.vs)
     x = UPoly.x(f.base)
-    h = ring.pack(x.vectors())
+    h = ring.pack(x.vs)
     for _ in range(f.deg // 2):
         h = _power(h, f.base.size, None, ring.mulmod)
-        if upoly_gcd(UPoly._of_vectors(f.base, ring.unpack(h)) - x,
-                     f).deg != 0:
+        if upoly_gcd(UPoly._of(f.base, ring.unpack(h)) - x, f).deg != 0:
             return False
     return True
 
@@ -517,7 +518,7 @@ def parse_upoly(text: str, base: FField, var: str = "t") -> UPoly:
             cv = -cv
         coeffs[exp] = coeffs.get(exp, 0) + cv
     # a sparse text may name x^(2^21): build elements for its terms only
-    vec = [base.zero] * (max(coeffs) + 1 if coeffs else 0)
+    vs = [0] * (max(coeffs) + 1 if coeffs else 0)
     for e, c in coeffs.items():
-        vec[e] = base.element(c)
-    return UPoly(base, vec)
+        vs[e] = c % base.p
+    return UPoly._of(base, vs)

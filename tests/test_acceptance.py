@@ -398,3 +398,15 @@ def test_frontier_theorem_accepts_without_annihilators():
     code = cli_main(["frobrec", "theorem", "--p", "2", "--gens", "u^2,u^3",
                      "--images", "u^1048576,u^1572864"], stdout=out)
     assert (code, out.getvalue()) == (0, '{"k":19,"ok":true}\n')
+
+
+@criterion("Frobenius classification of a degree-2^20 non-shape", 5.0)
+def test_frontier_classify_rejects_a_dense_degree_2_20_row():
+    # content, gcd and monomial tests run on rows of 2^20 + 1 coefficients,
+    # stored as element ints
+    out = io.StringIO()
+    code = cli_main(["frobrec", "classify", "--p", "2", "--poly",
+                     "X^1048576+X-Y"], stdout=out)
+    assert (code, out.getvalue()) == (
+        0, '{"variant":"NotFrobenius","witness":{"field":{"modulus":[1,1,1],'
+           '"n":2,"p":2},"root":[0,0],"x":[0,1]}}\n')

@@ -386,6 +386,17 @@ def test_rejection_over_a_large_prime_fails_fast():
         "error": "extension too large for an exhaustive root scan"}
 
 
+def test_resultant_points_above_the_scan_limit_need_no_scan():
+    # F_p with p > 2^21 is too large to enumerate, but the resultant takes
+    # only its first interpolation points, by encoding
+    start = time.perf_counter()
+    code, out = run_cli(["frobrec", "theorem", "--p", "2097169", "--gens",
+                         "u^2,u^3", "--images", "u^4,u^5"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and json.loads(out) == {
+        "error": "images break the relation Y^2+2097168*X^3"}
+
+
 ORE_EVAL_PAYLOAD = ('{"f":{"field":{"p":2,"n":2,"modulus":[1,1,1]},'
                     '"coeffs":[[0,1],[1,0]]},"x":[0,1]}')
 PAYLOAD_COMMANDS = [

@@ -4,14 +4,17 @@ The reference below is the `UPoly` product and division the kernel
 replaced: double loops over field elements, one field operation per pair
 of coefficients.  The kernel packs a polynomial into one int, 2e - 1 slots
 per coefficient, so the cases reach the lengths where its slot width must
-grow (`polykernel.poly_kernel`).
+grow (`polykernel.poly_kernel`).  The same schoolbook style checks the
+twisted product, left division and evaluation of `OrePoly`, which run on
+the element ints the polynomials store.
 """
 
 import random
 
 import pytest
 
-from drinfeld import UPoly, ff_make
+from drinfeld import (OrePoly, UPoly, extension_of, ff_make, ore_divmod_left,
+                      ore_eval)
 from drinfeld.errors import DivisionByZero, FieldMismatch
 from drinfeld.finitefield import FFElem, _slot_width
 from drinfeld.polykernel import ResidueRing, poly_kernel
@@ -209,3 +212,63 @@ def test_ben_or_on_the_ring_matches_a_root_and_factor_search(p, e, deg):
         split = any(not ref_divmod(F, coeffs, list(g.coeffs))[1]
                     for g in small)
         assert upoly_irreducible(f) == (not split), f
+
+
+# ---------------------------------------------------------------------------
+# L{tau}: tau c = c^p tau, on FFElem lists
+
+def ref_twisted_mul(F, a, b):
+    """sum a_i tau^i * sum b_j tau^j = sum a_i b_j^(p^i) tau^(i+j)."""
+    if not a or not b:
+        return []
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y ** (F.p ** i)
+    return _trim(out)
+
+
+def ref_left_divmod(F, a, b):
+    """(q, r) with a = q*b + r: c tau^k * b has top c b_d^(p^k) tau^(k+d)."""
+    db = len(b) - 1
+    rem = list(a)
+    q = [F.zero] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = rem[k + db] / b[-1] ** (F.p ** k)
+        q[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] = rem[k + j] - c * y ** (F.p ** k)
+    return _trim(q), _trim(rem[:db])
+
+
+def ref_ore_eval(a, x, emb):
+    """sum a_i x^(p^i), the coefficients mapped into x's field."""
+    acc = x.field.zero
+    for i, c in enumerate(a):
+        acc = acc + emb(c) * x ** (x.field.p ** i)
+    return acc
+
+
+ORE_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 8), (13, 2)]
+
+
+@pytest.mark.parametrize("p, e", ORE_FIELDS,
+                         ids=[f"{p}^{e}" for p, e in ORE_FIELDS])
+def test_twisted_product_division_and_eval_match_schoolbook(p, e):
+    F = ff_make(p, e)
+    ext, emb = extension_of(F, 2)
+    rng = random.Random(f"ore {p}^{e}")
+    for la in (0, 1, 2, 3, 5, 8, 13):
+        for lb in (1, 2, 4, 7):
+            for zeros in (0.0, 0.5):
+                a, b = draw(F, rng, la, zeros), draw(F, rng, lb, zeros)
+                A, B = OrePoly(F, a), OrePoly(F, b)
+                assert list((A * B).coeffs) == ref_twisted_mul(F, a, b)
+                assert list((B * A).coeffs) == ref_twisted_mul(F, b, a)
+                q, r = ore_divmod_left(A, B)
+                assert (list(q.coeffs), list(r.coeffs)) == \
+                    ref_left_divmod(F, a, b), (la, lb)
+                for x in (F.from_encoding(rng.randrange(F.size)),
+                          ext.from_encoding(rng.randrange(ext.size))):
+                    own = emb if x.field is ext else (lambda c: c)
+                    assert ore_eval(A, x) == ref_ore_eval(a, x, own)

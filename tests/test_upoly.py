@@ -317,3 +317,54 @@ def test_dividing_by_a_monic_polynomial_inverts_nothing(F3, F4, monkeypatch):
     assert calls == []
     q2, r2 = divmod(a, m * 2)
     assert (q2 * 2, r2) == (q, r) and len(calls) == 1
+
+
+def _routes(F, a, b, rng):
+    """(name, polynomial) pairs that all equal a, built in different ways."""
+    x = UPoly.x(F)
+    c = (_rand_poly(F, rng, 4) + x ** 5) * F.from_encoding(F.size - 1)
+    if F.n == 1:  # residue ints, not reduced
+        ints = [c.v + F.p * rng.randrange(3) for c in a.coeffs]
+    else:
+        ints = [c.to_list() for c in a.coeffs]
+    return [
+        ("elements", UPoly(F, a.coeffs)),
+        ("ints", UPoly(F, ints)),
+        ("trailing zeros", UPoly(F, a.coeffs + (F.zero, 0, [0]))),
+        ("product", a * UPoly.one(F)),
+        ("quotient", divmod(a * b, b)[0] if b else a),
+        ("remainder", (a + c * b) % c),  # deg a < deg c = 5
+        ("powmod", upoly_powmod(a + c, 1, c)),
+        ("cancelled sum", (a + c) - c),
+        ("cancelled top", (a + x ** 9) - x ** 9),
+        ("negation", -(-a)),
+    ]
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (3, 2), (13, 2)])
+def test_equal_polynomials_compare_and_hash_equal_however_built(p, n):
+    F = ff_make(p, n, 0)
+    rng = random.Random(f"format {p}^{n}")
+    for _ in range(25):
+        a, b = _rand_poly(F, rng, 4), _rand_poly(F, rng, 3)
+        for name, f in _routes(F, a, b, rng):
+            assert f == a and hash(f) == hash(a), name
+            assert f.deg == a.deg and type(f) is UPoly, name
+            # the stored coefficients are element ints, never FFElems
+            assert all(type(v) is int for v in f.vs), name
+            assert not f.vs or f.vs[-1], name
+
+
+def test_coefficients_round_trip(F9):
+    rng = random.Random(9)
+    for _ in range(30):
+        a = _rand_poly(F9, rng, 6)
+        assert UPoly(F9, a.coeffs) == a
+        assert UPoly(F9, a.coeffs).coeffs == a.coeffs
+        assert all(isinstance(c, FFElem) and c.field is F9 for c in a.coeffs)
+        assert [a.coeff(i) for i in range(len(a.coeffs))] == list(a.coeffs)
+        assert a.coeff(-1) == a.coeff(len(a.coeffs)) == F9.zero
+        if a:
+            assert (a.leading(), a.constant()) == (a.coeffs[-1], a.coeffs[0])
+        assert UPoly(F9, [c.to_list() for c in a.coeffs]).to_lists() == \
+            a.to_lists()
