@@ -4,7 +4,10 @@
 Prints one JSON object mapping each field name to microseconds per
 operation: `mul_us`, `add_us`, `inverse_us` and `p_power_us` (x -> x^p)
 over 200 seeded random nonzero elements, and `ff_make_us`, the modulus
-search from an empty field cache.  The polynomial rows F_{p^e}[t] time
+search from an empty field cache.  At F_{2^24}, F_{2^36} and F_{3^24},
+`kernel_us` times `ore_kernel` of a seeded random operator of tau-degree 8
+over the field itself: its columns and the packed Gaussian elimination
+over F_p.  The polynomial rows F_{p^e}[t] time
 `UPoly` arithmetic on the packed kernel: `mul_us`, a product of two
 polynomials of degree 8, and `rem_us`, such a product mod a monic
 polynomial of degree 9.  Each number is the best of --reps
@@ -20,11 +23,13 @@ import random
 import sys
 import timeit
 
-from drinfeld import UPoly, finitefield, ff_make
+from drinfeld import OrePoly, UPoly, finitefield, ff_make, ore_kernel
 
 # F_4, F_8 and F_9 are the busiest small fields; F_65537 is a prime field
 FIELDS = ((2, 2), (2, 3), (3, 2), (2, 12), (2, 24), (2, 36), (2, 40), (3, 24),
           (5, 17), (65537, 1), (65537, 2))
+KERNEL_FIELDS = ((2, 24), (2, 36), (3, 24))
+KERNEL_DEG = 8
 POLY_FIELDS = ((2, 5), (3, 2), (13, 2))
 POLY_DEG, MOD_DEG = 8, 9
 BATCH = 200
@@ -45,13 +50,17 @@ def bench(p, n, reps):
         finitefield._FIELD_CACHE.clear()
         ff_make(p, n)
 
-    return {
+    row = {
         "mul_us": per_op(lambda: [a * b for a, b in pairs], BATCH, reps),
         "add_us": per_op(lambda: [a + b for a, b in pairs], BATCH, reps),
         "inverse_us": per_op(lambda: [a.inverse() for a in xs], BATCH, reps),
         "p_power_us": per_op(lambda: [a.p_power(1) for a in xs], BATCH, reps),
         "ff_make_us": per_op(search, 1, reps),
     }
+    if (p, n) in KERNEL_FIELDS:
+        f = OrePoly(F, xs[:KERNEL_DEG + 1])
+        row["kernel_us"] = per_op(lambda: ore_kernel(f, F), 1, reps)
+    return row
 
 
 def bench_poly(p, e, reps):

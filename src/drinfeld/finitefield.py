@@ -10,11 +10,13 @@ per coefficient.  For a field of degree n the slot width w is the least of
 8, 16, 32, 64, ... bits with 2^w > n p^2.  A slot of the product of two
 polynomials with at most n terms each is a sum of at most n products below
 p^2, so one big-int product computes the whole convolution with no carry
-between slots.  Normalizing takes every slot mod p: with one-byte slots
-(w = 8, so p < 16) through a 256-entry `bytes.translate` table, with wider
-ones word by word through `struct`.  An element of F_p is its residue,
-which is also its one slot, and normalizes by `% p`.  `FFElem.coeffs`
-reads the slots back as a tuple.
+between slots.  Normalizing takes every slot mod p: at p = 2 by one AND
+with the low bit of every slot, otherwise with one-byte slots (w = 8, so
+p < 16) through a 256-entry `bytes.translate` table, with wider ones word
+by word through `struct`.  An element of F_p is its residue, which is also
+its one slot, and normalizes by `% p`.  `FFElem.coeffs` reads the slots
+back as a tuple.  Normalized ints compare as their encodings do (both
+compare the top differing slot first), so int order is encoding order.
 
 * A product in F_{p^n} is one big-int product, normalized; then conv[0:n]
   plus the sum of conv[n+k] times the packed x^(n+k) mod the modulus (the
@@ -25,6 +27,8 @@ reads the slots back as a tuple.
 * The inverse runs Euclid on packed ints over F_p, or one `pow` in F_p;
   so does Ben-Or's test.  The modulus search runs Ben-Or alone on each
   candidate and builds a field's tables only for the modulus that passes.
+* Linear algebra over F_p (kernels, subfields, preimages) is Gaussian
+  elimination on packed columns, each an element int.
 
 Polynomials over these fields in a second variable t are packed into the
 same slots by `polykernel`, which keeps its tables on the field.
@@ -36,7 +40,6 @@ import functools
 import operator
 import struct
 
-from . import linalg
 from .errors import (BoundExceeded, DivisionByZero, FieldMismatch,
                      NoEmbedding, NotFound, NotPrime, Reducible)
 from .intutil import LRUCache, _power, factorize, is_prime
@@ -81,7 +84,7 @@ class _Slots:
     polynomial functions below take and return normalized ints.
     """
 
-    __slots__ = ("p", "w", "size", "table", "code")
+    __slots__ = ("p", "w", "size", "table", "code", "ones", "reach")
 
     def __init__(self, p, w):
         self.p, self.w, self.size = p, w, w // 8
@@ -89,6 +92,11 @@ class _Slots:
         if w == 8:  # byte -> byte mod p, a period-p pattern
             self.table = (bytes(range(p)) * (256 // p + 1))[:256]
         self.code = _WORD_CODES.get(self.size)
+        # p = 2: a slot mod 2 is its low bit; ones has the low bit of every
+        # slot below `reach` bits, and grows on demand
+        self.ones = self.reach = 0
+        if p == 2:
+            self._grow(64 * w)
 
     def pack(self, coeffs):
         """The int of coefficients in [0, p)."""
@@ -113,8 +121,17 @@ class _Slots:
         return [int.from_bytes(raw[i:i + size], "little") % p
                 for i in range(0, len(raw), size)]
 
+    def _grow(self, bits):
+        slots = max(-(-bits // self.w), 2 * self.reach // self.w)
+        self.reach = slots * self.w
+        self.ones = ((1 << self.reach) - 1) // ((1 << self.w) - 1)
+
     def norm(self, v):
         """v with every slot taken mod p."""
+        if self.ones:
+            if v >> self.reach:
+                self._grow(v.bit_length())
+            return v & self.ones
         if self.table is not None:
             raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
             return int.from_bytes(raw.translate(self.table), "little")
@@ -203,6 +220,45 @@ def _pirreducible(f, p):
                 return False
             block, end = 1, 2 * end
     return True
+
+
+def _reduce(col, tag, pivots, k):
+    """col and its tag less c times each pivot and its tag, c = col's slot.
+
+    Pivots come in order, each with a 1 in its slot and 0 in the slots of
+    the pivots before it, so a step never refills an earlier pivot's slot.
+    The slots are normalized once at the end: each step adds below p^2 to
+    a slot, and there are at most n pivots in slots with 2^w > n p^2.
+    """
+    p, mask = k.p, (1 << k.w) - 1
+    for shift, pcol, ptag in pivots:
+        c = (col >> shift & mask) % p
+        if c:
+            col += (p - c) * pcol
+            tag += (p - c) * ptag
+    return k.norm(col), k.norm(tag)
+
+
+def _eliminate(cols, k):
+    """Gaussian elimination over F_p on packed columns: (pivots, kernel).
+
+    Column j starts with the tag x^j, and every step applies to both, so
+    a column is always the sum of the input columns its tag names.  A
+    column that reduces to 0 gives its tag as a kernel vector.  The tags
+    of pivots name only pivot columns, so that vector is 1 on its own
+    column and 0 on every other non-pivot column: the kernel basis of the
+    reduced row echelon form, in column order.
+    """
+    pivots, kernel = [], []
+    for j, col in enumerate(cols):
+        col, tag = _reduce(col, 1 << k.w * j, pivots, k)
+        if not col:
+            kernel.append(tag)
+            continue
+        shift = ((col & -col).bit_length() - 1) // k.w * k.w
+        inv = pow(col >> shift & (1 << k.w) - 1, -1, k.p)
+        pivots.append((shift, k.norm(col * inv), k.norm(tag * inv)))
+    return pivots, kernel
 
 
 def _check_size(p, n):
@@ -384,6 +440,11 @@ class FField:
         for k in range(self.size):
             yield self.from_encoding(k)
 
+    def kernel(self, images):
+        """A basis of the F_p-kernel of the map x^j -> images[j] (element
+        ints), as element ints: the reduced row echelon basis."""
+        return _eliminate(images, self._slots)[1]
+
     def span(self, basis):
         """The F_p-span of the given elements, sorted by encoding."""
         add = self._add
@@ -393,9 +454,8 @@ class FField:
             for _ in range(2, self.p):
                 multiples.append(add(multiples[-1], b.v))
             points = points + [add(q, s) for s in multiples for q in points]
-        elems = [FFElem(self, v) for v in points]
-        elems.sort(key=FFElem.encode)
-        return elems
+        points.sort()  # int order is encoding order
+        return [FFElem(self, v) for v in points]
 
     def subfield_elements(self, m: int):
         """All elements of the subfield with p**m elements, sorted by encoding."""
@@ -403,19 +463,18 @@ class FField:
             raise NoEmbedding(f"no subfield of degree {m} in degree {self.n}")
         if self.p ** m > SCAN_LIMIT:
             raise BoundExceeded("subfield too large to enumerate")
-        # the subfield is the kernel of Frob^m - 1; column j is g^j - x^j
-        g = self.gen.p_power(m)
-        cols, gj = [], self.one
+        # the subfield is the kernel of Frob^m - 1, which sends x^j to
+        # g^j - x^j
+        g = self._frobenius(self.gen.v, m % self.n)
+        cols, gj = [], 1
         for j in range(self.n):
-            cols.append([(c - (i == j)) % self.p
-                         for i, c in enumerate(gj.coeffs)])
-            gj = gj * g
-        rows = [list(row) for row in zip(*cols)]
-        basis = linalg.nullspace(rows, self.p)
+            cols.append(self._sub(gj, 1 << self._slots.w * j))
+            gj = self._mul(gj, g)
+        basis = self.kernel(cols)
         if len(basis) != m:
             raise NoEmbedding(f"fixed space of Frob^{m} has dimension "
                               f"{len(basis)}, not {m}")
-        return self.span([self.element(b) for b in basis])
+        return self.span([FFElem(self, b) for b in basis])
 
     # -- misc -----------------------------------------------------------------
 
@@ -584,6 +643,9 @@ def ff_make(p: int, n: int, seed: int = 0) -> FField:
         for _ in range(n):
             digits.append(k % p)
             k //= p
+        # above degree 1, a root 0 or 1 makes the candidate reducible
+        if n > 1 and (not digits[0] or (sum(digits) + 1) % p == 0):
+            continue
         modulus = tuple(digits) + (1,)
         if _pirreducible(modulus, p):
             field = _FIELD_CACHE[key] = FField._of_irreducible(p, n, modulus)
@@ -594,7 +656,7 @@ def ff_make(p: int, n: int, seed: int = 0) -> FField:
 class FieldEmbedding:
     """Ring embedding of one finite field into another, fixed on F_p."""
 
-    __slots__ = ("sub", "sup", "gen_image", "_powers")
+    __slots__ = ("sub", "sup", "gen_image", "_powers", "_pivots")
 
     def __init__(self, sub, sup, gen_image):
         self.sub = sub
@@ -604,6 +666,7 @@ class FieldEmbedding:
         for _ in range(1, sub.n):
             powers.append(powers[-1] * gen_image)
         self._powers = tuple(powers)
+        self._pivots = None  # of the powers, on the first preimage
 
     def __call__(self, elem: FFElem) -> FFElem:
         if elem.field != self.sub:
@@ -624,9 +687,15 @@ class FieldEmbedding:
         """The element of sub mapping to elem, or None if elem is not an image."""
         if elem.field != self.sup:
             return None
-        rows = [[w.coeffs[i] for w in self._powers] for i in range(self.sup.n)]
-        sol = linalg.solve(rows, list(elem.coeffs), self.sup.p)
-        return None if sol is None else self.sub.element(sol)
+        k = self.sup._slots
+        if self._pivots is None:
+            self._pivots = _eliminate([w.v for w in self._powers], k)[0]
+        # elem + sum tag_i w_i reduces to 0 exactly when elem = sum -tag_i w_i
+        rest, tag = _reduce(elem.v, 0, self._pivots, k)
+        if rest:
+            return None
+        return self.sub.element(list(k.unpack(k.norm((k.p - 1) * tag),
+                                              self.sub.n)))
 
     def __repr__(self):
         return f"FieldEmbedding({self.sub!r} -> {self.sup!r})"

@@ -378,7 +378,15 @@ class FrobeniusDecision:
 
 
 def pair_annihilator(b1: RationalFunction, b2: RationalFunction) -> BivarPoly:
-    """Irreducible bivariate relation satisfied by (b1, b2), via resultants."""
+    """Irreducible bivariate relation satisfied by (b1, b2), via resultants.
+
+    R(b1, b2) = R(b1^(1/p), b2^(1/p))^p for R over F_p, so while both lie in
+    F_p(u^p) the pair is replaced by its p-th roots, of degrees p times
+    smaller, before the resultant.
+    """
+    while (not (b1.is_constant() and b2.is_constant())
+           and b1.has_p_power_root(1) and b2.has_p_power_root(1)):
+        b1, b2 = b1.frobenius_power(-1), b2.frobenius_power(-1)
     R = annihilator_resultant(b1.num, b1.den, b2.num, b2.den)
     if R.is_zero():
         raise ZeroPolynomial("degenerate parametrization")

@@ -7,7 +7,6 @@ over the prime field.
 
 from __future__ import annotations
 
-from . import linalg
 from .errors import DivisionByZero, Inseparable, NotFound, ZeroPolynomial
 from .finitefield import FIELD_SIZE_LIMIT, FFElem, FField, ff_embed
 from .upoly import DensePoly
@@ -183,12 +182,9 @@ def ore_kernel(f: OrePoly, ext: FField) -> KernelSpace:
     if f.is_zero():
         raise ZeroPolynomial("kernel of the zero operator is everything")
     g = f.map_field(ff_embed(f.base, ext))
-    p = ext.p
-    cols = [ore_eval(g, ext.from_encoding(p ** j)).coeffs
+    cols = [ore_eval(g, ext.from_encoding(ext.p ** j)).v
             for j in range(ext.n)]
-    rows = [list(row) for row in zip(*cols)]
-    return KernelSpace(ext, [ext.element(v)
-                             for v in linalg.nullspace(rows, p)])
+    return KernelSpace(ext, [FFElem(ext, v) for v in ext.kernel(cols)])
 
 
 def frobenius_order(step, start, size: int, cap: int) -> int:

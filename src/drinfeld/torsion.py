@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .dmodule import DrinfeldModule
 from .errors import (CapExceeded, CharacteristicIdeal, InsufficientModulus,
                      InvariantError, NotFound)
-from .finitefield import FIELD_SIZE_LIMIT, extension_of
+from .finitefield import FIELD_SIZE_LIMIT, FFElem, extension_of
 from .intutil import LRUCache
 from .ore import ore_eval, ore_kernel, ore_splitting_degree, separable_part
 from .upoly import UPoly, upoly_crt, upoly_det, upoly_gcd, upoly_irreducible
@@ -134,12 +134,13 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
     residues = tuple(UPoly.from_encoding(E.constants, k)
                      for k in range(E.constants.size ** width))
     phi_t_ext = E.phi_t.map_field(emb)
-    scalars = {c: emb(E.constant_action(c))
-               for c in E.constants.elements()}
+    # the images in ext of the constants, in encoding order
+    scalars = [emb(E.constant_action(c)).v for c in E.constants.elements()]
+    add, mul = ext._add, ext._mul
 
     rng = random.Random(seed)
     basis: list = []
-    span = {ext.zero: ()}
+    span = {0: ()}  # element int -> indices of its coordinates in residues
     tries = 0
     while len(basis) < E.r:
         tries += 1
@@ -147,37 +148,25 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
             raise NotFound(BASIS_RETRY_LIMIT,
                            "basis sampling failed to certify freeness")
         z = rng.choice(points)
-        # orbit of z under all residue representatives
-        w_chain = [z]
-        for _ in range(width - 1):
-            w_chain.append(ore_eval(phi_t_ext, w_chain[-1]))
-        table = []
-        for rep in residues:
-            acc = ext.zero
-            for k in range(width):
-                c = rep.coeff(k)
-                if c:
-                    acc = acc + scalars[c] * w_chain[k]
-            table.append(acc)
-        new_span = {}
-        clash = False
-        for pt, coord in span.items():
-            for idx, v in enumerate(table):
-                npt = pt + v
-                if npt in new_span:
-                    clash = True
-                    break
-                new_span[npt] = coord + (idx,)
-            if clash:
-                break
-        if clash:
-            continue
+        # orbit of z under the residues, in encoding order: sum c_k t^k
+        # sends z to sum c_k phi_t^k(z), built digit by digit like a span
+        table, wk = [0], z
+        for k in range(width):
+            if k:
+                wk = ore_eval(phi_t_ext, wk)
+            multiples = [mul(c, wk.v) for c in scalars]
+            table = [add(t, m) for m in multiples for t in table]
+        new_span = {add(pt, v): coord + (idx,)
+                    for pt, coord in span.items()
+                    for idx, v in enumerate(table)}
+        if len(new_span) < len(span) * len(table):
+            continue  # the orbit meets the span: z is not free over it
         basis.append(z)
         span = new_span
 
     if len(span) != len(points):  # pragma: no cover - freeness guarantees this
         raise NotFound(BASIS_RETRY_LIMIT, "span does not exhaust the kernel")
-    coords = {pt: tuple(residues[i] for i in idxs)
+    coords = {FFElem(ext, pt): tuple(residues[i] for i in idxs)
               for pt, idxs in span.items()}
     T = TorsionModule(E, ell, n, ext, emb, points, tuple(basis), residues,
                       coords, phi_t_ext)

@@ -410,3 +410,16 @@ def test_frontier_classify_rejects_a_dense_degree_2_20_row():
     assert (code, out.getvalue()) == (
         0, '{"variant":"NotFrobenius","witness":{"field":{"modulus":[1,1,1],'
            '"n":2,"p":2},"root":[0,0],"x":[0,1]}}\n')
+
+
+@criterion("Frobenius theorem rejection with generators in F_7(u^49)", 5.0)
+def test_frontier_theorem_rejects_through_p_th_roots():
+    # both generators are 49th powers, so the relation comes from the
+    # resultant of u^2+u and u^3+1, not of polynomials of degree 147
+    out = io.StringIO()
+    code = cli_main(["frobrec", "theorem", "--p", "7", "--gens",
+                     "u^98+u^49,u^147+1", "--images", "u^2+u,u^3+3"],
+                    stdout=out)
+    assert (code, out.getvalue()) == (
+        2, '{"error":"images break the relation '
+           'Y^2+3*X*Y+6*Y+6*X^3+4*X"}\n')

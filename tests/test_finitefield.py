@@ -121,7 +121,8 @@ def test_reducible_modulus_rejected():
 
 
 def test_search_tests_each_candidate_once(monkeypatch):
-    # from seed 1 the candidates are x^2+1, x^2+x, then x^2+x+1
+    # from seed 1 the candidates are x^2+1, x^2+x, then x^2+x+1; the first
+    # two have a root 1 or 0, so only the third reaches Ben-Or's test
     calls = []
     irreducible = finitefield._pirreducible
 
@@ -132,7 +133,16 @@ def test_search_tests_each_candidate_once(monkeypatch):
     monkeypatch.setattr(finitefield, "_FIELD_CACHE", {})
     monkeypatch.setattr(finitefield, "_pirreducible", counting)
     assert ff_make(2, 2, 1).modulus == (1, 1, 1)
-    assert calls == [(1, 0, 1), (0, 1, 1), (1, 1, 1)]
+    assert calls == [(1, 1, 1)]
+    # from seed 5: x^4+x^2+1 = (x^2+x+1)^2 has no root, so Ben-Or rejects
+    # it; x^4+x^2+x, x^4+x^2+x+1 and x^4+x^3 have one; x^4+x^3+1 passes
+    calls.clear()
+    assert ff_make(2, 4, 5).modulus == (1, 0, 0, 1, 1)
+    assert calls == [(1, 0, 1, 0, 1), (1, 0, 0, 1, 1)]
+    # degree 1 keeps the candidates x and x + 1
+    calls.clear()
+    assert ff_make(2, 1, 0).modulus == (0, 1)
+    assert calls == [(0, 1)]
 
 
 def test_prime_subfield_embedding_fixes_constants(F2, F4):

@@ -457,3 +457,20 @@ def test_theorem_rejection_keeps_reason_and_witness(F2):
                            [parse_ratfunc("u^2+u", F2)])
     assert not out.ok and out.reason == "annihilator is not a Frobenius graph"
     _verify_witness(parse_bivar("X^2+X+Y", 2), out.witness)
+
+
+@pytest.mark.parametrize("p,pair,roots,text", [
+    (2, ("u^4", "u^6"), ("u^2", "u^3"), "Y^2+X^3"),
+    (2, ("u^4+u^2", "u^6"), ("u^2+u", "u^3"), "Y^2+X*Y+Y+X^3"),
+    (2, ("u^2/(u^4+1)", "u^6"), ("u/(u^2+1)", "u^3"), "X^3*Y^2+X^2*Y+Y+X^3"),
+    (3, ("u^3+u^6", "u^9+1"), ("u+u^2", "u^3+1"), "Y^2+2*Y+2*X^3"),
+    (7, ("u^98+u^49", "u^147+1"), ("u^2+u", "u^3+1"),
+     "Y^2+3*X*Y+6*Y+6*X^3+4*X"),
+])
+def test_pair_annihilator_takes_out_shared_p_powers(p, pair, roots, text):
+    # a relation over F_p holds for a pair exactly when it holds for their
+    # p-th roots
+    F = ff_make(p, 1)
+    rels = [frobrec.pair_annihilator(*(parse_ratfunc(b, F) for b in bs))
+            for bs in (pair, roots)]
+    assert rels[0] == rels[1] and rels[0].to_text() == text

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from drinfeld import (DrinfeldModule, OrePoly, UPoly, carlitz_family,
-                      choose_prime_sets, dm_frobenius_matrix,
-                      dm_frobenius_norm, dm_torsion, ff_make,
-                      monic_irreducibles, ore_eval, parse_upoly,
+from drinfeld import (DrinfeldModule, FFElem, OrePoly, UPoly,
+                      carlitz_family, choose_prime_sets, dm_frobenius_matrix,
+                      dm_frobenius_norm, dm_torsion, extension_of, ff_make,
+                      monic_irreducibles, ore_eval, ore_kernel, parse_upoly,
                       torsion_point_count, upoly_crt)
 from drinfeld import reports, torsion
 from drinfeld.errors import (CapExceeded, CharacteristicIdeal,
@@ -286,3 +286,85 @@ def test_torsion_determinism(F2, rank2_f2):
     a = dm_torsion(rank2_f2, t, 1, cap=12, seed=0)
     b = dm_torsion(rank2_f2, t, 1, cap=12, seed=0)
     assert a.basis == b.basis and a.points == b.points
+
+
+# ---------------------------------------------------------------------------
+# the basis sampler on element ints against its FFElem reference
+
+def _reference_sampler(E, ell, n, seed, cap=24):
+    """dm_torsion's points, basis and coordinates by FFElem sums."""
+    ext, emb = extension_of(E.L, torsion.splitting_degree(E, ell, n, cap),
+                            seed)
+    points = tuple(sorted(ore_kernel(E.phi(ell ** n), ext).points,
+                          key=FFElem.encode))
+    width = n * ell.deg
+    residues = tuple(UPoly.from_encoding(E.constants, k)
+                     for k in range(E.constants.size ** width))
+    phi_t_ext = E.phi_t.map_field(emb)
+    scalars = {c: emb(E.constant_action(c)) for c in E.constants.elements()}
+    rng = random.Random(seed)
+    basis, span = [], {ext.zero: ()}
+    while len(basis) < E.r:
+        z = rng.choice(points)
+        w_chain = [z]
+        for _ in range(width - 1):
+            w_chain.append(ore_eval(phi_t_ext, w_chain[-1]))
+        table = []
+        for rep in residues:
+            acc = ext.zero
+            for k in range(width):
+                c = rep.coeff(k)
+                if c:
+                    acc = acc + scalars[c] * w_chain[k]
+            table.append(acc)
+        new_span = {}
+        for pt, coord in span.items():
+            for idx, v in enumerate(table):
+                if pt + v in new_span:
+                    break
+                new_span[pt + v] = coord + (idx,)
+            else:
+                continue
+            break
+        else:
+            basis.append(z)
+            span = new_span
+    coords = {pt: tuple(residues[i] for i in idxs)
+              for pt, idxs in span.items()}
+    Q = E.L.size
+    cols = [coords[b ** Q] for b in basis]
+    matrix = tuple(tuple(col[i] for col in cols) for i in range(len(basis)))
+    return points, tuple(basis), coords, matrix
+
+
+def _sampler_modules():
+    F3, F4, F8, F9 = (ff_make(p, n) for p, n in ((3, 1), (2, 2), (2, 3),
+                                                   (3, 2)))
+    return [
+        DrinfeldModule(F3, F3.one * 2, [F3.one, F3.one]),
+        DrinfeldModule(F4, F4.gen, [F4.one, F4.gen]),
+        DrinfeldModule(F4, F4.gen, [F4.gen, F4.one], constants=F4),
+        DrinfeldModule(F8, F8.gen, [F8.one, F8.gen + 1]),
+        DrinfeldModule(F9, F9.gen, [F9.gen, F9.one]),
+        DrinfeldModule(F9, F9.gen, [F9.one, F9.gen], constants=F9),
+    ]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_int_sampler_matches_the_ffelem_reference(index):
+    E = _sampler_modules()[index]
+    t = UPoly.x(E.constants)
+    checked = 0
+    for ell, n in ((t, 1), (t + 1, 1), (t, 2)):
+        for seed in range(4):
+            try:
+                T = dm_torsion(E, ell, n, cap=24, seed=seed)
+            except (CapExceeded, CharacteristicIdeal):
+                continue
+            points, basis, coords, matrix = _reference_sampler(E, ell, n,
+                                                               seed)
+            assert T.points == points and T.basis == basis
+            assert T.coords == coords and list(T.coords) == list(coords)
+            assert dm_frobenius_matrix(T) == matrix
+            checked += 1
+    assert checked >= 4
