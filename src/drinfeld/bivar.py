@@ -333,12 +333,14 @@ def bivar_gcd_y(a: BivarPoly, b: BivarPoly) -> BivarPoly:
 
 def bivar_radical(P: BivarPoly) -> BivarPoly:
     """Squarefree, p-power-free part: P0 up to a unit for c*P0^m, where c
-    is in F_p[X] and p does not divide m, or c is a p-th power.
+    is in F_p[X] and m >= 1.
 
-    The repeated factors come out in Y, or in X when P lies in F_p[X, Y^p].
+    The Y-content c comes out first.  The repeated factors come out in Y,
+    or in X when P lies in F_p[X, Y^p].
     """
     if P.is_zero():
         raise ZeroPolynomial("radical of zero")
+    P = P.divide_content_y()
     while P.is_p_power() and (P.deg_x(), P.deg_y()) != (0, 0):
         P = P.p_root()
     swap = P.partial_y().is_zero()

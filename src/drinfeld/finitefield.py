@@ -27,8 +27,9 @@ compare the top differing slot first), so int order is encoding order.
 * The inverse runs Euclid on packed ints over F_p, or one `pow` in F_p;
   so does Ben-Or's test.  The modulus search runs Ben-Or alone on each
   candidate and builds a field's tables only for the modulus that passes.
-* Linear algebra over F_p (kernels, subfields, preimages) is Gaussian
-  elimination on packed columns, each an element int.
+* Linear algebra over F_p (kernels, subfields, preimages, torsion bases
+  and coordinates) is Gaussian elimination on packed columns, each an
+  element int.
 
 Polynomials over these fields in a second variable t are packed into the
 same slots by `polykernel`, which keeps its tables on the field.
@@ -239,7 +240,7 @@ def _reduce(col, tag, pivots, k):
     return k.norm(col), k.norm(tag)
 
 
-def _eliminate(cols, k):
+def _eliminate(cols, k, pivots=()):
     """Gaussian elimination over F_p on packed columns: (pivots, kernel).
 
     Column j starts with the tag x^j, and every step applies to both, so
@@ -247,10 +248,11 @@ def _eliminate(cols, k):
     column that reduces to 0 gives its tag as a kernel vector.  The tags
     of pivots name only pivot columns, so that vector is 1 on its own
     column and 0 on every other non-pivot column: the kernel basis of the
-    reduced row echelon form, in column order.
+    reduced row echelon form, in column order.  Given earlier pivots, the
+    elimination continues from them, numbering the new columns after theirs.
     """
-    pivots, kernel = [], []
-    for j, col in enumerate(cols):
+    pivots, kernel = list(pivots), []
+    for j, col in enumerate(cols, len(pivots)):
         col, tag = _reduce(col, 1 << k.w * j, pivots, k)
         if not col:
             kernel.append(tag)
@@ -259,6 +261,14 @@ def _eliminate(cols, k):
         inv = pow(col >> shift & (1 << k.w) - 1, -1, k.p)
         pivots.append((shift, k.norm(col * inv), k.norm(tag * inv)))
     return pivots, kernel
+
+
+def _solve(v, pivots, k):
+    """The tag of the input columns that sum to v, or None if v is not in
+    their span."""
+    # v + sum tag_i col_i reduces to 0 exactly when v = sum -tag_i col_i
+    rest, tag = _reduce(v, 0, pivots, k)
+    return None if rest else k.norm((k.p - 1) * tag)
 
 
 def _check_size(p, n):
@@ -690,12 +700,10 @@ class FieldEmbedding:
         k = self.sup._slots
         if self._pivots is None:
             self._pivots = _eliminate([w.v for w in self._powers], k)[0]
-        # elem + sum tag_i w_i reduces to 0 exactly when elem = sum -tag_i w_i
-        rest, tag = _reduce(elem.v, 0, self._pivots, k)
-        if rest:
+        tag = _solve(elem.v, self._pivots, k)
+        if tag is None:
             return None
-        return self.sub.element(list(k.unpack(k.norm((k.p - 1) * tag),
-                                              self.sub.n)))
+        return self.sub.element(list(k.unpack(tag, self.sub.n)))
 
     def __repr__(self):
         return f"FieldEmbedding({self.sub!r} -> {self.sup!r})"

@@ -390,7 +390,6 @@ def pair_annihilator(b1: RationalFunction, b2: RationalFunction) -> BivarPoly:
     R = annihilator_resultant(b1.num, b1.den, b2.num, b2.den)
     if R.is_zero():
         raise ZeroPolynomial("degenerate parametrization")
-    R = R.divide_content_y()
     R = bivar_radical(R)
     # symmetric content pass in X
     R = R.swap().divide_content_y().swap()

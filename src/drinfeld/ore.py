@@ -170,12 +170,6 @@ class KernelSpace:
     def __len__(self):
         return len(self.points)
 
-    def __iter__(self):
-        return iter(self.points)
-
-    def __contains__(self, x):
-        return x in set(self.points)
-
 
 def ore_kernel(f: OrePoly, ext: FField) -> KernelSpace:
     """All roots of f in ext, with an F_p-basis; |kernel| divides p^deg."""

@@ -1,8 +1,9 @@
 """Torsion modules of a Drinfeld module, Frobenius matrices, and norms.
 
-E[l^n] is materialized inside the minimal splitting extension, certified
-free of rank r over A/l^n by an explicit basis, and carries a lookup table
-from points to coordinates so Galois actions become matrix extractions.
+E[l^n] is materialized inside the minimal splitting extension and certified
+free of rank r over A/l^n by an explicit basis, whose F_p-generators are
+kept in reduced echelon form; the coordinates of a point come from one
+solve against them, so Galois actions become matrix extractions.
 Its splitting degree alone needs no extension.  A norm report checks s
 against its residues mod l^n: here s is the CRT lift of Frobenius
 determinants on torsion; reports.norm_report takes s from the motive.
@@ -16,13 +17,10 @@ from dataclasses import dataclass, field
 from .dmodule import DrinfeldModule
 from .errors import (CapExceeded, CharacteristicIdeal, InsufficientModulus,
                      InvariantError, NotFound)
-from .finitefield import FIELD_SIZE_LIMIT, FFElem, extension_of
-from .intutil import LRUCache
+from .finitefield import FIELD_SIZE_LIMIT, _eliminate, _solve, extension_of
 from .ore import ore_eval, ore_kernel, ore_splitting_degree, separable_part
 from .upoly import UPoly, upoly_crt, upoly_det, upoly_gcd, upoly_irreducible
 
-# a module holds all its points and coordinates, so keep only a few
-_TORSION_CACHE = LRUCache(16)
 BASIS_RETRY_LIMIT = 100
 
 
@@ -30,10 +28,10 @@ class TorsionModule:
     """E[l^n] with a certified A/l^n-basis of size r."""
 
     __slots__ = ("module", "ell", "n", "ext", "embedding", "points", "basis",
-                 "residues", "coords", "_phi_t_ext")
+                 "_pivots", "_phi_t_ext")
 
-    def __init__(self, module, ell, n, ext, embedding, points, basis,
-                 residues, coords, phi_t_ext):
+    def __init__(self, module, ell, n, ext, embedding, points, basis, pivots,
+                 phi_t_ext):
         self.module = module
         self.ell = ell
         self.n = n
@@ -41,8 +39,8 @@ class TorsionModule:
         self.embedding = embedding
         self.points = points
         self.basis = basis
-        self.residues = residues
-        self.coords = coords
+        # of the columns u_b phi_t^j(b_i), in (i, j, b) order: see dm_torsion
+        self._pivots = pivots
         self._phi_t_ext = phi_t_ext
 
     @property
@@ -52,20 +50,35 @@ class TorsionModule:
     def t_action(self, x):
         return ore_eval(self._phi_t_ext, x)
 
+    def coordinates(self, x):
+        """The residues a_i mod l^n with x = sum a_i b_i; ValueError if x is
+        not in E[l^n]."""
+        k = self.ext._slots
+        tag = _solve(x.v, self._pivots, k) if x.field == self.ext else None
+        if tag is None:
+            raise ValueError("point outside E[l^n]")
+        # the F_p-digits of column (i, j, b) make the x^b-coefficient of the
+        # t^j-coefficient of a_i
+        Fq = self.module.constants
+        e, width = Fq.n, self.n * self.ell.deg
+        digits = k.unpack(tag, len(self._pivots))
+        coeffs = [Fq.element(digits[c:c + e]).v
+                  for c in range(0, len(digits), e)]
+        return tuple(UPoly._of(Fq, coeffs[c:c + width])
+                     for c in range(0, len(coeffs), width))
+
     def frobenius_matrix(self):
         """Matrix of x -> x^|L| on the basis, entries in A/l^n."""
         Q = self.module.L.size
-        cols = [self.coords[b ** Q] for b in self.basis]
-        return tuple(tuple(cols[j][i] for j in range(len(cols)))
-                     for i in range(len(self.basis)))
+        return self._matrix([b ** Q for b in self.basis])
 
     def t_matrix(self):
-        cols = [self.coords[self.t_action(b)] for b in self.basis]
-        return tuple(tuple(cols[j][i] for j in range(len(cols)))
-                     for i in range(len(self.basis)))
+        return self._matrix([self.t_action(b) for b in self.basis])
 
-    def __len__(self):
-        return len(self.points)
+    def _matrix(self, images):
+        cols = [self.coordinates(x) for x in images]
+        return tuple(tuple(col[i] for col in cols)
+                     for i in range(len(self.basis)))
 
     def __repr__(self):
         return (f"TorsionModule(l={self.ell.to_text()}, n={self.n}, "
@@ -110,14 +123,6 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
     _validate_ell(E, ell)
     if n < 1:
         raise ValueError("torsion exponent must be >= 1")
-    key = (E.cache_key(), ell, n, seed)
-    cached = _TORSION_CACHE.get(key)
-    if cached is not None:
-        if cached.ext.n // E.L.n > cap:
-            raise CapExceeded(
-                f"splitting degree {cached.ext.n // E.L.n} exceeds {cap}")
-        return cached
-
     phi_lam = None
 
     def walk(lam):  # the default L{tau} walk, keeping phi_(l^n) for the kernel
@@ -130,17 +135,16 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
     kernel = ore_kernel(phi_lam, ext)
     points = kernel.points
 
-    width = n * ell.deg
-    residues = tuple(UPoly.from_encoding(E.constants, k)
-                     for k in range(E.constants.size ** width))
     phi_t_ext = E.phi_t.map_field(emb)
-    # the images in ext of the constants, in encoding order
-    scalars = [emb(E.constant_action(c)).v for c in E.constants.elements()]
-    add, mul = ext._add, ext._mul
+    # the images u_b in ext of the F_p-basis x^b of the constants
+    Fq = E.constants
+    units = [emb(E.constant_action(Fq.from_encoding(Fq.p ** b))).v
+             for b in range(Fq.n)]
+    mul = ext._mul
 
     rng = random.Random(seed)
     basis: list = []
-    span = {0: ()}  # element int -> indices of its coordinates in residues
+    pivots: list = []
     tries = 0
     while len(basis) < E.r:
         tries += 1
@@ -148,30 +152,22 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
             raise NotFound(BASIS_RETRY_LIMIT,
                            "basis sampling failed to certify freeness")
         z = rng.choice(points)
-        # orbit of z under the residues, in encoding order: sum c_k t^k
-        # sends z to sum c_k phi_t^k(z), built digit by digit like a span
-        table, wk = [0], z
-        for k in range(width):
-            if k:
-                wk = ore_eval(phi_t_ext, wk)
-            multiples = [mul(c, wk.v) for c in scalars]
-            table = [add(t, m) for m in multiples for t in table]
-        new_span = {add(pt, v): coord + (idx,)
-                    for pt, coord in span.items()
-                    for idx, v in enumerate(table)}
-        if len(new_span) < len(span) * len(table):
-            continue  # the orbit meets the span: z is not free over it
-        basis.append(z)
-        span = new_span
+        # z is free over the basis so far exactly when the F_p-generators
+        # u_b phi_t^j(z) of its orbit are independent of the pivots so far
+        cols, w = [], z
+        for j in range(n * ell.deg):
+            if j:
+                w = ore_eval(phi_t_ext, w)
+            cols += [mul(u, w.v) for u in units]
+        grown, dependent = _eliminate(cols, ext._slots, pivots)
+        if not dependent:
+            basis.append(z)
+            pivots = grown
 
-    if len(span) != len(points):  # pragma: no cover - freeness guarantees this
+    if len(pivots) != kernel.dim:  # pragma: no cover - freeness guarantees this
         raise NotFound(BASIS_RETRY_LIMIT, "span does not exhaust the kernel")
-    coords = {FFElem(ext, pt): tuple(residues[i] for i in idxs)
-              for pt, idxs in span.items()}
-    T = TorsionModule(E, ell, n, ext, emb, points, tuple(basis), residues,
-                      coords, phi_t_ext)
-    _TORSION_CACHE[key] = T
-    return T
+    return TorsionModule(E, ell, n, ext, emb, points, tuple(basis), pivots,
+                         phi_t_ext)
 
 
 def dm_frobenius_det(T: TorsionModule):

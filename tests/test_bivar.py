@@ -100,12 +100,15 @@ def test_radical_of_a_power_is_its_squarefree_factor(p, data):
     R0 = _squarefree(data, p)
     m = data.draw(st.sampled_from([k for k in range(1, 5) if k % p] + [p]))
     c = _in_x(p, _coeffs(data, p, 3))
-    if m == p:
-        # only a p-th power c keeps the radical of c(X) R0^p at R0: the
-        # repeated-factor step divides R0^p out along with a factor of c
-        c = _power(c, p)
     P = c * _power(R0, m)
     assert _up_to_unit(bivar_radical(P), R0)
+
+
+@pytest.mark.parametrize("text, p", [("X*Y^2+X^3+Y^2+X^2", 2),
+                                     ("X*Y^3+X^4", 3)])
+def test_radical_keeps_a_p_th_power_under_a_content(text, p):
+    # (X+1)(Y+X)^2 and X(Y+X)^3: c(X) R0^p with c not a p-th power
+    assert bivar_radical(parse_bivar(text, p)) == parse_bivar("Y+X", p)
 
 
 def test_radical_of_a_constant_is_the_constant():

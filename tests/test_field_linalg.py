@@ -10,13 +10,13 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drinfeld import (FFElem, OrePoly, ff_embed, ff_make, finitefield,
                       ore_kernel)
-from drinfeld.finitefield import (_eliminate, _pirreducible, _reduce, _Slots,
-                                  _slots)
+from drinfeld.finitefield import (_eliminate, _pirreducible, _Slots, _slots,
+                                  _solve)
 
 RUN = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -145,14 +145,30 @@ def test_reduce_solves_like_the_schoolbook_solve(data):
         for c in cols:
             rhs = rhs + FFElem(F, c) * rng.randrange(p)
     rhs = rhs.v
-    pivots, _ = _eliminate(cols, k)
-    rest, tag = _reduce(rhs, 0, pivots, k)
+    tag = _solve(rhs, _eliminate(cols, k)[0], k)
     expect = solve(rows_of(F, cols), digits(F, rhs, n), p)
     if expect is None:
-        assert rest
+        assert tag is None
     else:
-        assert not rest
-        assert digits(F, k.norm((p - 1) * tag), count) == expect
+        assert digits(F, tag, count) == expect
+
+
+@RUN
+@given(data=st.data())
+def test_elimination_continues_from_earlier_pivots(data):
+    p, n = data.draw(st.sampled_from(FIELDS))
+    F = ff_make(p, n)
+    k = F._slots
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    cols = random_columns(rng, F, data.draw(st.integers(1, n + 2)),
+                          data.draw(st.integers(0, n)))
+    split = data.draw(st.integers(0, len(cols)))
+    first, kernel = _eliminate(cols[:split], k)
+    # the new columns are numbered after the pivots, so after every column
+    # of an independent first part
+    assume(not kernel)
+    assert _eliminate(cols[split:], k, first) == _eliminate(cols, k)
+    assert first == _eliminate(cols[:split], k)[0]  # left as it was
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 2, 4), (2, 3, 6), (2, 4, 12),

@@ -385,10 +385,7 @@ def test_lru_cache_keeps_the_most_recently_used():
 
 
 def test_module_caches_are_bounded(monkeypatch):
-    from drinfeld import torsion
-
-    for cache in (finitefield._FIELD_CACHE, finitefield._EMBED_CACHE,
-                  torsion._TORSION_CACHE):
+    for cache in (finitefield._FIELD_CACHE, finitefield._EMBED_CACHE):
         assert isinstance(cache, LRUCache) and cache.maxsize <= 256
     monkeypatch.setattr(finitefield, "_FIELD_CACHE", LRUCache(4))
     fields = [ff_make(2, 3, seed) for seed in range(10)]

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from drinfeld import (DrinfeldModule, FFElem, OrePoly, UPoly,
                       carlitz_family, choose_prime_sets, dm_frobenius_matrix,
@@ -10,7 +12,6 @@ from drinfeld import (DrinfeldModule, FFElem, OrePoly, UPoly,
 from drinfeld import reports, torsion
 from drinfeld.errors import (CapExceeded, CharacteristicIdeal,
                              InsufficientModulus)
-from drinfeld.intutil import LRUCache
 from drinfeld.torsion import _crt_lift, _independent
 from drinfeld.upoly import upoly_det
 
@@ -122,14 +123,12 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_torsion_miss_builds_its_operator_once(F2, rank2_f2, monkeypatch):
+def test_torsion_builds_its_operator_once(F2, rank2_f2, monkeypatch):
     # phi_(l^n) serves both the splitting search and the kernel
-    monkeypatch.setattr(torsion, "_TORSION_CACHE", LRUCache(16))
     built = _count_calls(monkeypatch, DrinfeldModule, "phi")
     ell = UPoly.x(F2)
     for n in (1, 2):
         dm_torsion(rank2_f2, ell, n)
-        dm_torsion(rank2_f2, ell, n)  # a hit builds nothing
     assert [a for _, a in built] == [ell, ell ** 2]
 
 
@@ -281,6 +280,45 @@ def test_points_closed_under_module_actions(F2, carlitz_f4):
             assert T.embedding(carlitz_f4.constant_action(c)) * x in points
 
 
+def test_coordinates_reject_a_point_outside_the_torsion(F2, F4, carlitz_f4):
+    T = dm_torsion(carlitz_f4, UPoly.x(F2), 1)
+    assert T.coordinates(F4.gen) == (UPoly.one(F2),)
+    for x in (F4.one, ff_make(2, 3).gen):  # not killed by phi_t; another field
+        with pytest.raises(ValueError, match="outside E"):
+            T.coordinates(x)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_coordinates_rebuild_every_point(data):
+    # x = sum phi_(a_i)(b_i), evaluated on the extension, not by a solve
+    p, n = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3),
+                                      (3, 2)]))
+    L = ff_make(p, n)
+    constants = L if n > 1 and data.draw(st.booleans()) else None
+    r = data.draw(st.integers(1, 3))
+    element = st.integers(0, L.size - 1).map(L.from_encoding)
+    coeffs = data.draw(st.lists(element, min_size=r - 1, max_size=r - 1))
+    coeffs.append(L.from_encoding(data.draw(st.integers(1, L.size - 1))))
+    E = DrinfeldModule(L, data.draw(element), coeffs, constants=constants)
+    ell = UPoly.x(E.constants) + data.draw(st.integers(0, 1))
+    exponent = data.draw(st.integers(1, 2))
+    assume(E.q ** (r * exponent) <= 729)
+    try:
+        T = dm_torsion(E, ell, exponent, cap=24, seed=data.draw(
+            st.integers(0, 3)))
+    except (CapExceeded, CharacteristicIdeal):
+        assume(False)
+    ops = {}
+    for x in T.points:
+        acc = T.ext.zero
+        for a, b in zip(T.coordinates(x), T.basis):
+            if a not in ops:
+                ops[a] = E.phi(a).map_field(T.embedding)
+            acc = acc + ore_eval(ops[a], b)
+        assert acc == x
+
+
 def test_torsion_determinism(F2, rank2_f2):
     t = UPoly.x(F2)
     a = dm_torsion(rank2_f2, t, 1, cap=12, seed=0)
@@ -364,7 +402,8 @@ def test_int_sampler_matches_the_ffelem_reference(index):
             points, basis, coords, matrix = _reference_sampler(E, ell, n,
                                                                seed)
             assert T.points == points and T.basis == basis
-            assert T.coords == coords and list(T.coords) == list(coords)
+            assert len(coords) == len(points)
+            assert all(T.coordinates(pt) == coords[pt] for pt in points)
             assert dm_frobenius_matrix(T) == matrix
             checked += 1
     assert checked >= 4
