@@ -16,9 +16,9 @@ import sys
 
 from .bivar import parse_bivar
 from .dmodule import DrinfeldModule, dm_characteristic
-from .errors import BadReduction, DrinfeldError, ParseError
+from .errors import BadReduction, BoundExceeded, DrinfeldError, ParseError
 from .family import DrinfeldFamily, carlitz_family
-from .finitefield import FField, extension_of, ff_make
+from .finitefield import SCAN_LIMIT, FField, extension_of, ff_make
 from .frobrec import (classify_frobenius_bivariate, recover_monomial_exponent,
                       theorem_frob_res)
 from .motive import det_drinfeld, motive_det, verify_tate_det
@@ -164,6 +164,9 @@ def _cmd_ore(args, stdin, out):
         f, ext_degree = inputs
         ext, _ = extension_of(f.base, ext_degree, args.seed)
         ker = ore_kernel(f, ext)
+        if len(ker.points) > SCAN_LIMIT:
+            raise BoundExceeded(f"kernel too large to print "
+                                f"({len(ker.points)} points)")
         out.write(_dump_json({
             "field": ext.to_dict(),
             "dim": ker.dim,

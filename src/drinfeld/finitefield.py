@@ -18,12 +18,20 @@ its one slot, and normalizes by `% p`.  `FFElem.coeffs` reads the slots
 back as a tuple.  Normalized ints compare as their encodings do (both
 compare the top differing slot first), so int order is encoding order.
 
-* A product in F_{p^n} is one big-int product, normalized; then conv[0:n]
-  plus the sum of conv[n+k] times the packed x^(n+k) mod the modulus (the
-  reduction table), normalized once.
+* A product in F_{p^n} is one big-int product c, normalized, reduced.
+  Byte slots (w = 8: every p = 2 field, and n p^2 < 256) use Barrett
+  reduction, exact over F_p[x]: q = (c >> n w) mu >> (n - 2) w with
+  mu = x^(2n-2) div the modulus, and the product is the low n slots of
+  c - q f_low, f_low the modulus below x^n.  A slot of c sums n products
+  below p^2, of the two others n - 1.  Word slots, where a normalization
+  is two `struct` passes, add conv[n+k] times the packed x^(n+k) mod the
+  modulus (the reduction table) to conv[0:n].
 * A sum, difference or negation is one int sum, normalized.
-* Frobenius is the F_p-linear map whose packed rows (x^i)^p a field
-  builds on first use; p_power(i) applies it i times.
+* Frobenius a -> a^(p^i) is i squarings at p = 2; above, i applications
+  of the F_p-linear map whose packed rows (x^j)^p a field builds on first
+  use.
+* A `KernelSpace` indexes the points of a kernel in encoding order
+  without building them.
 * The inverse runs Euclid on packed ints over F_p, or one `pow` in F_p;
   so does Ben-Or's test.  The modulus search runs Ben-Or alone on each
   candidate and builds a field's tables only for the modulus that passes.
@@ -284,7 +292,7 @@ class FField:
     """The finite field with p**n elements."""
 
     __slots__ = ("p", "n", "modulus", "size", "_slots", "_norm", "_red",
-                 "_frob", "_kernels")
+                 "_barrett", "_frob", "_kernels")
 
     def __init__(self, p, n, modulus):
         modulus = tuple(modulus)
@@ -331,6 +339,13 @@ class FField:
                 row = k.norm((p - 1) * k.pack(modulus[:-1]))
             red.append(row)
         self._red = tuple(red)
+        # byte slots multiply by Barrett reduction: mu = x^(2n-2) div the
+        # modulus, the modulus's low part, and the shifts and mask it uses
+        self._barrett = None
+        if k.w == 8 and n > 1:
+            mu = _pdivmod(1 << k.w * (2 * n - 2), k.pack(modulus), k)[0]
+            low = k.norm((p - 1) * k.pack(modulus[:-1]))
+            self._barrett = (mu, low, high, high - 2 * k.w, (1 << high) - 1)
         self._frob = None
         self._kernels = {}  # slot width -> polykernel.PolyKernel over it
 
@@ -352,6 +367,12 @@ class FField:
         if n == 1:
             return a * b % self.p
         k = self._slots
+        if self._barrett:
+            mu, low, high, shift, mask = self._barrett
+            norm = k.norm
+            c = norm(a * b)
+            q = norm((c >> high) * mu >> shift)
+            return norm((c + q * low) & mask)
         conv = k.unpack(a * b, 2 * n - 1)
         acc = k.pack(conv[:n])
         for c, row in zip(conv[n:], self._red):
@@ -360,7 +381,12 @@ class FField:
         return k.norm(acc)
 
     def _frobenius(self, a, i):
-        """a^(p^i) for 0 <= i < n, by i applications of the cached map."""
+        """a^(p^i) for 0 <= i < n: i squarings at p = 2, otherwise i
+        applications of the cached map."""
+        if self.p == 2:
+            for _ in range(i):
+                a = self._mul(a, a)
+            return a
         if not i:
             return a
         k, n = self._slots, self.n
@@ -455,20 +481,8 @@ class FField:
         ints), as element ints: the reduced row echelon basis."""
         return _eliminate(images, self._slots)[1]
 
-    def span(self, basis):
-        """The F_p-span of the given elements, sorted by encoding."""
-        add = self._add
-        points = [0]
-        for b in basis:
-            multiples = [b.v]
-            for _ in range(2, self.p):
-                multiples.append(add(multiples[-1], b.v))
-            points = points + [add(q, s) for s in multiples for q in points]
-        points.sort()  # int order is encoding order
-        return [FFElem(self, v) for v in points]
-
     def subfield_elements(self, m: int):
-        """All elements of the subfield with p**m elements, sorted by encoding."""
+        """The subfield with p**m elements, in encoding order."""
         if self.n % m:
             raise NoEmbedding(f"no subfield of degree {m} in degree {self.n}")
         if self.p ** m > SCAN_LIMIT:
@@ -484,7 +498,7 @@ class FField:
         if len(basis) != m:
             raise NoEmbedding(f"fixed space of Frob^{m} has dimension "
                               f"{len(basis)}, not {m}")
-        return self.span([FFElem(self, b) for b in basis])
+        return KernelSpace(self, basis)
 
     # -- misc -----------------------------------------------------------------
 
@@ -506,6 +520,45 @@ class FField:
 
     def __repr__(self):
         return f"FField(p={self.p}, n={self.n})"
+
+
+class KernelSpace:
+    """The F_p-span of a kernel basis from `_eliminate`, in encoding order.
+
+    That basis is in reduced echelon form by top slot: b_i is 1 at its top
+    slot, the other b_j are 0 there, and the top slots ascend.  So the k-th
+    point is sum c_i b_i, c_i the base-p digits of k, c_0 lowest: two
+    points first differ at the top slot of the highest b_i whose digits
+    differ, and hold those digits there.  No point is stored; iteration
+    and `random.choice` go through `__len__` and `__getitem__`.
+    """
+
+    __slots__ = ("field", "basis")
+
+    def __init__(self, field, basis):
+        self.field = field
+        self.basis = tuple(FFElem(field, v) for v in basis)
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    @property
+    def points(self):
+        """The points, indexed in encoding order: the space itself."""
+        return self
+
+    def __len__(self):
+        return self.field.p ** len(self.basis)
+
+    def __getitem__(self, k):
+        if not 0 <= k < len(self):
+            raise IndexError("point index out of range")
+        p, acc = self.field.p, 0
+        for b in self.basis:  # a slot sums dim <= n products below p^2
+            k, c = divmod(k, p)
+            acc += c * b.v
+        return FFElem(self.field, self.field._norm(acc))
 
 
 class FFElem:
@@ -719,6 +772,8 @@ def ff_embed(sub: FField, sup: FField) -> FieldEmbedding:
         return cached
     if sub == sup:
         emb = FieldEmbedding(sub, sup, sup.gen)
+    elif sub.n == 1:  # the root of x - c is c
+        emb = FieldEmbedding(sub, sup, sup.element(sub.gen.v))
     else:
         root = None
         for z in sup.subfield_elements(sub.n):

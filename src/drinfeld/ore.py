@@ -8,7 +8,8 @@ over the prime field.
 from __future__ import annotations
 
 from .errors import DivisionByZero, Inseparable, NotFound, ZeroPolynomial
-from .finitefield import FIELD_SIZE_LIMIT, FFElem, FField, ff_embed
+from .finitefield import (FIELD_SIZE_LIMIT, FFElem, FField, KernelSpace,
+                          ff_embed)
 from .upoly import DensePoly
 
 
@@ -153,32 +154,14 @@ def ore_eval(f: OrePoly, x: FFElem) -> FFElem:
     return FFElem(field, acc)
 
 
-class KernelSpace:
-    """F_p-vector space of roots of an additive polynomial in a fixed field."""
-
-    __slots__ = ("field", "basis", "points")
-
-    def __init__(self, field, basis):
-        self.field = field
-        self.basis = tuple(basis)
-        self.points = tuple(field.span(self.basis))
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def __len__(self):
-        return len(self.points)
-
-
 def ore_kernel(f: OrePoly, ext: FField) -> KernelSpace:
     """All roots of f in ext, with an F_p-basis; |kernel| divides p^deg."""
     if f.is_zero():
         raise ZeroPolynomial("kernel of the zero operator is everything")
     g = f.map_field(ff_embed(f.base, ext))
-    cols = [ore_eval(g, ext.from_encoding(ext.p ** j)).v
-            for j in range(ext.n)]
-    return KernelSpace(ext, [FFElem(ext, v) for v in ext.kernel(cols)])
+    w = ext._slots.w
+    cols = [ore_eval(g, FFElem(ext, 1 << w * j)).v for j in range(ext.n)]
+    return KernelSpace(ext, ext.kernel(cols))
 
 
 def frobenius_order(step, start, size: int, cap: int) -> int:

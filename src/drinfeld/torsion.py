@@ -1,7 +1,8 @@
 """Torsion modules of a Drinfeld module, Frobenius matrices, and norms.
 
-E[l^n] is materialized inside the minimal splitting extension and certified
-free of rank r over A/l^n by an explicit basis, whose F_p-generators are
+E[l^n] is the kernel of phi_(l^n) in the minimal splitting extension, its
+points indexed, not built, and certified free of rank r over A/l^n by an
+explicit basis drawn among them, whose F_p-generators are
 kept in reduced echelon form; the coordinates of a point come from one
 solve against them, so Galois actions become matrix extractions.
 Its splitting degree alone needs no extension.  A norm report checks s

@@ -83,6 +83,27 @@ def test_ore_kernel():
     assert data["dim"] == 1 and [0, 1] in data["points"]
 
 
+def test_ore_kernel_too_large_to_print_fails_fast():
+    # tau^22 + 1 fixes all of F_{2^22}: 2^22 points, above the scan limit
+    payload = json.dumps({
+        "f": {"field": {"p": 2, "n": 1, "modulus": [0, 1]},
+              "coeffs": [[1]] + [[0]] * 21 + [[1]]},
+        "ext_degree": 22})
+    code, out = run_cli(["ore", "kernel"], payload)
+    assert code == 2
+    assert json.loads(out) == {"error": "kernel too large to print "
+                                        "(4194304 points)"}
+
+
+def test_drinfeld_torsion_counts_2_to_the_32_points():
+    module = ('{"field":{"p":2,"n":2,"modulus":[1,1,1]},"theta":[0,1],'
+              '"coeffs":[[1,0],[1,0]]}')
+    code, out = run_cli(["drinfeld", "torsion", "--module", "-", "--ell",
+                         "t^8+t^6+t^5+t^3+1", "--n", "2", "--cap", "20"],
+                        module)
+    assert code == 0 and '"count":4294967296' in out
+
+
 def test_drinfeld_phi_from_module_json():
     code, out = run_cli(["drinfeld", "phi", "--module", "-", "--a", "t^2"],
                         CARLITZ_F4_MODULE)

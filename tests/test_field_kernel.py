@@ -208,10 +208,12 @@ def test_kernel_matches_schoolbook(key):
                 x.inverse()
     for a in elems[2:4]:
         x = F.element(list(a))
-        for i in {0, 1, n - 1, n}:
-            expected = field_pow(F, a, p ** (i % n))
+        # every Frobenius power, each the schoolbook p-th power of the last
+        expected = a
+        for i in range(n + 1):
             assert x.p_power(i).coeffs == expected
             assert x.p_root(i).p_power(i) == x
+            expected = field_pow(F, expected, p)
         assert x.p_root(1).coeffs == field_pow(F, a, p ** ((n - 1) % n))
 
 
@@ -232,6 +234,23 @@ def test_kernel_matches_schoolbook_on_drawn_elements(data):
     assert x.p_power(i).coeffs == field_pow(F, a, p ** (i % n))
     if any(a):
         assert field_mul(F, a, x.inverse().coeffs) == pad((1,), n)
+
+
+@pytest.mark.parametrize("p,n", [e for e in EDGES if e[0] in (5, 7, 11, 13)])
+def test_all_p_minus_1_products_at_the_byte_slot_edge(p, n):
+    # all-(p - 1) elements reach the largest slot sum of a product,
+    # n (p - 1)^2, on both sides of each w = 8 / w = 16 pair
+    fields = [ff_make(p, n)] + ([dense_field(p, n)] if n >= 2 else [])
+    a = (p - 1,) * n
+    for F in fields:
+        x, w = F.element(list(a)), F._slots.w
+        raw = x.v * x.v  # before normalization: slot n - 1 is the largest
+        assert max(raw >> w * i & (1 << w) - 1
+                   for i in range(2 * n - 1)) == n * (p - 1) ** 2 < 2 ** w
+        assert (x * x).coeffs == field_mul(F, a, a)
+        assert (x * -x).coeffs == field_mul(F, a, ref_neg(a, p))
+        y = F.element(list(ref_neg(F.modulus[:n], p)))  # x^n
+        assert (x * y).coeffs == field_mul(F, a, y.coeffs)
 
 
 def _random_monic(rng, p, d):

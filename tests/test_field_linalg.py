@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from drinfeld import (FFElem, OrePoly, ff_embed, ff_make, finitefield,
                       ore_kernel)
-from drinfeld.finitefield import (_eliminate, _pirreducible, _Slots, _slots,
-                                  _solve)
+from drinfeld.finitefield import (KernelSpace, _eliminate, _pirreducible,
+                                  _Slots, _slots, _solve)
 
 RUN = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -237,18 +237,68 @@ def test_norm_at_p_2_on_drawn_ints(w, v):
 
 
 # ---------------------------------------------------------------------------
-# span order, the modulus search
+# the indexable span against the enumeration it replaced
+
+def span_oracle(F, basis):
+    """Every point of the F_p-span of element ints, sorted by encoding."""
+    add = F._add
+    points = [0]
+    for b in basis:
+        multiples = [b]
+        for _ in range(2, F.p):
+            multiples.append(add(multiples[-1], b))
+        points = points + [add(q, s) for s in multiples for q in points]
+    points.sort()  # int order is encoding order
+    return [FFElem(F, v) for v in points]
+
+
+def echelon_by_top_slot(F, elems):
+    """A basis of the span of element ints: reduced echelon form by top
+    slot, monic there, top slots ascending."""
+    rows = [digits(F, v, F.n)[::-1] for v in elems]
+    reduced, pivots = rref(rows, F.p)
+    return [F.element(row[::-1]).v for row in reduced[:len(pivots)]][::-1]
+
 
 @pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 6), (13, 2)])
 def test_span_is_sorted_by_encoding(p, n):
     F = ff_make(p, n)
     rng = random.Random(f"{p} {n}")
     for dim in range(3):
-        basis = [F.from_encoding(rng.randrange(1, F.size)) for _ in range(dim)]
-        pts = F.span(basis)
+        basis = echelon_by_top_slot(
+            F, [F.from_encoding(rng.randrange(1, F.size)).v
+                for _ in range(dim)])
+        pts = list(KernelSpace(F, basis))
         assert pts == sorted(pts, key=FFElem.encode)
-        assert len(set(pts)) == len(pts)
+        assert len(set(pts)) == len(pts) == p ** len(basis)
 
+
+@RUN
+@given(data=st.data())
+def test_span_indexes_the_sorted_enumeration(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 13]))
+    # dims 0-8, as long as the oracle enumerates at most 2^13 points
+    dim = data.draw(st.integers(0, max(d for d in range(9)
+                                       if p ** d <= 2 ** 13)))
+    F = ff_make(p, data.draw(st.integers(max(dim, 1), dim + 3)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    # the kernel basis of a map of rank n - dim, as `ore_kernel` gets it,
+    # is already in echelon form by top slot
+    kernel = F.kernel(random_columns(rng, F, F.n, F.n - dim))
+    assert kernel == echelon_by_top_slot(F, kernel)
+    drawn = echelon_by_top_slot(F, [F.from_encoding(rng.randrange(F.size)).v
+                                    for _ in range(dim)])
+    for basis in (kernel, drawn):
+        span, points = KernelSpace(F, basis), span_oracle(F, basis)
+        assert len(span) == len(points) == p ** len(basis)
+        assert [span[k] for k in range(len(span))] == points
+        assert list(span) == points
+        with pytest.raises(IndexError):
+            span[len(span)]
+
+
+# ---------------------------------------------------------------------------
+# the modulus search
 
 def brute_force_modulus(p, n, seed):
     """The first candidate from the seed on that passes Ben-Or's test."""

@@ -151,6 +151,21 @@ def test_prime_subfield_embedding_fixes_constants(F2, F4):
     assert emb(F2.one) == F4.one
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_prime_field_embedding_matches_the_root_scan(p):
+    for seed in range(2):
+        Fp = ff_make(p, 1, seed)  # modulus x, then x + 1: roots 0, -1
+        for n in range(1, 7):
+            sup = ff_make(p, n)
+            # the scan route: the least root of Fp's modulus in sup's F_p
+            root = next(z for z in sup.subfield_elements(1)
+                        if not z * Fp.modulus[1] + Fp.modulus[0])
+            emb = ff_embed(Fp, sup)
+            assert emb.gen_image == root
+            assert [emb(c) for c in Fp.elements()] == \
+                [sup.element(c.v) for c in Fp.elements()]
+
+
 def test_embedding_image_satisfies_source_modulus(F4):
     F16 = ff_make(2, 4, 0)
     img = ff_embed(F4, F16)(F4.gen)
@@ -332,7 +347,7 @@ def test_p_power_is_frobenius_and_p_root_undoes_it(p, n):
 def test_subfield_elements_match_exhaustive_scan(m):
     F = ff_make(2, 6, 0)
     fixed = [x for x in F.elements() if x ** (2 ** m) == x]
-    assert F.subfield_elements(m) == fixed
+    assert list(F.subfield_elements(m)) == fixed
 
 
 def test_squaring_and_cubing_cost_one_and_two_products(monkeypatch):

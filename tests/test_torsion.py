@@ -39,6 +39,20 @@ def test_carlitz_frobenius_matrix_is_identity(F2, F4, carlitz_f4):
     assert [x.encode() for x in T2.points] == [0, (F4.gen ** 2).encode()]
 
 
+def test_a_2_to_the_32_point_module_is_drawn_by_index(F4):
+    # rank 2 over F_4, coefficients (1, 1): E[(t^8+t^6+t^5+t^3+1)^2] splits
+    # in degree 20 over F_4, and no point is built but those drawn
+    E = DrinfeldModule(F4, F4.gen, [F4.one, F4.one])
+    ell = parse_upoly("t^8+t^6+t^5+t^3+1", E.constants)
+    T = dm_torsion(E, ell, 2, cap=20)
+    assert len(T.points) == 2 ** 32 and T.ext.n == 40
+    phi = E.phi(ell ** 2).map_field(T.embedding)
+    for k in (0, 1, 2 ** 31 - 1, 2 ** 32 - 1):
+        assert not ore_eval(phi, T.points[k])
+    assert T.points[2 ** 32 - 1].encode() > T.points[2 ** 32 - 2].encode()
+    assert len(T.basis) == 2 and dm_frobenius_matrix(T)
+
+
 def test_characteristic_ideal_rejected(F2, carlitz_f4):
     with pytest.raises(CharacteristicIdeal):
         dm_torsion(carlitz_f4, parse_upoly("t^2+t+1", F2), 1)
@@ -323,7 +337,7 @@ def test_torsion_determinism(F2, rank2_f2):
     t = UPoly.x(F2)
     a = dm_torsion(rank2_f2, t, 1, cap=12, seed=0)
     b = dm_torsion(rank2_f2, t, 1, cap=12, seed=0)
-    assert a.basis == b.basis and a.points == b.points
+    assert a.basis == b.basis and tuple(a.points) == tuple(b.points)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +415,7 @@ def test_int_sampler_matches_the_ffelem_reference(index):
                 continue
             points, basis, coords, matrix = _reference_sampler(E, ell, n,
                                                                seed)
-            assert T.points == points and T.basis == basis
+            assert tuple(T.points) == points and T.basis == basis
             assert len(coords) == len(points)
             assert all(T.coordinates(pt) == coords[pt] for pt in points)
             assert dm_frobenius_matrix(T) == matrix
