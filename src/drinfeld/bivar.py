@@ -332,23 +332,44 @@ def bivar_gcd_y(a: BivarPoly, b: BivarPoly) -> BivarPoly:
 
 
 def bivar_radical(P: BivarPoly) -> BivarPoly:
-    """Squarefree, p-power-free part: P0 up to a unit for c*P0^m, where c
-    is in F_p[X] and m >= 1.
+    """The product of P's irreducible factors that involve Y, each once,
+    up to a unit; factors in X alone go.
 
-    The Y-content c comes out first.  The repeated factors come out in Y,
-    or in X when P lies in F_p[X, Y^p].
+    After the Y-content and the p-th roots, a squarefree step in Y, or in
+    X when P lies in F_p[X, Y^p] (where the factors in Y alone are P's
+    content in X), splits off part of the radical, and the coprime rest
+    goes round again.  On c*P0^m, P0 irreducible, the first step gives P0.
     """
     if P.is_zero():
         raise ZeroPolynomial("radical of zero")
     P = P.divide_content_y()
     while P.is_p_power() and (P.deg_x(), P.deg_y()) != (0, 0):
         P = P.p_root()
-    swap = P.partial_y().is_zero()
-    Q = P.swap() if swap else P
+    if P.partial_y().is_zero():
+        Q = P.swap()
+        seen, rest = _separable_split(Q.divide_content_y())
+        rest = rest * BivarPoly.from_y_coeffs(P.p, [Q.content_y()])
+        seen, rest = seen.swap(), rest.swap()
+    else:
+        seen, rest = _separable_split(P)
+    if (rest.deg_x(), rest.deg_y()) != (0, 0):
+        seen = seen * bivar_radical(rest)
+    return seen.divide_content_y()
+
+
+def _separable_split(Q: BivarPoly):
+    """(A, rest) for Q primitive in F_p[X][Y]: A is the product of the
+    factors f of Q with d/dY f != 0 and multiplicity prime to p, each once,
+    and rest is Q without any power of them, primitive."""
     g = bivar_gcd_y(Q, Q.partial_y())
-    if g.deg_y() > 0:
-        Q = _bivar_exact_div_y(Q, g)
-    return (Q.swap() if swap else Q).divide_content_y()
+    if g.deg_y() <= 0:
+        return Q, g
+    A = _bivar_exact_div_y(Q, g)
+    h = bivar_gcd_y(g, A)
+    while h.deg_y() > 0:
+        g = _bivar_exact_div_y(g, h)
+        h = bivar_gcd_y(g, h)
+    return A, g
 
 
 def _bivar_exact_div_y(a: BivarPoly, b: BivarPoly) -> BivarPoly:

@@ -279,21 +279,31 @@ def _cmd_frobrec(args, stdin, out):
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--cap", type=int, default=12,
+def _common_options(**defaults):
+    """The options every command takes; one not given sets only `defaults`."""
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--cap", type=int,
                         help="max splitting-extension degree")
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json")
-    common.add_argument("--output", default=None,
+    common.add_argument("--format", choices=("json", "csv", "text"))
+    common.add_argument("--output",
                         help="write to this path instead of stdout")
+    common.set_defaults(**defaults)
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drinfeld",
-        parents=[common],
+        parents=[_common_options(seed=0, cap=12, format="json",
+                                 output=None)],
         description="Exact arithmetic for twisted polynomials, Drinfeld "
                     "modules over F_q[t], and Frobenius recovery.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a subcommand's copies set nothing unless given, so a common option
+    # works before or after the subcommand, and after it wins
+    common = _common_options()
 
     def add_parser(name, **kwargs):
         return sub.add_parser(name, parents=[common], **kwargs)

@@ -20,7 +20,7 @@ from .errors import (InvariantError, NonUnitContent, NotAMorphism, NotFound,
                      Reducible, RootDoesNotExist, ZeroDenominator,
                      ZeroPolynomial)
 from .finitefield import ff_generator, ff_make
-from .intutil import crt_int, multiplicative_order
+from .intutil import crt_int, factorize, multiplicative_order
 from .ratfunc import RationalFunction
 from .upoly import UPoly, upoly_gcd, upoly_roots
 
@@ -201,28 +201,28 @@ def _witness_scan(Q, F, skip=()):
 
 
 def _match_shape(P: BivarPoly, N: int):
-    """Exact (or unit-scaled) match against the shapes the degrees allow."""
+    """Exact (or unit-scaled) match against the shapes the degrees allow.
+
+    A shape's unit is P's coefficient at the top term of its target, so one
+    comparison decides each candidate.  A unit-1 match wins; after that the
+    candidates keep their order.
+    """
     p = P.p
     candidates = []
     k = _digits_len(p, P.deg_x()) - 1
     if N == 0 and P.deg_y() == 1 and P.deg_x() == p ** k:
-        candidates.append((XTOY, k))
+        candidates.append((XTOY, k, (p ** k, 0)))
     if P.deg_x() == 1:
-        candidates.append((YTOX, N))
-    for kind, k in candidates:
-        target = frobenius_target(p, kind, k)
-        if P == target:
-            return FrobClassification(kind=kind, k=k, unit=1)
-    for kind, k in candidates:
-        target = frobenius_target(p, kind, k)
-        for u in range(2, p):
-            if P == target * u:
-                return FrobClassification(kind=kind, k=k, unit=u)
-    return None
+        candidates.append((YTOX, N, (0, p ** N)))
+    matches = []
+    for kind, k, top in candidates:
+        u = P.terms.get(top, 0)
+        if P == frobenius_target(p, kind, k) * u:
+            matches.append(FrobClassification(kind=kind, k=k, unit=u))
+    return min(matches, key=lambda match: match.unit != 1, default=None)
 
 
 def classify_frobenius_bivariate(P: BivarPoly,
-                                 retries: int = CLASSIFY_RETRIES,
                                  seed: int = 0) -> FrobClassification:
     """Decide whether an irreducible annihilator is a Frobenius graph.
 
@@ -270,7 +270,7 @@ def classify_frobenius_bivariate(P: BivarPoly,
         m_start = max(2, d + 1)
 
     consistent_high_degree = 0
-    for attempt in range(retries):
+    for attempt in range(CLASSIFY_RETRIES):
         m = m_start + attempt
         F = ff_make(p, m, seed)
         x = ff_generator(F)
@@ -299,22 +299,12 @@ def classify_frobenius_bivariate(P: BivarPoly,
         witness = _witness_scan(Q, F, skip=(x,))
         if witness is not None:
             return FrobClassification(kind=NOT_FROBENIUS, witness=witness)
-    raise NotFound(retries, "classification inconclusive within retry cap")
+    raise NotFound(CLASSIFY_RETRIES,
+                   "classification inconclusive within retry cap")
 
 
 # ---------------------------------------------------------------------------
 # exponent consistency across generators
-
-def _ffelem_order(c) -> int:
-    if not c:
-        raise ValueError("zero has no multiplicative order")
-    order = 1
-    acc = c
-    while acc != c.field.one:
-        acc = acc * c
-        order += 1
-    return order
-
 
 def consistency_exponents(pairs):
     """The unique k with b^(p^k) = b^(p^(k_b)) for every pair, or None.
@@ -333,8 +323,12 @@ def consistency_exponents(pairs):
             raise RootDoesNotExist(
                 f"p^{-k_b}-th root of {b.to_text()} does not exist")
         if b.is_constant():
+            # shrink q - 1 prime by prime to the order of c
             c = b.constant_value()
-            order = _ffelem_order(c)
+            order = c.field.size - 1
+            for ell in factorize(order):
+                while order % ell == 0 and c ** (order // ell) == c.field.one:
+                    order //= ell
             if order == 1:
                 continue
             period = multiplicative_order(b.base.p % order, order)

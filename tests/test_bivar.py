@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld import BivarPoly, UPoly, ff_make, parse_bivar
-from drinfeld.bivar import _bivar_exact_div_y, bivar_gcd_y, bivar_radical
+from drinfeld.bivar import (_bivar_exact_div_y, annihilator_resultant,
+                            bivar_gcd_y, bivar_radical)
 from drinfeld.errors import ZeroPolynomial
+from drinfeld.upoly import monic_irreducibles, upoly_gcd
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 RUN = settings(max_examples=60, deadline=None, derandomize=True)
+WIDE = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 def _coeffs(data, p, max_deg):
@@ -109,6 +112,97 @@ def test_radical_of_a_power_is_its_squarefree_factor(p, data):
 def test_radical_keeps_a_p_th_power_under_a_content(text, p):
     # (X+1)(Y+X)^2 and X(Y+X)^3: c(X) R0^p with c not a p-th power
     assert bivar_radical(parse_bivar(text, p)) == parse_bivar("Y+X", p)
+
+
+@pytest.mark.parametrize("text, factors", [
+    # (Y+1)(X+Y)^2: the square has d/dY = 0 and used to vanish with it
+    ("X^2*Y+Y^3+X^2+Y^2", ("Y+1", "X+Y")),
+    # (Y^2+X)(Y+1)^2 lies in F_2[X, Y^2]; Y+1 is a unit of F_2(Y)[X]
+    ("Y^4+X*Y^2+Y^2+X", ("Y^2+X", "Y+1")),
+])
+def test_radical_in_characteristic_p(text, factors):
+    expected = parse_bivar(factors[0], 2) * parse_bivar(factors[1], 2)
+    assert _up_to_unit(bivar_radical(parse_bivar(text, 2)), expected)
+
+
+def _irreducible(data, p, kinds=("X", "Y", "linear in Y", "linear in X")):
+    """A monic irreducible of F_p[X, Y]: in X alone, in Y alone, or of
+    degree 1 in Y or in X over coprime coefficients, the last possibly in
+    F_p[X, Y^p].  Monic: the coefficient of the top term in (Y, X) order
+    is 1, so distinct ones are not unit multiples of each other."""
+    F = ff_make(p, 1, 0)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind in ("X", "Y"):
+        f = data.draw(st.sampled_from(monic_irreducibles(F, 2)))
+        P = _in_x(p, f.vs)
+        return P if kind == "X" else P.swap()
+    a, b = (UPoly(F, _coeffs(data, p, 2)) for _ in range(2))
+    g = upoly_gcd(a, b)
+    a, b = a // g, b // g
+    if kind == "linear in Y":
+        terms = {**{(i, 1): c for i, c in enumerate(a.vs)},
+                 **{(i, 0): c for i, c in enumerate(b.vs)}}
+        P = BivarPoly(p, terms)
+    else:
+        step = data.draw(st.sampled_from((1, p)))
+        terms = {**{(1, j * step): c for j, c in enumerate(a.vs)},
+                 **{(0, j * step): c for j, c in enumerate(b.vs)}}
+        P = BivarPoly(p, terms)
+    lead = P.terms[max(P.terms, key=lambda ij: (ij[1], ij[0]))]
+    return P * pow(lead, -1, p)
+
+
+@WIDE
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_radical_of_a_product_of_powers_is_the_product(p, data):
+    factors = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        f = _irreducible(data, p)
+        factors[tuple(sorted(f.terms.items()))] = f
+    P = expected = BivarPoly.monomial(p, 0, 0)
+    for f in factors.values():
+        P = P * _power(f, data.draw(st.sampled_from([1, 2, p, p + 1])))
+        if f.deg_y() > 0:  # factors in X alone are dropped
+            expected = expected * f
+    assert _up_to_unit(bivar_radical(P), expected)
+
+
+def _radical_before_characteristic_p(P):
+    """The radical as it was before it separated p-th powers: one gcd with
+    d/dY, or with d/dX when P lies in F_p[X, Y^p].  Right on c*R0^m."""
+    P = P.divide_content_y()
+    while P.is_p_power() and (P.deg_x(), P.deg_y()) != (0, 0):
+        P = P.p_root()
+    swap = P.partial_y().is_zero()
+    Q = P.swap() if swap else P
+    g = bivar_gcd_y(Q, Q.partial_y())
+    if g.deg_y() > 0:
+        Q = _bivar_exact_div_y(Q, g)
+    return (Q.swap() if swap else Q).divide_content_y()
+
+
+@WIDE
+@given(PRIMES, st.data())
+def test_radical_of_an_annihilator_shape_is_unchanged(p, data):
+    # c*R0^m with R0 irreducible is what pair_annihilator passes: a
+    # resultant of two parametrizations, or a power of an irreducible
+    F = ff_make(p, 1, 0)
+    if data.draw(st.booleans()):
+        polys = []
+        for _ in range(2):  # num/den in lowest terms, as in F_p(u)
+            num, den = (UPoly(F, _coeffs(data, p, 3)) for _ in range(2))
+            g = upoly_gcd(num, den)
+            if max(num.deg, den.deg) == g.deg:
+                return
+            polys += [num // g, den // g]
+        P = annihilator_resultant(*polys)
+    else:
+        R0 = _irreducible(data, p, kinds=("linear in Y", "linear in X"))
+        m = data.draw(st.integers(1, p + 1))
+        P = _in_x(p, _coeffs(data, p, 2)) * _power(R0, m)
+    if P.is_zero():
+        return
+    assert bivar_radical(P).terms == _radical_before_characteristic_p(P).terms
 
 
 def test_radical_of_a_constant_is_the_constant():

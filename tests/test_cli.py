@@ -388,12 +388,34 @@ def test_oversized_requests_fail_fast(argv, stdin_text, message):
     # dense polynomials of degree 65537 are parsed and compared
     (["frobrec", "theorem", "--p", "65537", "--gens", "u",
       "--images", "u^65537"], {"k": 1, "ok": True}, 10.0),
+    # the unit is P's coefficient at X^p, not a search over F_p
+    (["frobrec", "classify", "--p", "2147483647", "--poly",
+      "Y-X^2147483647"], {"k": 1, "unit": 2147483646, "variant": "XtoY"},
+     1.0),
 ])
 def test_frobenius_shapes_and_images_need_no_field(argv, expected, seconds):
     start = time.perf_counter()
     code, out = run_cli(argv)
     assert time.perf_counter() - start < seconds
     assert code == 0 and json.loads(out) == expected
+
+
+def test_common_options_work_before_or_after_the_subcommand():
+    table = ["carlitz", "table", "--p", "2", "--max-prime-degree", "2"]
+    before = run_cli(["--seed", "1", "--format", "csv"] + table)
+    after = run_cli(table + ["--seed", "1", "--format", "csv"])
+    assert before == after and before[0] == 0
+    assert before[1].startswith("place,")
+    args = cli.build_parser().parse_args(
+        ["--seed", "3", "--cap", "20", "--format", "csv", "--output", "o",
+         "frobrec", "classify", "--p", "2", "--poly", "Y-X"])
+    assert (args.seed, args.cap, args.format, args.output) == (3, 20, "csv",
+                                                              "o")
+    # a value given after the subcommand wins
+    args = cli.build_parser().parse_args(
+        ["--seed", "3", "frobrec", "classify", "--seed", "5", "--p", "2"])
+    assert (args.seed, args.cap, args.format, args.output) == (5, 12, "json",
+                                                              None)
 
 
 def test_rejection_over_a_large_prime_fails_fast():

@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +17,7 @@ from drinfeld.errors import (NonUnitContent, NotAMorphism, Reducible,
                              ZeroPolynomial)
 from drinfeld.finitefield import FField
 from drinfeld.frobrec import _algebraic_monomial_test, _kummer_monomial_test
+from drinfeld.intutil import multiplicative_order
 from drinfeld.upoly import parse_upoly, upoly_gcd
 
 
@@ -198,6 +201,46 @@ def test_unit_multiple_classified(F3):
     assert (cls.kind, cls.k, cls.unit) == (XTOY, 2, 2)
 
 
+def test_unit_order_over_f5():
+    # a unit-1 match wins over the candidate order; then XtoY comes first
+    for text, expected in (("Y-X", (YTOX, 0, 1)), ("3*Y-3*X", (XTOY, 0, 2)),
+                           ("3*X-3*Y", (XTOY, 0, 3))):
+        cls = classify_frobenius_bivariate(parse_bivar(text, 5))
+        assert (cls.kind, cls.k, cls.unit) == expected
+
+
+def _match_by_unit_search(P, N):
+    """The shape match by trying every unit of F_p: unit 1 on any candidate
+    first, then each candidate with the units 2 .. p - 1."""
+    p = P.p
+    candidates = []
+    k = frobrec._digits_len(p, P.deg_x()) - 1
+    if N == 0 and P.deg_y() == 1 and P.deg_x() == p ** k:
+        candidates.append((XTOY, k))
+    if P.deg_x() == 1:
+        candidates.append((YTOX, N))
+    tries = [(kind, k, 1) for kind, k in candidates]
+    tries += [(kind, k, u) for kind, k in candidates for u in range(2, p)]
+    for kind, k, u in tries:
+        if P == frobenius_target(p, kind, k) * u:
+            return (kind, k, u)
+    return None
+
+
+def test_read_unit_matches_a_search_over_fp():
+    # every unit multiple of every shape, and near misses, at small p
+    for p in (2, 3, 5, 7):
+        for kind, k, u, extra in product((XTOY, YTOX), range(3), range(1, p),
+                                         ({}, {(0, 0): 1}, {(1, 0): 1})):
+            P = frobenius_target(p, kind, k) * u + BivarPoly(p, extra)
+            if P.is_zero():
+                continue
+            N = strip_p_powers(P)[1]
+            match = frobrec._match_shape(P, N)
+            got = match and (match.kind, match.k, match.unit)
+            assert got == _match_by_unit_search(P, N)
+
+
 def test_cubic_graph_rejected_with_witness():
     P = parse_bivar("Y+X^3", 2)
     cls = classify_frobenius_bivariate(P)
@@ -248,6 +291,24 @@ def test_consistency_with_extension_constants(F4):
     # constants alone give the least representative of the class
     assert consistency_exponents([(c, 1)]) == 1
     assert consistency_exponents([(c, 3)]) == 1
+
+
+def test_constant_orders_come_from_the_factors_of_q_minus_1():
+    start = time.perf_counter()
+    two = RationalFunction.constant(ff_make(1000003, 1), 2)
+    assert consistency_exponents([(two, 1)]) == 0
+    assert time.perf_counter() - start < 0.1
+    for p, n in ((2, 2), (2, 3), (3, 2), (5, 2), (2, 4), (7, 1)):
+        F = ff_make(p, n, 0)
+        for code in range(1, F.size):
+            c = F.from_encoding(code)
+            order, acc = 1, c
+            while acc != F.one:
+                acc, order = acc * c, order + 1
+            period = multiplicative_order(p % order, order) if order > 1 else 1
+            const = RationalFunction.constant(F, c)
+            for k in range(4):
+                assert consistency_exponents([(const, k)]) == k % period
 
 
 def test_consistency_root_precondition(F2):

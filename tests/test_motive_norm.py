@@ -105,15 +105,18 @@ def test_motive_norm_matches_torsion(E):
     assert s == expected
 
 
-def test_motive_norm_with_extension_constants(F4):
-    F16 = ff_make(2, 4, 0)
-    theta = ff_embed(F4, F16)(F4.gen)
-    for twist in (0, 1):
-        E = DrinfeldModule(F16, theta, [F16.gen, F16.one], constants=F4,
-                           twist=twist)
-        s = motive_frobenius_norm(E)
-        assert s.monic() == E.char_poly ** (E.d // E.char_poly.deg)
-        assert s == _torsion_norm(E)
+def test_motive_norm_with_extension_constants():
+    # F_4 in F_16 at rank 2, and F_8 in F_64 at rank 1, where sigma^t and
+    # sigma^(-t) differ for t = 1, 2
+    for e, rank, twists in ((2, 2, (0, 1)), (3, 1, (0, 1, 2))):
+        Fq, L = ff_make(2, e, 0), ff_make(2, 2 * e, 0)
+        theta = ff_embed(Fq, L)(Fq.gen)
+        for twist in twists:
+            E = DrinfeldModule(L, theta, [L.gen, L.one][:rank],
+                               constants=Fq, twist=twist)
+            s = motive_frobenius_norm(E)
+            assert s.monic() == E.char_poly ** (E.d // E.char_poly.deg)
+            assert s == _torsion_norm(E)
 
 
 def test_motive_norm_rejects_a_coefficient_outside_fq(carlitz_f4,
