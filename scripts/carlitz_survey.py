@@ -11,8 +11,7 @@ import csv
 import sys
 
 from drinfeld import carlitz_family
-from drinfeld.reports import family_norm_table
-from drinfeld.torsion import FrobeniusReport
+from drinfeld.reports import FrobeniusReport, family_norm_table, norm_rows
 
 
 def main():
@@ -31,17 +30,11 @@ def main():
     failures = 0
     for p in args.p:
         family = carlitz_family(p, args.e, args.seed)
-        rows = family_norm_table(family, args.max_prime_degree,
-                                 cap=args.cap, seed=args.seed)
-        for prime, rep in rows:
-            if isinstance(rep, str):
-                writer.writerow([p, args.e, prime.to_text("x"), "", "", rep,
-                                 "", "", ""])
-                failures += 1
-            else:
-                writer.writerow([p, args.e] + rep.csv_row())
-                if not rep.all_ok:
-                    failures += 1
+        table = family_norm_table(family, args.max_prime_degree,
+                                  cap=args.cap, seed=args.seed)
+        for ok, _, cells, _ in norm_rows(table):
+            writer.writerow([p, args.e] + cells)
+            failures += not ok
     if args.output:
         out.close()
     return 1 if failures else 0

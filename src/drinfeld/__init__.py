@@ -20,10 +20,11 @@ from .motive import (DetMotive, MotiveMatrix, det_drinfeld, motive_det,
 from .ore import (OrePoly, ore_divmod_left, ore_divmod_right, ore_eval,
                   ore_kernel, ore_splitting_degree, separable_part)
 from .ratfunc import RationalFunction, parse_ratfunc
-from .reports import (choose_prime_sets, family_norm_table, norm_report,
-                      place_report, residual_table)
-from .torsion import (FrobeniusReport, TorsionModule, dm_frobenius_matrix,
-                      dm_frobenius_norm, dm_torsion, torsion_point_count)
+from .reports import (FrobeniusReport, choose_prime_sets, dm_frobenius_norm,
+                      family_norm_table, norm_report, place_report,
+                      residual_table)
+from .torsion import (TorsionModule, dm_frobenius_matrix, dm_torsion,
+                      torsion_point_count)
 from .upoly import (UPoly, minimal_polynomial, monic_irreducibles,
                     parse_upoly, upoly_crt, upoly_gcd, upoly_irreducible,
                     upoly_roots, upoly_xgcd)

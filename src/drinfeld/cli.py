@@ -25,9 +25,10 @@ from .motive import det_drinfeld, motive_det, verify_tate_det
 from .ore import (OrePoly, ore_divmod_left, ore_divmod_right, ore_eval,
                   ore_kernel)
 from .ratfunc import parse_ratfunc
-from .reports import family_norm_table, norm_report, residual_table
-from .torsion import (FrobeniusReport, dm_frobenius_matrix,
-                      dm_frobenius_norm, dm_torsion)
+from .reports import (RESIDUAL_CSV_HEADER, FrobeniusReport,
+                      dm_frobenius_norm, family_norm_table, norm_report,
+                      norm_rows, residual_rows, residual_table)
+from .torsion import dm_frobenius_matrix, dm_torsion
 from .upoly import UPoly, parse_upoly, upoly_gcd
 
 
@@ -101,27 +102,6 @@ def _render_rows(fmt, header, rows, out):
     return 0 if all(ok for ok, _, _, _ in rows) else 1
 
 
-def _norm_row(prime, rep):
-    place = prime.to_text("x")
-    if isinstance(rep, str):
-        return (False, {"place": place, "error": rep},
-                [place, "", "", rep, "", "", ""], f"{place}: {rep}")
-    return (rep.all_ok, rep.to_dict(), rep.csv_row(),
-            f"{place}: s={rep.s_exact.to_text()} "
-            f"independence={rep.independence} deg={rep.degree_ok} "
-            f"char|s={rep.char_divides}")
-
-
-def _residual_row(prime, k):
-    place = prime.to_text("x")
-    ok = isinstance(k, int)
-    status = "ok" if ok else str(k or "fail")
-    k = k if ok else None
-    return (ok, {"place": place, "k": k, "status": status},
-            [place, "" if k is None else k, status],
-            f"{place}: k={k} ({status})")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -164,14 +144,14 @@ def _cmd_ore(args, stdin, out):
         f, ext_degree = inputs
         ext, _ = extension_of(f.base, ext_degree, args.seed)
         ker = ore_kernel(f, ext)
-        if len(ker.points) > SCAN_LIMIT:
+        if len(ker) > SCAN_LIMIT:
             raise BoundExceeded(f"kernel too large to print "
-                                f"({len(ker.points)} points)")
+                                f"({len(ker)} points)")
         out.write(_dump_json({
             "field": ext.to_dict(),
             "dim": ker.dim,
             "basis": [b.to_list() for b in ker.basis],
-            "points": [x.to_list() for x in ker.points]}))
+            "points": [x.to_list() for x in ker]}))
     return 0
 
 
@@ -215,14 +195,14 @@ def _cmd_norm_table(args, stdin, out):
     rows = family_norm_table(family, args.max_prime_degree, cap=args.cap,
                              seed=args.seed)
     return _render_rows(args.format, FrobeniusReport.CSV_HEADER,
-                        [_norm_row(*row) for row in rows], out)
+                        norm_rows(rows), out)
 
 
 def _cmd_residual(args, stdin, out):
     family = _load_family(args, stdin)
     rows = residual_table(family, args.max_prime_degree, seed=args.seed)
-    return _render_rows(args.format, ("place", "k", "status"),
-                        [_residual_row(*row) for row in rows], out)
+    return _render_rows(args.format, RESIDUAL_CSV_HEADER,
+                        residual_rows(rows), out)
 
 
 def _cmd_motive(args, stdin, out):

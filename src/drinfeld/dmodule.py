@@ -120,15 +120,16 @@ class DrinfeldModule:
 
     # -- misc --------------------------------------------------------------------
 
-    def cache_key(self):
-        return (self.L, self.constants, self.theta, self.coeffs, self.twist)
-
     def __eq__(self, other):
         return (isinstance(other, DrinfeldModule)
-                and self.cache_key() == other.cache_key())
+                and (self.L, self.constants, self.theta, self.coeffs,
+                     self.twist)
+                == (other.L, other.constants, other.theta, other.coeffs,
+                    other.twist))
 
     def __hash__(self):
-        return hash(self.cache_key())
+        return hash((self.L, self.constants, self.theta, self.coeffs,
+                     self.twist))
 
     def to_dict(self):
         return {"field": self.L.to_dict(),

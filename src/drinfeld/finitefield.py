@@ -543,11 +543,6 @@ class KernelSpace:
     def dim(self):
         return len(self.basis)
 
-    @property
-    def points(self):
-        """The points, indexed in encoding order: the space itself."""
-        return self
-
     def __len__(self):
         return self.field.p ** len(self.basis)
 

@@ -341,13 +341,10 @@ def consistency_exponents(pairs):
             if pinned is not None and pinned != k_b:
                 return None
             pinned = k_b
-    if pinned is not None:
-        res, mod = congruence
-        if mod and (pinned - res) % mod != 0:
-            return None
-        return pinned
     res, mod = congruence
-    return res % mod if mod else res
+    if pinned is not None:
+        return pinned if (pinned - res) % mod == 0 else None
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,9 @@ def multiplicative_order(a: int, modulus: int) -> int:
     """Order of a modulo modulus; a must be coprime to modulus."""
     if gcd(a, modulus) != 1:
         raise ValueError("element not invertible")
-    order = 1
-    for p, e in factorize(_carmichael_bound(modulus)).items():
-        order *= p ** e
+    order = _carmichael_bound(modulus)
     # shrink the exponent bound prime by prime
-    for p in sorted(factorize(order)):
+    for p in factorize(order):
         while order % p == 0 and pow(a, order // p, modulus) == 1:
             order //= p
     return order
@@ -79,14 +77,8 @@ def _carmichael_bound(modulus: int) -> int:
 def crt_int(r1: int, m1: int, r2: int, m2: int):
     """Combine k = r1 (mod m1), k = r2 (mod m2); None when incompatible.
 
-    Moduli need not be coprime; m = 0 encodes a pinned integer.
+    Moduli are positive and need not be coprime.
     """
-    if m1 == 0 and m2 == 0:
-        return (r1, 0) if r1 == r2 else None
-    if m1 == 0:
-        return (r1, 0) if (r1 - r2) % m2 == 0 else None
-    if m2 == 0:
-        return (r2, 0) if (r2 - r1) % m1 == 0 else None
     g = gcd(m1, m2)
     if (r2 - r1) % g != 0:
         return None

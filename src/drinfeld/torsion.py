@@ -1,26 +1,23 @@
-"""Torsion modules of a Drinfeld module, Frobenius matrices, and norms.
+"""Torsion modules of a Drinfeld module and Frobenius matrices on them.
 
 E[l^n] is the kernel of phi_(l^n) in the minimal splitting extension, its
 points indexed, not built, and certified free of rank r over A/l^n by an
 explicit basis drawn among them, whose F_p-generators are
 kept in reduced echelon form; the coordinates of a point come from one
 solve against them, so Galois actions become matrix extractions.
-Its splitting degree alone needs no extension.  A norm report checks s
-against its residues mod l^n: here s is the CRT lift of Frobenius
-determinants on torsion; reports.norm_report takes s from the motive.
+Its splitting degree alone needs no extension.  The Frobenius determinant
+mod l^n is what reports.dm_frobenius_norm lifts by CRT to the norm.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .dmodule import DrinfeldModule
-from .errors import (CapExceeded, CharacteristicIdeal, InsufficientModulus,
-                     InvariantError, NotFound)
+from .errors import CapExceeded, CharacteristicIdeal, InvariantError, NotFound
 from .finitefield import FIELD_SIZE_LIMIT, _eliminate, _solve, extension_of
 from .ore import ore_eval, ore_kernel, ore_splitting_degree, separable_part
-from .upoly import UPoly, upoly_crt, upoly_det, upoly_gcd, upoly_irreducible
+from .upoly import UPoly, upoly_det, upoly_gcd, upoly_irreducible
 
 BASIS_RETRY_LIMIT = 100
 
@@ -134,7 +131,6 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
     m = splitting_degree(E, ell, n, cap, walk)
     ext, emb = extension_of(E.L, m, seed)
     kernel = ore_kernel(phi_lam, ext)
-    points = kernel.points
 
     phi_t_ext = E.phi_t.map_field(emb)
     # the images u_b in ext of the F_p-basis x^b of the constants
@@ -152,7 +148,7 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
         if tries > BASIS_RETRY_LIMIT:
             raise NotFound(BASIS_RETRY_LIMIT,
                            "basis sampling failed to certify freeness")
-        z = rng.choice(points)
+        z = rng.choice(kernel)
         # z is free over the basis so far exactly when the F_p-generators
         # u_b phi_t^j(z) of its orbit are independent of the pivots so far
         cols, w = [], z
@@ -167,7 +163,7 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
 
     if len(pivots) != kernel.dim:  # pragma: no cover - freeness guarantees this
         raise NotFound(BASIS_RETRY_LIMIT, "span does not exhaust the kernel")
-    return TorsionModule(E, ell, n, ext, emb, points, tuple(basis), pivots,
+    return TorsionModule(E, ell, n, ext, emb, kernel, tuple(basis), pivots,
                          phi_t_ext)
 
 
@@ -198,142 +194,3 @@ def torsion_point_count(E: DrinfeldModule, a: UPoly, cap: int = 12):
         return 1, 1
     m = ore_splitting_degree(g, cap)
     return E.p ** g.deg, m
-
-
-# ---------------------------------------------------------------------------
-# Frobenius norms
-
-@dataclass(frozen=True)
-class FrobeniusReport:
-    """Reconstruction of the Frobenius determinant as an element of F_q[t]."""
-
-    place: UPoly | None
-    d: int
-    residues: tuple  # of (ell, n, matrix | None, det) entries
-    s_exact: UPoly
-    s_monic: UPoly
-    independence: bool
-    degree_ok: bool
-    char_divides: bool
-    char_power: int | None = field(default=None)
-
-    @property
-    def all_ok(self):
-        return self.independence and self.degree_ok and self.char_divides
-
-    def ells_text(self):
-        return ";".join(f"{ell.to_text()}^{n}" if n > 1 else ell.to_text()
-                        for ell, n, _, _ in self.residues)
-
-    def to_dict(self):
-        return {
-            "place": self.place.to_text("x") if self.place is not None else None,
-            "d": self.d,
-            "primes": [{"ell": ell.to_text(), "n": n,
-                        "det": det.to_text()}
-                       for ell, n, _, det in self.residues],
-            "s": self.s_exact.to_text(),
-            "s_monic": self.s_monic.to_text(),
-            "independence": self.independence,
-            "degree_ok": self.degree_ok,
-            "char_divides": self.char_divides,
-            "char_power": self.char_power,
-        }
-
-    def csv_row(self):
-        return [
-            self.place.to_text("x") if self.place is not None else "",
-            str(self.d),
-            self.ells_text(),
-            self.s_exact.to_text(),
-            str(self.independence).lower(),
-            str(self.degree_ok).lower(),
-            str(self.char_divides).lower(),
-        ]
-
-    CSV_HEADER = ("place", "d", "ells", "s", "independence", "deg_check",
-                  "char_divides_check")
-
-
-def _crt_lift(entries, d: int, q: int):
-    """Degree-d element from residues; entries are (det, modulus) pairs."""
-    total = sum(m.deg for _, m in entries)
-    if total < d:
-        raise InsufficientModulus(
-            f"combined modulus degree {total} < place degree {d}")
-    rep = upoly_crt([(v, m) for v, m in entries])
-    if total == d:
-        if q != 2:
-            raise InsufficientModulus(
-                "degree-d modulus pins the lift only over F_2")
-        big = entries[0][1]
-        for _, m in entries[1:]:
-            big = big * m
-        return rep + big
-    return rep
-
-
-def _independent(entries, s: UPoly, d: int) -> bool:
-    """Whether every subset of entries with modulus degree above d lifts to s.
-
-    A CRT lift is the unique solution below the product of its moduli, so a
-    subset lifts to s exactly when s meets its congruences and deg s is
-    below its degree sum; it suffices to check every congruence and the
-    least subset-degree sum above d.
-    """
-    sums = {0}
-    for _, m in entries:
-        sums |= {t + m.deg for t in sums}
-    above = [t for t in sums if t > d]
-    if not above:
-        return True
-    return (s.deg < min(above)
-            and all(((s - v) % m).is_zero() for v, m in entries))
-
-
-def dm_frobenius_norm(E: DrinfeldModule, primes, cap: int = 12, seed: int = 0,
-                      place: UPoly | None = None) -> FrobeniusReport:
-    """Determinants of Frobenius on each E[l^n], CRT-assembled into F_q[t].
-
-    primes: list of (l, n) with distinct monic irreducible l, none equal to
-    the characteristic ideal.
-    """
-    seen = set()
-    for ell, n in primes:
-        _validate_ell(E, ell)
-        if ell in seen:
-            raise ValueError("repeated prime in reconstruction set")
-        seen.add(ell)
-    residues = []
-    for ell, n in primes:
-        T = dm_torsion(E, ell, n, cap=cap, seed=seed)
-        residues.append((ell, n) + dm_frobenius_det(T))
-    s = _crt_lift([(det, ell ** n) for ell, n, _, det in residues], E.d, E.q)
-    return frobenius_report(E, residues, s, place)
-
-
-def frobenius_report(E: DrinfeldModule, residues, s: UPoly,
-                     place: UPoly | None = None) -> FrobeniusReport:
-    """The report on s from its residues (l, n, matrix | None, s mod l^n)."""
-    d = E.d
-    entries = [(det, ell ** n) for ell, n, _, det in residues]
-    degree_ok = s.deg == d
-    char_divides = not E.delta(s)
-
-    independence = _independent(entries, s, d)
-
-    char_power = None
-    if degree_ok:
-        mono = s.monic()
-        power = 0
-        probe = mono
-        while probe.deg >= E.char_poly.deg and (probe % E.char_poly).is_zero():
-            probe = probe // E.char_poly
-            power += 1
-        if probe.deg == 0 and power > 0:
-            char_power = power
-
-    return FrobeniusReport(place=place, d=d, residues=tuple(residues),
-                           s_exact=s, s_monic=s.monic(),
-                           independence=independence, degree_ok=degree_ok,
-                           char_divides=char_divides, char_power=char_power)

@@ -115,7 +115,7 @@ def _brute_force_frobenius_polynomial(E, report):
     reconstruction torsion point; independent of the matrix/CRT path."""
     Fq = E.constants
     d = E.d
-    torsions = [dm_torsion(E, ell, n, cap=24) for ell, n, _, _ in
+    torsions = [dm_torsion(E, ell, n, cap=24) for ell, n, _ in
                 report.residues]
     matches = []
     for code in range(Fq.size ** (d + 1)):
@@ -158,7 +158,7 @@ def test_criterion_3_frobenius_norm():
             lifts = []
             for subset in (set1, set2):
                 residues = [(det, ell ** n)
-                            for ell, n, _, det in report.residues
+                            for ell, n, det in report.residues
                             if (ell, n) in subset]
                 assert len(residues) == len(subset)
                 rep = upoly_crt(residues)

@@ -331,4 +331,4 @@ def test_ore_kernel_of_a_tau_degree_8_operator():
     ker = ore_kernel(f, F)
     rows = rows_of(F, [f(F.from_encoding(2 ** j)).v for j in range(F.n)])
     assert [b.to_list() for b in ker.basis] == nullspace(rows, 2)
-    assert all(not f(x) for x in ker.points)
+    assert all(not f(x) for x in ker)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drinfeld import (DrinfeldModule, FFElem, OrePoly, UPoly,
+from drinfeld import (DrinfeldModule, FField, FFElem, OrePoly, UPoly,
                       carlitz_family, choose_prime_sets, dm_frobenius_matrix,
                       dm_frobenius_norm, dm_torsion, extension_of, ff_make,
                       monic_irreducibles, ore_eval, ore_kernel, parse_upoly,
@@ -12,7 +12,7 @@ from drinfeld import (DrinfeldModule, FFElem, OrePoly, UPoly,
 from drinfeld import reports, torsion
 from drinfeld.errors import (CapExceeded, CharacteristicIdeal,
                              InsufficientModulus)
-from drinfeld.torsion import _crt_lift, _independent
+from drinfeld.reports import _crt_lift, _independent
 from drinfeld.upoly import upoly_det
 
 
@@ -111,7 +111,7 @@ def test_carlitz_norm_reconstruction(F2, carlitz_f4):
 def test_norm_residue_consistency(F2, carlitz_f4):
     t = UPoly.x(F2)
     rep = dm_frobenius_norm(carlitz_f4, [(t, 1), (t + 1, 1)])
-    for ell, n, _, det in rep.residues:
+    for ell, n, det in rep.residues:
         assert rep.s_exact % (ell ** n) == det
 
 
@@ -269,6 +269,18 @@ def test_failing_prime_set_search_splits_each_candidate_once(monkeypatch):
     assert ore_walks == []
 
 
+def test_prime_sets_reach_the_last_pool_degree():
+    # rank 2 over F_16 with d = 4: the second set needs a prime of degree
+    # 8 = d + 4, which only the last pass admits
+    L = FField(2, 4, (1, 1, 0, 0, 1))
+    E = DrinfeldModule(L, L.element([1, 1, 0, 0]),
+                       [L.element([0, 0, 1, 0]), L.element([0, 0, 1, 1])])
+    sets = choose_prime_sets(E, cap=24)
+    assert [[(ell.to_text(), n) for ell, n in acc] for acc in sets] == [
+        [("t", 1), ("t+1", 1), ("t^2+t+1", 1), ("t^4+t^3+1", 1)],
+        [("t^4+t^3+t^2+t+1", 1), ("t^8+t^5+t^3+t+1", 1)]]
+
+
 def test_determinant_helper(F2):
     t = UPoly.x(F2)
     mod = t ** 3
@@ -347,7 +359,7 @@ def _reference_sampler(E, ell, n, seed, cap=24):
     """dm_torsion's points, basis and coordinates by FFElem sums."""
     ext, emb = extension_of(E.L, torsion.splitting_degree(E, ell, n, cap),
                             seed)
-    points = tuple(sorted(ore_kernel(E.phi(ell ** n), ext).points,
+    points = tuple(sorted(ore_kernel(E.phi(ell ** n), ext),
                           key=FFElem.encode))
     width = n * ell.deg
     residues = tuple(UPoly.from_encoding(E.constants, k)
