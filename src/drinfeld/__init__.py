@@ -15,8 +15,8 @@ from .frobrec import (NOT_FROBENIUS, XTOY, YTOX, FrobClassification,
                       consistency_exponents, frobenius_target,
                       recover_monomial_exponent, strip_p_powers,
                       theorem_frob_res)
-from .motive import (DetMotive, MotiveMatrix, det_drinfeld, motive_det,
-                     motive_frobenius_norm, motive_matrix, verify_tate_det)
+from .motive import (det_drinfeld, motive_det, motive_frobenius_norm,
+                     motive_matrix, verify_tate_det)
 from .ore import (OrePoly, ore_divmod_left, ore_divmod_right, ore_eval,
                   ore_kernel, ore_splitting_degree, separable_part)
 from .ratfunc import RationalFunction, parse_ratfunc
@@ -25,8 +25,7 @@ from .reports import (FrobeniusReport, choose_prime_sets, dm_frobenius_norm,
                       residual_table)
 from .torsion import (TorsionModule, dm_frobenius_matrix, dm_torsion,
                       torsion_point_count)
-from .upoly import (UPoly, minimal_polynomial, monic_irreducibles,
-                    parse_upoly, upoly_crt, upoly_gcd, upoly_irreducible,
-                    upoly_roots, upoly_xgcd)
+from .upoly import (UPoly, monic_irreducibles, parse_upoly, upoly_crt,
+                    upoly_gcd, upoly_irreducible, upoly_roots, upoly_xgcd)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -55,6 +55,17 @@ def _poly_arg(text, base, var="t") -> UPoly:
     return parse_upoly(stripped, base, var)
 
 
+def _split_outside_brackets(text):
+    """text cut at the commas that no [...] encloses."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "[") - (ch == "]")
+        if ch == "," and not depth:
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
+
+
 def _required(args, name):
     """A per-op option, which argparse cannot mark as required."""
     value = getattr(args, name)
@@ -177,7 +188,7 @@ def _cmd_drinfeld(args, stdin, out):
     if args.op == "frobnorm":
         if args.primes:
             primes = []
-            for chunk in args.primes.split(","):
+            for chunk in _split_outside_brackets(args.primes):
                 text, _, power = chunk.partition(":")
                 primes.append((_poly_arg(text, E.constants, "t"),
                                int(power) if power else 1))
@@ -208,11 +219,11 @@ def _cmd_residual(args, stdin, out):
 def _cmd_motive(args, stdin, out):
     E = _load_module(args, stdin, args.seed)
     if args.op == "det":
-        data = motive_det(E)
+        det = motive_det(E)
         psi = det_drinfeld(E)
         out.write(_dump_json({
-            "c": data.unit.to_list(),
-            "factor": data.factor.to_text(),
+            "c": det.leading().to_list(),
+            "factor": det.monic().to_text(),
             "psi_t": psi.to_dict()}))
         return 0
     if args.op == "verify-tate-det":
@@ -300,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dr.add_argument("--ell", default=None, help="monic irreducible in t")
     p_dr.add_argument("--n", type=int, default=1)
     p_dr.add_argument("--primes", default=None,
-                      help="comma list like 't:1,t+1:2'")
+                      help="comma list like 't:1,t+1:2' or 't+[1,0]:1'")
 
     p_ca = add_parser("carlitz", help="norm table for t -> theta + tau^e")
     p_ca.add_argument("op", choices=("table",))

@@ -7,10 +7,10 @@ the constants c in F_q as multiplication by c^(p^twist).
 
 from __future__ import annotations
 
-from .errors import FieldMismatch, Reducible
+from .errors import FieldMismatch, InvariantError, Reducible
 from .finitefield import FFElem, FField, ff_embed, ff_make
 from .ore import OrePoly
-from .upoly import UPoly, minimal_polynomial, upoly_irreducible
+from .upoly import UPoly, upoly_irreducible
 
 
 class DrinfeldModule:
@@ -82,36 +82,46 @@ class DrinfeldModule:
 
     def constant_action(self, c: FFElem) -> FFElem:
         """Image in L of a constant c in F_q, i.e. c^(p^twist)."""
-        if c.field != self.constants:
-            raise FieldMismatch("constant outside F_q")
-        return self.const_embedding(c.p_power(self.twist))
+        return self.lift(UPoly(self.constants, [c])).constant()
+
+    def lift(self, a: UPoly) -> UPoly:
+        """a in F_q[t] as a polynomial over L: each coefficient c becomes
+        c^(p^twist), embedded in L."""
+        if a.base != self.constants:
+            raise FieldMismatch("coefficient polynomial not over F_q")
+        return a.frobenius(self.twist).map_field(self.const_embedding)
+
+    def descend(self, f: UPoly) -> UPoly:
+        """Inverse of lift, for f over L with coefficients in the image."""
+        coeffs = [self.const_embedding.preimage(c) for c in f.coeffs]
+        if None in coeffs:
+            raise InvariantError("polynomial has a coefficient outside F_q")
+        return UPoly(self.constants, coeffs).frobenius(-self.twist)
 
     def phi(self, a: UPoly) -> OrePoly:
         """Operator of a in F_q[t], by Horner over phi_t."""
-        if a.base != self.constants:
-            raise FieldMismatch("coefficient polynomial not over F_q")
         acc = OrePoly.zero(self.L)
-        for c in reversed(a.coeffs):
-            acc = acc * self.phi_t + OrePoly.scalar(self.constant_action(c))
+        for c in reversed(self.lift(a).coeffs):
+            acc = acc * self.phi_t + OrePoly.scalar(c)
         return acc
 
     def delta(self, a: UPoly) -> FFElem:
         """Characteristic morphism: constant term of the operator of a."""
-        if a.base != self.constants:
-            raise FieldMismatch("coefficient polynomial not over F_q")
-        acc = self.L.zero
-        for c in reversed(a.coeffs):
-            acc = acc * self.theta + self.constant_action(c)
-        return acc
+        return self.lift(a).eval(self.theta)
 
     @property
     def char_poly(self) -> UPoly:
-        """Monic irreducible generator of ker(delta) in F_q[t]."""
+        """Monic irreducible generator of ker(delta) in F_q[t]: the
+        product of t - c over the conjugates c = theta^(q^i), descended."""
         if self._char_poly is None:
-            m = minimal_polynomial(self.theta, self.constants,
-                                   self.const_embedding)
-            if self.twist:
-                m = m.frobenius(-self.twist)
+            L, theta = self.L, self.theta
+            m, c = UPoly.one(L), theta
+            while True:
+                m = m * UPoly(L, [-c, L.one])
+                c = c.p_power(self.e)
+                if c == theta:
+                    break
+            m = self.descend(m)
             if not upoly_irreducible(m):
                 raise Reducible(f"characteristic polynomial {m.to_text()} "
                                 "is reducible")

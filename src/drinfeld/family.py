@@ -140,7 +140,7 @@ def dm_residual_frobenius_check(family: DrinfeldFamily, prime: UPoly,
     for k in range(family.e * place.degree):
         if g_val == power:
             return k
-        power = power ** family.p
+        power = power.p_power(1)
     return None
 
 

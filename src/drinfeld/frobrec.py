@@ -170,12 +170,12 @@ def _partial_reducibility_check(P: BivarPoly):
             raise Reducible("repeated factor detected in Y")
 
 
-def _orbit_map(x, p, m):
+def _orbit_map(x, m):
     orbit = {}
     val = x
     for j in range(m):
         orbit.setdefault(val, j)
-        val = val ** p
+        val = val.p_power(1)
     return orbit
 
 
@@ -193,7 +193,7 @@ def _witness_scan(Q, F, skip=()):
         Qx = Q.eval_x(x)
         if Qx.is_zero():  # pragma: no cover - unit content forbids this
             continue
-        orbit = _orbit_map(x, F.p, F.n)
+        orbit = _orbit_map(x, F.n)
         for root in upoly_roots(Qx, F):
             if root not in orbit:
                 return (F, x, root)
@@ -281,7 +281,7 @@ def classify_frobenius_bivariate(P: BivarPoly,
                           or upoly_gcd(Qx, Qx.derivative()).deg != 0)
         if not degenerate:
             roots = upoly_roots(Qx, F)
-            orbit = _orbit_map(x, p, m)
+            orbit = _orbit_map(x, m)
             for root in roots:
                 if root not in orbit:
                     return FrobClassification(kind=NOT_FROBENIUS,

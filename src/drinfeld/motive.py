@@ -12,7 +12,6 @@ scalar in front transports to the rank-1 module below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .dmodule import DrinfeldModule
@@ -23,44 +22,9 @@ from .torsion import dm_frobenius_det, dm_torsion, splitting_degree
 from .upoly import UPoly, upoly_det
 
 
-@dataclass(frozen=True)
-class MotiveMatrix:
-    """Companion-basis matrix of the semilinear operator, entries in L[t]."""
-
-    module: DrinfeldModule
-    entries: tuple  # r x r rows of UPoly over L
-
-    @property
-    def size(self):
-        return self.module.r
-
-    def sigma(self, poly: UPoly, k: int = 1) -> UPoly:
-        """Coefficient q^k-power twist, fixing t."""
-        return poly.frobenius(self.module.e * k)
-
-    def apply(self, vector):
-        """One application of the operator to a vector of L[t]-polynomials."""
-        twisted = [self.sigma(v) for v in vector]
-        return tuple(
-            sum((row[j] * twisted[j] for j in range(self.size)),
-                UPoly.zero(self.entries[0][0].base))
-            for row in self.entries)
-
-    def det(self) -> UPoly:
-        return upoly_det(self.entries)
-
-
-@dataclass(frozen=True)
-class DetMotive:
-    """Rank-1 determinant data: the operator is c*(t - theta) twisted by sigma."""
-
-    module: DrinfeldModule
-    unit: object          # nonzero FFElem c
-    factor: UPoly         # t - theta
-
-
-def motive_matrix(E: DrinfeldModule) -> MotiveMatrix:
-    """Companion matrix in the basis (1, tau^e, ..., tau^(e(r-1)))."""
+def motive_matrix(E: DrinfeldModule) -> tuple:
+    """Companion matrix in the basis (1, tau^e, ..., tau^(e(r-1))): r rows
+    of r polynomials over L."""
     L = E.L
     r = E.r
     lead_inv = E.coeffs[-1].inverse()
@@ -79,20 +43,18 @@ def motive_matrix(E: DrinfeldModule) -> MotiveMatrix:
             else:
                 row.append(UPoly.zero(L))
         rows.append(tuple(row))
-    return MotiveMatrix(module=E, entries=tuple(rows))
+    return tuple(rows)
 
 
-def motive_det(E: DrinfeldModule) -> DetMotive:
-    """Determinant of the companion matrix; degree 1 in t with root theta."""
-    M = motive_matrix(E)
-    det = M.det()
+def motive_det(E: DrinfeldModule) -> UPoly:
+    """Determinant c*(t - theta) of the companion matrix, checked to be
+    linear in t with root theta; .leading() is c and .monic() is t - theta."""
+    det = upoly_det(motive_matrix(E))
     if det.deg != 1:
         raise InvariantError("determinant is not linear in t")
-    unit = det.leading()
-    factor = det * unit.inverse()
-    if factor.eval(E.theta):
+    if det.eval(E.theta):
         raise InvariantError("determinant root differs from theta")
-    return DetMotive(module=E, unit=unit, factor=factor)
+    return det
 
 
 def motive_frobenius_norm(E: DrinfeldModule) -> UPoly:
@@ -102,17 +64,12 @@ def motive_frobenius_norm(E: DrinfeldModule) -> UPoly:
     multiplicative, so s = prod_{i<d} sigma^i(c*(t - theta)) with c*(t - theta)
     = det M (the closed form of Gekeler, Trans. AMS 2008).
     """
-    data = motive_det(E)
-    det = data.factor * data.unit
+    det = motive_det(E)
     s = UPoly.one(det.base)
     for _ in range(E.d):
         s = s * det
         det = det.frobenius(E.e)
-    coeffs = [E.const_embedding.preimage(c) for c in s.coeffs]
-    if None in coeffs:
-        raise InvariantError("motive norm has a coefficient outside F_q")
-    # constants act on L as c -> c^(p^twist), as in char_poly
-    s = UPoly(E.constants, coeffs).frobenius(-E.twist)
+    s = E.descend(s)
     if s.deg != E.d:
         raise InvariantError(f"motive norm has degree {s.deg}, not {E.d}")
     return s
@@ -128,15 +85,15 @@ def motive_frobenius(E: DrinfeldModule):
     zero = UPoly.zero(E.L)
 
     def times(P, Q, a):  # P * sigma^a(Q)
-        return tuple(tuple(sum((x * M.sigma(Q[k][j], a)
+        return tuple(tuple(sum((x * Q[k][j].frobenius(E.e * a)
                                 for k, x in enumerate(row)), zero)
                            for j in range(E.r)) for row in P)
 
-    P, a = M.entries, 1
+    P, a = M, 1
     for bit in bin(E.d)[3:]:
         P, a = times(P, P, a), 2 * a
         if bit == "1":
-            P, a = times(P, M.entries, a), a + 1
+            P, a = times(P, M, a), a + 1
     return P
 
 
@@ -152,9 +109,7 @@ def motive_splitting_degree(E: DrinfeldModule, frob, ell: UPoly, n: int,
     L = E.L
 
     def walk(lam):
-        # constant_action on every coefficient: the twist, then the embedding
-        lam = lam.frobenius(E.twist).map_field(E.const_embedding)
-        ring = ResidueRing(L, lam.vs, E.r)
+        ring = ResidueRing(L, E.lift(lam).vs, E.r)
         A = [[ring.pack(x.vs) for x in row] for row in frob]
         count = 2 * ring.D - 1
         return frobenius_order(
@@ -167,7 +122,7 @@ def motive_splitting_degree(E: DrinfeldModule, frob, ell: UPoly, n: int,
 
 def det_drinfeld(E: DrinfeldModule) -> DrinfeldModule:
     """The rank-1 module whose matrix presentation realizes the determinant."""
-    c = motive_det(E).unit
+    c = motive_det(E).leading()
     return DrinfeldModule(E.L, E.theta, [c.inverse()],
                           constants=E.constants, twist=E.twist)
 

@@ -67,8 +67,8 @@ class TorsionModule:
 
     def frobenius_matrix(self):
         """Matrix of x -> x^|L| on the basis, entries in A/l^n."""
-        Q = self.module.L.size
-        return self._matrix([b ** Q for b in self.basis])
+        n = self.module.L.n
+        return self._matrix([b.p_power(n) for b in self.basis])
 
     def t_matrix(self):
         return self._matrix([self.t_action(b) for b in self.basis])

@@ -16,8 +16,7 @@ import re
 from itertools import repeat
 
 from .errors import (BoundExceeded, DivisionByZero, FieldMismatch,
-                     InvariantError, NonCoprimeModuli, ParseError,
-                     ZeroPolynomial)
+                     NonCoprimeModuli, ParseError, ZeroPolynomial)
 from .finitefield import SCAN_LIMIT, FFElem, FField, FieldEmbedding, ff_embed
 from .intutil import _power
 from .polykernel import ResidueRing, poly_kernel
@@ -422,29 +421,6 @@ def irreducible_divisors(f: UPoly):
     return found
 
 
-def minimal_polynomial(elem: FFElem, sub: FField,
-                       emb: FieldEmbedding | None = None) -> UPoly:
-    """Monic minimal polynomial of elem over the embedded subfield.
-
-    It is the product of (X - c) over the conjugates c = elem^(|sub|^i),
-    whose coefficients descend to sub through the embedding.
-    """
-    sup = elem.field
-    if emb is None:
-        emb = ff_embed(sub, sup)
-    prod, c = UPoly.one(sup), elem
-    while True:
-        prod = prod * UPoly(sup, [-c, sup.one])
-        c = c ** sub.size
-        if c == elem:
-            break
-    coeffs = [emb.preimage(c) for c in prod.coeffs]
-    if None in coeffs:
-        raise InvariantError("minimal polynomial has a coefficient outside "
-                             "the subfield")
-    return UPoly(sub, coeffs)
-
-
 def lagrange_interpolator(xs, base: FField):
     """ys -> the unique polynomial of degree < len(xs) through (x_i, y_i).
 
@@ -488,17 +464,19 @@ def upoly_resultant(f: UPoly, g: UPoly) -> FFElem:
 
 
 # ---------------------------------------------------------------------------
-# text parsing: sparse sums like "t^2+t+1", "3*t^4+2", coefficients in F_p
+# text parsing: sparse sums like "t^2+t+1", "3*t^4+2", "[0,1]*t+[1,1]"
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:([A-Za-z])(?:\^(\d+))?)?$")
+_TERM_RE = re.compile(r"^(?:(\d+|\[\d+(?:,\d+)*\])\*?)?"
+                      r"(?:([A-Za-z])(?:\^(\d+))?)?$")
 
 
 def parse_upoly(text: str, base: FField, var: str = "t") -> UPoly:
-    """Parse a sparse polynomial with integer (prime-field) coefficients."""
+    """Parse a sparse polynomial.  A coefficient is an integer, read in F_p,
+    or [c_0,...,c_(n-1)], the element sum c_i x^i that to_text writes."""
     s = text.replace(" ", "").replace("-", "+-")
     if not s or s == "+":
         raise ParseError(f"empty polynomial text: {text!r}")
-    coeffs: dict[int, int] = {}
+    coeffs: dict[int, int] = {}  # exponent -> element int
     for raw in s.split("+"):
         if not raw:
             continue
@@ -508,17 +486,19 @@ def parse_upoly(text: str, base: FField, var: str = "t") -> UPoly:
         m = _TERM_RE.match(raw)
         if not m or (m.group(2) is None and m.group(1) is None):
             raise ParseError(f"bad term {raw!r} in {text!r}")
-        cv = int(m.group(1)) if m.group(1) else 1
+        cs = m.group(1) or "1"
+        c = base.element([int(v) for v in cs[1:-1].split(",")]
+                         if cs.startswith("[") else int(cs))
         if m.group(2) is not None and m.group(2) != var:
             raise ParseError(f"unexpected variable {m.group(2)!r}; want {var!r}")
         exp = 0 if m.group(2) is None else int(m.group(3) or 1)
         if exp > SCAN_LIMIT:
             raise BoundExceeded(f"exponent {exp} is above {SCAN_LIMIT}")
         if negate:
-            cv = -cv
-        coeffs[exp] = coeffs.get(exp, 0) + cv
+            c = -c
+        coeffs[exp] = base._add(coeffs.get(exp, 0), c.v)
     # a sparse text may name x^(2^21): build elements for its terms only
     vs = [0] * (max(coeffs) + 1 if coeffs else 0)
-    for e, c in coeffs.items():
-        vs[e] = c % base.p
+    for e, v in coeffs.items():
+        vs[e] = v
     return UPoly._of(base, vs)

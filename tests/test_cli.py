@@ -618,3 +618,24 @@ def test_table_lists_the_irreducibles_of_each_degree_once():
     info = listing.cache_info()
     assert code == 0 and info.hits > 0
     assert info.misses == info.currsize < info.maxsize
+
+
+F4_IN_F16_MODULE = ('{"field":{"p":2,"n":4,"modulus":[1,1,0,0,1]},'
+                    '"theta":[0,1,0,0],"coeffs":[[1,0,0,0]],"e":2}')
+
+
+@pytest.mark.parametrize("primes", [
+    "t:1,t+[1,0]:1,t+[0,1]:1,t+[1,1]:1,t^2+t+[1,1]:1",
+    "t:1,[[1,0],[1,0]]:1,t+[0,1]:1,t+[1,1]:1,[[1,1],[1,0],[1,0]]:1",
+])
+def test_frobnorm_primes_read_back_what_frobnorm_prints(primes):
+    # q = 4: the primes are the ones the motive route prints, as text and
+    # as JSON coefficient lists; the torsion route then finds the same s
+    code, out = run_cli(FROBNORM_MODULE, F4_IN_F16_MODULE)
+    motive_route = json.loads(out)
+    assert code == 0 and motive_route["s"] == "t^2+t+[0,1]"
+    code, out = run_cli(FROBNORM_MODULE + ["--primes", primes],
+                        F4_IN_F16_MODULE)
+    assert (code, json.loads(out)["s"]) == (0, motive_route["s"])
+    assert [entry["ell"] for entry in motive_route["primes"]] == [
+        "t", "t+[1,0]", "t+[0,1]", "t+[1,1]", "t^2+t+[1,1]"]

@@ -1,11 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeld import (DrinfeldModule, OrePoly, UPoly, carlitz_module,
                       dm_characteristic, dm_phi, ff_embed, ff_make,
                       upoly_irreducible)
-from drinfeld.errors import FieldMismatch
+from drinfeld.errors import FieldMismatch, InvariantError
+from test_field_linalg import solve
+
+# (p, [F_q : F_p], [L : F_q]): F_4 in F_16, F_8 in F_64, F_9 in F_81
+TWISTED_FIELDS = ((2, 2, 2), (2, 3, 2), (3, 2, 2))
 
 
 def _rand_coeff_poly(field, rng, max_deg):
@@ -144,3 +150,51 @@ def test_carlitz_helper(F4, carlitz_f4):
 def test_phi_rejects_wrong_coefficient_field(F4, carlitz_f4):
     with pytest.raises(FieldMismatch):
         carlitz_f4.phi(UPoly.one(F4))
+
+
+def _minimal_polynomial_by_solves(elem, sub, emb):
+    """Oracle: solve for the first power of elem in the span of the lower ones."""
+    sup = elem.field
+    sub_basis = [emb(sub.from_encoding(sub.p ** i)) for i in range(sub.n)]
+    powers = [sup.one]
+    for _ in range(sup.n // sub.n):
+        powers.append(powers[-1] * elem)
+    for j in range(1, len(powers)):
+        cols = [(b * powers[i]).coeffs for i in range(j) for b in sub_basis]
+        rows = [[col[r] for col in cols] for r in range(sup.n)]
+        sol = solve(rows, list(powers[j].coeffs), sup.p)
+        if sol is not None:
+            return UPoly(sub, [-sub.element(sol[i * sub.n:(i + 1) * sub.n])
+                               for i in range(j)] + [sub.one])
+    raise AssertionError("no relation below the field degree")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(TWISTED_FIELDS), st.data())
+def test_lift_and_descend_carry_the_twist(fields, data):
+    # at e = 3 a twist of the wrong sign is another automorphism of F_q
+    p, e, d = fields
+    Fq, L = ff_make(p, e, 0), ff_make(p, e * d, 0)
+    emb = ff_embed(Fq, L)
+    theta = L.from_encoding(data.draw(st.integers(0, L.size - 1)))
+    twist = data.draw(st.integers(0, e - 1))
+    E = DrinfeldModule(L, theta, [L.one], constants=Fq, twist=twist)
+    polys = st.lists(st.integers(0, Fq.size - 1), max_size=4).map(
+        lambda ks: UPoly(Fq, [Fq.from_encoding(k) for k in ks]))
+    a, b = data.draw(polys), data.draw(polys)
+    assert E.descend(E.lift(a)) == a
+    assert E.lift(a * b) == E.lift(a) * E.lift(b)
+    c = Fq.from_encoding(data.draw(st.integers(0, Fq.size - 1)))
+    assert E.constant_action(c) == emb(c.p_power(twist))
+    assert E.phi(a).constant() == E.delta(a)
+    oracle = _minimal_polynomial_by_solves(theta, Fq, emb)
+    assert E.char_poly == oracle.frobenius(-twist)
+    assert not E.delta(E.char_poly)
+
+
+def test_descend_rejects_a_coefficient_outside_fq():
+    F4, F16 = ff_make(2, 2, 0), ff_make(2, 4, 0)
+    E = DrinfeldModule(F16, ff_embed(F4, F16)(F4.gen), [F16.one],
+                       constants=F4, twist=1)
+    with pytest.raises(InvariantError, match="outside F_q"):
+        E.descend(UPoly(F16, [F16.one, F16.gen]))

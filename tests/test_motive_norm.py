@@ -9,11 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import drinfeld
-from drinfeld import (DetMotive, DrinfeldFamily, DrinfeldModule, UPoly,
-                      carlitz_module, choose_prime_sets, dm_frobenius_norm,
-                      ff_embed, ff_make, motive, motive_det,
-                      motive_frobenius_norm, norm_report, parse_upoly,
-                      upoly_crt)
+from drinfeld import (DrinfeldFamily, DrinfeldModule, UPoly, carlitz_module,
+                      choose_prime_sets, dm_frobenius_norm, ff_embed, ff_make,
+                      motive, motive_det, motive_frobenius_norm, norm_report,
+                      parse_upoly, upoly_crt)
 from drinfeld.cli import main
 from drinfeld.errors import InsufficientModulus, InvariantError
 
@@ -131,17 +130,15 @@ def test_motive_norm_rejects_a_coefficient_outside_fq(carlitz_f4,
     # fixed by squaring, so its product has coefficients outside F_2
     F16 = ff_make(2, 4, 0)
     wide = carlitz_module(F16)
-    wrong = DetMotive(module=carlitz_f4, unit=F16.gen,
-                      factor=motive_det(wide).factor)
+    wrong = motive_det(wide).monic() * F16.gen
     monkeypatch.setattr(motive, "motive_det", lambda E: wrong)
     with pytest.raises(InvariantError, match="outside F_q"):
         motive_frobenius_norm(carlitz_f4)
 
 
 def test_motive_norm_rejects_a_wrong_degree(rank2_f4, monkeypatch):
-    data = motive_det(rank2_f4)
-    squared = DetMotive(module=rank2_f4, unit=data.unit,
-                        factor=data.factor * data.factor)
+    det = motive_det(rank2_f4)
+    squared = det * det.monic()
     monkeypatch.setattr(motive, "motive_det", lambda E: squared)
     with pytest.raises(InvariantError, match="degree 4, not 2"):
         motive_frobenius_norm(rank2_f4)

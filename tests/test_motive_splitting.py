@@ -14,6 +14,7 @@ from drinfeld.motive import motive_frobenius, motive_splitting_degree
 from drinfeld.polykernel import poly_kernel
 from drinfeld.torsion import splitting_degree
 from drinfeld.upoly import irreducibles_of_degree
+from test_motive import apply
 from test_motive_norm import _benchmark_modules
 
 # the Carlitz tables of the benchmark's carlitz_tables workload: (p, e, deg)
@@ -37,7 +38,7 @@ def test_motive_frobenius_is_the_d_fold_operator(rank2_f4):
             v = tuple(UPoly.one(E.L) if i == j else UPoly.zero(E.L)
                       for i in range(E.r))
             for _ in range(E.d):
-                v = M.apply(v)
+                v = apply(E, M, v)
             columns.append(v)
         A = motive_frobenius(E)
         assert A == tuple(zip(*columns))

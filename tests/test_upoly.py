@@ -4,17 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld import (UPoly, ff_make, minimal_polynomial, monic_irreducibles,
+from drinfeld import (DrinfeldModule, UPoly, ff_make, monic_irreducibles,
                       parse_upoly, upoly_crt, upoly_gcd, upoly_irreducible,
                       upoly_roots, upoly_xgcd)
-from drinfeld.errors import (BoundExceeded, FieldMismatch, InvariantError,
-                             NonCoprimeModuli, ZeroPolynomial)
-from drinfeld.finitefield import (FFElem, FField, FieldEmbedding,
-                                  _pirreducible, ff_embed)
+from drinfeld.errors import (BoundExceeded, FieldMismatch, NonCoprimeModuli,
+                             ZeroPolynomial)
+from drinfeld.finitefield import FFElem, FField, _pirreducible, ff_embed
 from drinfeld.upoly import (NEG_INF, irreducibles_of_degree,
                             lagrange_interpolate, upoly_powmod,
                             upoly_resultant)
-from test_field_linalg import solve
+from test_dmodule import _minimal_polynomial_by_solves
 
 
 def _rand_poly(field, rng, max_deg):
@@ -180,27 +179,12 @@ def test_irreducible_counts_match_necklace_formula(p, n, max_deg):
                                                      for f in found)
 
 
-def test_minimal_polynomial_of_w(F2, F4):
-    mp = minimal_polynomial(F4.gen, F2)
+# The minimal polynomial of x over a subfield is the characteristic
+# polynomial of any untwisted module with theta = x.
+
+def test_minimal_polynomial_of_w(F2, carlitz_f4):
     t = UPoly.x(F2)
-    assert mp == t * t + t + 1
-
-
-def _minimal_polynomial_by_solves(elem, sub, emb):
-    """Oracle: solve for the first power of elem in the span of the lower ones."""
-    sup = elem.field
-    sub_basis = [emb(sub.from_encoding(sub.p ** i)) for i in range(sub.n)]
-    powers = [sup.one]
-    for _ in range(sup.n // sub.n):
-        powers.append(powers[-1] * elem)
-    for j in range(1, len(powers)):
-        cols = [(b * powers[i]).coeffs for i in range(j) for b in sub_basis]
-        rows = [[col[r] for col in cols] for r in range(sup.n)]
-        sol = solve(rows, list(powers[j].coeffs), sup.p)
-        if sol is not None:
-            return UPoly(sub, [-sub.element(sol[i * sub.n:(i + 1) * sub.n])
-                               for i in range(j)] + [sub.one])
-    raise AssertionError("no relation below the field degree")
+    assert carlitz_f4.char_poly == t * t + t + 1
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 4), (5, 3), (2, 8)])
@@ -210,23 +194,30 @@ def test_minimal_polynomial_matches_linear_solves(p, n):
         sub = ff_make(p, m, 0)
         emb = ff_embed(sub, sup)
         for elem in sup.elements():
-            mp = minimal_polynomial(elem, sub, emb)
+            mp = DrinfeldModule(sup, elem, [sup.one], constants=sub).char_poly
             assert mp == _minimal_polynomial_by_solves(elem, sub, emb)
             assert mp.is_monic() and not mp.map_field(emb).eval(elem)
-
-
-def test_minimal_polynomial_rejects_a_coefficient_outside_the_subfield():
-    # a map that is not a field embedding: F_4's generator sent to 0
-    F4, F16 = ff_make(2, 2, 0), ff_make(2, 4, 0)
-    fake = FieldEmbedding(F4, F16, F16.zero)
-    with pytest.raises(InvariantError):
-        minimal_polynomial(F16.gen, F4, fake)
 
 
 def test_parse_and_text_roundtrip(F3):
     f = parse_upoly("2*t^3+t+1", F3)
     assert f.deg == 3
     assert parse_upoly(f.to_text(), F3) == f
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2),
+                                 (7, 2)])
+def test_text_parses_back_over_every_field(p, n):
+    # over F_(p^n), n > 1, to_text writes coefficients as [c_0,...,c_(n-1)]
+    F = ff_make(p, n, 0)
+    rng = random.Random(p ** n)
+    for _ in range(40):
+        f = _rand_poly(F, rng, 5)
+        assert parse_upoly(f.to_text(), F) == f
+    # terms sum in F, and -(p-1)x = x
+    assert parse_upoly("[1]*t+2*t-t", F) == UPoly(F, [0, 2])
+    if n > 1:
+        assert parse_upoly(f"-[0,{p - 1}]+t^2", F) == UPoly(F, [F.gen, 0, 1])
 
 
 def test_lagrange_interpolation(F9):
