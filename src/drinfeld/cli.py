@@ -44,10 +44,14 @@ def _read_payload(path_or_dash, stdin):
 
 
 def _poly_arg(text, base, var="t") -> UPoly:
-    """Accept sparse text over F_p or a JSON list of coefficient vectors."""
+    """A JSON list of coefficient vectors if the text parses as one, else
+    sparse text: [0,1] is t, so a constant of F_q, e > 1, is [[0,1]]."""
     stripped = text.strip()
-    if stripped.startswith("["):
-        data = json.loads(stripped)
+    try:
+        data = json.loads(stripped) if stripped.startswith("[") else None
+    except ValueError:
+        data = None
+    if data is not None:
         flat = [v for c in data for v in (c if isinstance(c, list) else [c])]
         if not all(isinstance(v, int) for v in flat):
             raise ParseError(f"bad coefficient list: {stripped}")

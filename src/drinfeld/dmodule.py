@@ -114,13 +114,9 @@ class DrinfeldModule:
         """Monic irreducible generator of ker(delta) in F_q[t]: the
         product of t - c over the conjugates c = theta^(q^i), descended."""
         if self._char_poly is None:
-            L, theta = self.L, self.theta
-            m, c = UPoly.one(L), theta
-            while True:
+            L, m = self.L, UPoly.one(self.L)
+            for c in self.theta.conjugates(self.e):
                 m = m * UPoly(L, [-c, L.one])
-                c = c.p_power(self.e)
-                if c == theta:
-                    break
             m = self.descend(m)
             if not upoly_irreducible(m):
                 raise Reducible(f"characteristic polynomial {m.to_text()} "

@@ -8,22 +8,10 @@ survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dmodule import DrinfeldModule
 from .errors import BadReduction, FieldMismatch
 from .finitefield import FField, ff_embed, ff_make
 from .upoly import UPoly, irreducible_divisors, upoly_irreducible
-
-
-@dataclass(frozen=True)
-class Place:
-    """A good-reduction specialization site and its data."""
-
-    prime: UPoly          # monic irreducible over F_q, in theta
-    degree: int
-    field: FField         # residue field F_q[theta]/(prime)
-    theta_bar: object     # image of theta (an FFElem of `field`)
 
 
 class DrinfeldFamily:
@@ -73,7 +61,7 @@ class DrinfeldFamily:
         return not (self.coeffs[-1] % prime).is_zero()
 
     def specialize(self, prime: UPoly, seed: int = 0):
-        """(module over the residue field, Place record)."""
+        """(module over F_q[theta]/(prime), the image theta_bar of theta)."""
         if prime.base != self.constants:
             raise FieldMismatch("place not over the constants field")
         if not prime.is_monic() or not upoly_irreducible(prime):
@@ -81,20 +69,17 @@ class DrinfeldFamily:
         if not self.is_good(prime):
             raise BadReduction(
                 f"leading coefficient vanishes at {prime.to_text('x')}")
-        dP = prime.deg
-        residue_field = ff_make(self.p, self.e * dP, seed)
+        residue_field = ff_make(self.p, self.e * prime.deg, seed)
         emb = ff_embed(self.constants, residue_field)
         lifted = prime.map_field(emb)
         theta_bar = next(x for x in residue_field.elements()
                          if not lifted.eval(x))
-        place = Place(prime=prime, degree=dP, field=residue_field,
-                      theta_bar=theta_bar)
         module = DrinfeldModule(
             residue_field,
             self.delta_poly.map_field(emb).eval(theta_bar),
             [a.map_field(emb).eval(theta_bar) for a in self.coeffs],
             constants=self.constants)
-        return module, place
+        return module, theta_bar
 
     def to_dict(self):
         return {"p": self.p, "e": self.e, "r": self.r,
@@ -134,14 +119,9 @@ def dm_residual_frobenius_check(family: DrinfeldFamily, prime: UPoly,
     Since t generates F_q[t] over the constants, the single congruence at
     the generator settles the for-all-a statement.
     """
-    module, place = family.specialize(prime, seed)
-    g_val = module.theta
-    power = place.theta_bar
-    for k in range(family.e * place.degree):
-        if g_val == power:
-            return k
-        power = power.p_power(1)
-    return None
+    module, theta_bar = family.specialize(prime, seed)
+    orbit = theta_bar.conjugates()
+    return orbit.index(module.theta) if module.theta in orbit else None
 
 
 def dm_unit_valuation_check(family: DrinfeldFamily, prime: UPoly,

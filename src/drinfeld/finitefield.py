@@ -634,6 +634,14 @@ class FFElem:
         field = self.field
         return FFElem(field, field._frobenius(self.v, i % field.n))
 
+    def conjugates(self, i: int = 1):
+        """The distinct x, x^(p^i), x^(p^(2i)), ... before x comes back."""
+        orbit, c = [self], self.p_power(i)
+        while c.v != self.v:
+            orbit.append(c)
+            c = c.p_power(i)
+        return orbit
+
     def p_root(self, i: int):
         """Unique p^i-th root (the field is perfect)."""
         n = self.field.n

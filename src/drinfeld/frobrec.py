@@ -1,13 +1,13 @@
 """Deciding whether algebraic data comes from a power of Frobenius.
 
-Three layers: the pure monomial exponent of a rational function (confirmed
-by the Kummer criterion), the two Frobenius graph shapes of a bivariate
-annihilator, and one global power from per-generator exponents.  Every
-Frobenius verdict is an exact comparison.  The morphism check builds one
-annihilator per pair of non-constant generators, and only before a
-rejection: an accepted Frobenius power satisfies every relation.
-Sampling fields and the annihilator of a generator and its image only
-explain a rejection, with a witness root outside a Frobenius orbit.
+Three layers: the pure monomial exponent of a rational function, the two
+Frobenius graph shapes of a bivariate annihilator, and one global power
+from per-generator exponents.  Every Frobenius verdict is an exact
+comparison.  The morphism check builds one annihilator per pair of
+non-constant generators, and only before a rejection: an accepted Frobenius
+power satisfies every relation.  Sampling fields and the annihilator of a
+generator and its image only explain a rejection, with a witness root
+outside a Frobenius orbit.
 """
 
 from __future__ import annotations
@@ -109,32 +109,12 @@ def _algebraic_monomial_test(r1: UPoly, r2: UPoly):
     return t1[0] - t2[0]
 
 
-def _kummer_monomial_test(r1: UPoly, r2: UPoly):
-    """The Kummer route, reduced to the polynomial identity it rests on.
-
-    Sample r1/r2 at a root x of X^l - zeta, zeta of l-power order and
-    l > 2 max(deg r1, deg r2): neither polynomial reduces modulo X^l - zeta,
-    so the sample is a pure monomial gamma x^delta exactly when
-    r1 = gamma X^delta r2, with delta = deg r1 - deg r2 and
-    gamma = lc(r1)/lc(r2).  The unit gamma must then have l-power order for
-    two distinct primes l, which forces gamma = 1.  Both conditions are
-    read off the polynomials, so no sampling field is built.
-    """
-    delta = r1.deg - r2.deg
-    if r1.leading() != r2.leading():  # gamma != 1
-        return None
-    if delta >= 0:
-        lhs, rhs = r1, r2.shift(delta)
-    else:
-        lhs, rhs = r1.shift(-delta), r2
-    return delta if lhs == rhs else None
-
-
 def recover_monomial_exponent(r1: UPoly, r2: UPoly):
     """The integer n with r1/r2 = X^n, or None.
 
-    Runs the direct algebraic test and the Kummer criterion and insists
-    they agree.
+    For coprime r1 and r2, r1 = gamma X^delta r2 forces the one of lower
+    degree to be a constant, so the single-term test with gamma = 1 is the
+    whole criterion.
     """
     if r2.is_zero():
         raise ZeroDenominator("zero denominator")
@@ -142,11 +122,7 @@ def recover_monomial_exponent(r1: UPoly, r2: UPoly):
         return None
     if upoly_gcd(r1, r2).deg != 0:
         raise ValueError("inputs must be coprime")
-    algebraic = _algebraic_monomial_test(r1, r2)
-    sampled = _kummer_monomial_test(r1, r2)
-    if algebraic != sampled:  # pragma: no cover - the routes are equivalent
-        raise InvariantError("monomial tests disagree")
-    return algebraic
+    return _algebraic_monomial_test(r1, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +146,9 @@ def _partial_reducibility_check(P: BivarPoly):
             raise Reducible("repeated factor detected in Y")
 
 
-def _orbit_map(x, m):
-    orbit = {}
-    val = x
-    for j in range(m):
-        orbit.setdefault(val, j)
-        val = val.p_power(1)
-    return orbit
+def _orbit_map(x):
+    """Each Frobenius conjugate of x, mapped to its index k in x^(p^k)."""
+    return {c: k for k, c in enumerate(x.conjugates())}
 
 
 def _witness_scan(Q, F, skip=()):
@@ -193,7 +165,7 @@ def _witness_scan(Q, F, skip=()):
         Qx = Q.eval_x(x)
         if Qx.is_zero():  # pragma: no cover - unit content forbids this
             continue
-        orbit = _orbit_map(x, F.n)
+        orbit = _orbit_map(x)
         for root in upoly_roots(Qx, F):
             if root not in orbit:
                 return (F, x, root)
@@ -281,7 +253,7 @@ def classify_frobenius_bivariate(P: BivarPoly,
                           or upoly_gcd(Qx, Qx.derivative()).deg != 0)
         if not degenerate:
             roots = upoly_roots(Qx, F)
-            orbit = _orbit_map(x, m)
+            orbit = _orbit_map(x)
             for root in roots:
                 if root not in orbit:
                     return FrobClassification(kind=NOT_FROBENIUS,

@@ -639,3 +639,34 @@ def test_frobnorm_primes_read_back_what_frobnorm_prints(primes):
     assert (code, json.loads(out)["s"]) == (0, motive_route["s"])
     assert [entry["ell"] for entry in motive_route["primes"]] == [
         "t", "t+[1,0]", "t+[0,1]", "t+[1,1]", "t^2+t+[1,1]"]
+
+
+def test_phi_reads_a_polynomial_that_starts_with_a_bracket_coefficient():
+    # '[0,1]*t+[1,0]' is not JSON, so it is read as text, the form to_text
+    # writes; a bare bracket is still a JSON coefficient list
+    phi = ["drinfeld", "phi", "--module", "-", "--a"]
+    text = run_cli(phi + ["[0,1]*t+[1,0]"], F4_IN_F16_MODULE)
+    listed = run_cli(phi + ["[[1,0],[0,1]]"], F4_IN_F16_MODULE)
+    assert text == listed and text[0] == 0
+    assert json.loads(text[1])["delta"] == [1, 0, 1, 1]
+    F4 = drinfeld.ff_make(2, 2, 0)
+    assert cli._poly_arg("[0,1]", F4) == UPoly.x(F4)
+    assert cli._poly_arg("[[0,1]]", F4) == UPoly(F4, [F4.gen])
+
+
+@pytest.mark.parametrize("p, n, max_deg", [(2, 1, 3), (3, 1, 3), (2, 2, 2),
+                                           (3, 2, 2)])
+def test_poly_arg_reads_back_to_text(p, n, max_deg):
+    # every f of degree <= max_deg, except a bare constant over F_q with
+    # q != p, which reads as a JSON list
+    F = drinfeld.ff_make(p, n, 0)
+    elems = list(F.elements())
+    for code in range(len(elems) ** (max_deg + 1)):
+        digits = []
+        for _ in range(max_deg + 1):
+            code, c = divmod(code, len(elems))
+            digits.append(elems[c])
+        f = UPoly(F, digits)
+        if n > 1 and f.deg == 0:
+            continue
+        assert cli._poly_arg(f.to_text(), F) == f

@@ -30,8 +30,8 @@ def test_bad_reduction_when_leading_coefficient_dies(F2):
 def test_square_characteristic_map(F2):
     theta = UPoly.x(F2)
     fam = DrinfeldFamily(F2, theta ** 2, [UPoly.one(F2)])
-    E, place = fam.specialize(theta + 1)
-    assert place.theta_bar == E.L.one
+    E, theta_bar = fam.specialize(theta + 1)
+    assert theta_bar == E.L.one
     assert E.theta == E.L.one  # g(1) = 1
 
 
@@ -57,8 +57,21 @@ def test_residual_exponent_frobenius_family(F2):
         # the exponent is only pinned modulo the residue degree: at the two
         # prime-field places the least representative of 1 collapses to 0
         assert k == (0 if P.deg == 1 else 1)
-        _, place = fam.specialize(P)
-        assert place.theta_bar ** (2 ** k) == place.theta_bar ** 2
+        _, theta_bar = fam.specialize(P)
+        assert theta_bar ** (2 ** k) == theta_bar ** 2
+
+
+def test_residual_exponent_square_map_over_f4():
+    # g = theta^2 over F_4: at x and x+1, theta_bar lies in F_2, whose
+    # orbit is shorter than e * deg P, so the least k is 0 there
+    fam = DrinfeldFamily.from_dict({"p": 2, "e": 2, "r": 1,
+                                    "delta": [[0, 0], [0, 0], [1, 0]],
+                                    "coeffs": [[[1, 0]]]})
+    ks = {P.to_text("x"): dm_residual_frobenius_check(fam, P)
+          for P in monic_irreducibles(fam.constants, 2)}
+    assert len(ks) == 10
+    assert {P for P, k in ks.items() if k != 1} == {"x", "x+[1,0]"}
+    assert ks["x"] == ks["x+[1,0]"] == 0
 
 
 def test_residual_exponent_fails_for_shifted_map(F2):
@@ -96,6 +109,6 @@ def test_family_descriptor_roundtrip(F2):
 def test_specialization_deterministic(F2):
     fam = carlitz_family(2)
     P = parse_upoly("x^3+x+1", F2, var="x")
-    a = fam.specialize(P)[1].theta_bar
-    b = fam.specialize(P)[1].theta_bar
+    a = fam.specialize(P)[1]
+    b = fam.specialize(P)[1]
     assert a == b

@@ -343,6 +343,27 @@ def test_p_power_is_frobenius_and_p_root_undoes_it(p, n):
             assert x.p_power(i).p_root(i) == x
 
 
+CONJUGATE_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 6),
+                    (2, 12), (3, 5), (7, 3)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), field=st.sampled_from(CONJUGATE_FIELDS))
+def test_conjugates_walk_the_frobenius_orbit_once(data, field):
+    # elements of proper subfields have orbits shorter than [F : F_p]
+    p, n = field
+    F = ff_make(p, n, 0)
+    m = data.draw(st.sampled_from([m for m in range(1, n + 1) if n % m == 0]))
+    sub = F.subfield_elements(m)
+    x = sub[data.draw(st.integers(0, len(sub) - 1))]
+    for i in range(1, n):
+        orbit = x.conjugates(i)
+        assert orbit[0] == x
+        assert len(set(orbit)) == len(orbit) and m % len(orbit) == 0
+        assert all(b == a.p_power(i) for a, b in zip(orbit, orbit[1:]))
+        assert orbit[-1].p_power(i) == x
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 6])
 def test_subfield_elements_match_exhaustive_scan(m):
     F = ff_make(2, 6, 0)

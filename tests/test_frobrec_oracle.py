@@ -87,7 +87,7 @@ def _oracle_classify(P, retries=CLASSIFY_RETRIES, seed=0):
                           or upoly_gcd(Qx, Qx.derivative()).deg != 0)
         if not degenerate:
             roots = upoly_roots(Qx, F)
-            orbit = _orbit_map(x, m)
+            orbit = _orbit_map(x)
             for root in roots:
                 if root not in orbit:
                     return FrobClassification(kind=NOT_FROBENIUS,
