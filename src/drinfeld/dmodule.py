@@ -7,10 +7,10 @@ the constants c in F_q as multiplication by c^(p^twist).
 
 from __future__ import annotations
 
-from .errors import FieldMismatch, InvariantError, Reducible
+from .errors import FieldMismatch, InvariantError
 from .finitefield import FFElem, FField, ff_embed, ff_make
 from .ore import OrePoly
-from .upoly import UPoly, upoly_irreducible
+from .upoly import UPoly
 
 
 class DrinfeldModule:
@@ -111,17 +111,14 @@ class DrinfeldModule:
 
     @property
     def char_poly(self) -> UPoly:
-        """Monic irreducible generator of ker(delta) in F_q[t]: the
-        product of t - c over the conjugates c = theta^(q^i), descended."""
+        """Monic irreducible generator of ker(delta) in F_q[t]: the product
+        of t - c over the distinct conjugates c = theta^(q^i), descended,
+        is theta's minimal polynomial over F_q, so it needs no test."""
         if self._char_poly is None:
             L, m = self.L, UPoly.one(self.L)
             for c in self.theta.conjugates(self.e):
                 m = m * UPoly(L, [-c, L.one])
-            m = self.descend(m)
-            if not upoly_irreducible(m):
-                raise Reducible(f"characteristic polynomial {m.to_text()} "
-                                "is reducible")
-            self._char_poly = m
+            self._char_poly = self.descend(m)
         return self._char_poly
 
     # -- misc --------------------------------------------------------------------

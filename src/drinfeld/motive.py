@@ -6,8 +6,8 @@ agree.
 
 The operator acts on column vectors over L[t] as v -> M * sigma(v), where
 sigma raises coefficients to the q-th power and fixes t.  In the companion
-basis the matrix determinant has t-degree exactly 1 with root theta; the
-scalar in front transports to the rank-1 module below.
+basis the matrix determinant is c*(t - theta), read off in closed form; the
+scalar c transports to the rank-1 module below.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from __future__ import annotations
 from operator import mul
 
 from .dmodule import DrinfeldModule
-from .errors import InvariantError
 from .ore import frobenius_order
 from .polykernel import ResidueRing
 from .torsion import dm_frobenius_det, dm_torsion, splitting_degree
-from .upoly import UPoly, upoly_det
+from .upoly import UPoly
 
 
 def motive_matrix(E: DrinfeldModule) -> tuple:
@@ -47,32 +46,26 @@ def motive_matrix(E: DrinfeldModule) -> tuple:
 
 
 def motive_det(E: DrinfeldModule) -> UPoly:
-    """Determinant c*(t - theta) of the companion matrix, checked to be
-    linear in t with root theta; .leading() is c and .monic() is t - theta."""
-    det = upoly_det(motive_matrix(E))
-    if det.deg != 1:
-        raise InvariantError("determinant is not linear in t")
-    if det.eval(E.theta):
-        raise InvariantError("determinant root differs from theta")
-    return det
+    """Determinant c*(t - theta) of the companion matrix, c = (-1)^(r-1)/a_r:
+    its first row is zero but for (t - theta)/a_r in the last column, whose
+    minor is the identity.  .leading() is c and .monic() is t - theta."""
+    c = E.coeffs[-1].inverse()
+    return UPoly(E.L, [-E.theta, E.L.one]) * (c if E.r % 2 else -c)
 
 
 def motive_frobenius_norm(E: DrinfeldModule) -> UPoly:
-    """The Frobenius norm s in F_q[t]: the determinant of Frobenius on the motive.
+    """The Frobenius norm s = N(c)*p^(d/deg p) in F_q[t], p = E.char_poly:
+    the determinant of Frobenius on the motive (Gekeler, Trans. AMS 2008).
 
-    The q^d-Frobenius acts as M*sigma(M)*...*sigma^(d-1)(M), and det is
-    multiplicative, so s = prod_{i<d} sigma^i(c*(t - theta)) with c*(t - theta)
-    = det M (the closed form of Gekeler, Trans. AMS 2008).
+    The q^d-Frobenius acts as M*sigma(M)*...*sigma^(d-1)(M), so
+    s = prod_{i<d} sigma^i(c*(t - theta)) = N(c)*prod_{i<d}(t - theta^(q^i))
+    with N(c) = c^((q^d-1)/(q-1)).  That product is d/deg p rounds of the
+    q-orbit of theta, each descending to p, so deg s = d by construction.
     """
-    det = motive_det(E)
-    s = UPoly.one(det.base)
-    for _ in range(E.d):
-        s = s * det
-        det = det.frobenius(E.e)
-    s = E.descend(s)
-    if s.deg != E.d:
-        raise InvariantError(f"motive norm has degree {s.deg}, not {E.d}")
-    return s
+    c = motive_det(E).leading()
+    norm = c ** ((E.q ** E.d - 1) // (E.q - 1))
+    return (E.descend(UPoly(E.L, [norm]))
+            * E.char_poly ** (E.d // E.char_poly.deg))
 
 
 def motive_frobenius(E: DrinfeldModule):

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drinfeld
-from drinfeld import UPoly, cli, motive
+from drinfeld import UPoly, cli
 from drinfeld.cli import main
+from drinfeld.errors import InvariantError
 
 CARLITZ_FAMILY = '{"p":2,"e":1,"r":1,"delta":[[0],[1]],"coeffs":[[[1]]]}'
 RANK2_FAMILY = '{"p":2,"e":1,"r":2,"delta":[[0],[1]],"coeffs":[[[1]],[[1]]]}'
@@ -259,6 +260,19 @@ def test_motive_det_and_verify():
     assert json.loads(out)["results"] == {"n=1": True, "n=2": True}
 
 
+def test_degree_8_prime_squared_on_the_torsion_routes():
+    # E[l^2] for l of degree 8 over F_4 has 2^32 points, drawn by index
+    module = ('{"field":{"p":2,"n":2,"modulus":[1,1,1]},"theta":[0,1],'
+              '"coeffs":[[1,0],[1,0]]}')
+    ell = "t^8+t^6+t^5+t^3+1"
+    code, out = run_cli(["motive", "verify-tate-det", "--module", "-",
+                         "--ell", ell, "--n", "2", "--cap", "20"], module)
+    assert code == 0 and '"n=2":true' in out
+    code, out = run_cli(["drinfeld", "frobnorm", "--module", "-",
+                         "--primes", f"{ell}:2", "--cap", "20"], module)
+    assert code == 0 and '"s":"t^2+t+1"' in out
+
+
 def test_frobrec_subcommands():
     code, out = run_cli(["frobrec", "classify", "--p", "2",
                          "--poly", "Y^2+X"])
@@ -488,13 +502,13 @@ def test_one_bad_payload_leaf_still_answers_in_json(command, index, leaf):
 
 
 def test_broken_invariant_exits_2_with_json(monkeypatch):
-    def quadratic_det(rows):
-        return UPoly(rows[0][0].base, [0, 0, 1])
+    def broken_det(E):
+        raise InvariantError("injected invariant failure")
 
-    monkeypatch.setattr(motive, "upoly_det", quadratic_det)
+    monkeypatch.setattr(cli, "motive_det", broken_det)
     code, out = run_cli(["motive", "det", "--module", "-"], RANK2_F4_MODULE)
     assert code == 2
-    assert json.loads(out) == {"error": "determinant is not linear in t"}
+    assert json.loads(out) == {"error": "injected invariant failure"}
 
 
 def test_output_file(tmp_path):

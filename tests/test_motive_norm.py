@@ -9,10 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import drinfeld
-from drinfeld import (DrinfeldFamily, DrinfeldModule, UPoly, carlitz_module,
-                      choose_prime_sets, dm_frobenius_norm, ff_embed, ff_make,
-                      motive, motive_det, motive_frobenius_norm, norm_report,
-                      parse_upoly, upoly_crt)
+from drinfeld import (DrinfeldFamily, DrinfeldModule, UPoly, choose_prime_sets,
+                      dm_frobenius_norm, ff_embed, ff_make,
+                      motive_frobenius_norm, norm_report, parse_upoly,
+                      upoly_crt)
 from drinfeld.cli import main
 from drinfeld.errors import InsufficientModulus, InvariantError
 
@@ -124,41 +124,6 @@ def test_motive_norm_with_extension_constants():
             assert s == _torsion_norm(E)
 
 
-def test_motive_norm_rejects_a_coefficient_outside_fq(carlitz_f4,
-                                                      monkeypatch):
-    # a determinant over F_16, twisted d = [F_4 : F_2] = 2 times, is not
-    # fixed by squaring, so its product has coefficients outside F_2
-    F16 = ff_make(2, 4, 0)
-    wide = carlitz_module(F16)
-    wrong = motive_det(wide).monic() * F16.gen
-    monkeypatch.setattr(motive, "motive_det", lambda E: wrong)
-    with pytest.raises(InvariantError, match="outside F_q"):
-        motive_frobenius_norm(carlitz_f4)
-
-
-def test_motive_norm_rejects_a_wrong_degree(rank2_f4, monkeypatch):
-    det = motive_det(rank2_f4)
-    squared = det * det.monic()
-    monkeypatch.setattr(motive, "motive_det", lambda E: squared)
-    with pytest.raises(InvariantError, match="degree 4, not 2"):
-        motive_frobenius_norm(rank2_f4)
-    code, out = _run(["drinfeld", "frobnorm", "--module", "-", "--cap", "24"],
-                     RANK2_F4_MODULE)
-    assert (code, out) == (2, '{"error":"motive norm has degree 4, not 2"}\n')
-
-
-def test_norm_report_rejects_residues_that_do_not_lift_to_the_norm(
-        F2, monkeypatch):
-    # a norm of degree above every modulus sum cannot be its own CRT lift
-    tall = UPoly.x(F2) ** 12 + UPoly.one(F2)
-    monkeypatch.setattr(drinfeld.reports, "motive_frobenius_norm",
-                        lambda E: tall)
-    code, out = _run(["drinfeld", "frobnorm", "--module", "-", "--cap", "24"],
-                     RANK2_F4_MODULE)
-    assert (code, out) == (
-        2, '{"error":"CRT lift of the motive residues is not the norm"}\n')
-
-
 NORM_COMMANDS = [
     (["carlitz", "table", "--p", "2", "--max-prime-degree", "3",
       "--cap", "24"] + fmt, "")
@@ -211,6 +176,23 @@ def test_frobnorm_primes_still_reads_torsion(monkeypatch):
     monkeypatch.setattr(drinfeld.reports, "dm_torsion", refuse)
     assert _run(argv, CARLITZ_FAMILY) == (
         2, '{"error":"torsion was read"}\n')
+
+
+def test_frobnorm_primes_reports_a_wrong_residue(monkeypatch):
+    # a zero residue mod t+1 lifts to t+1 in place of s = t^2+t+1, which the
+    # characteristic ideal t^2+t+1 does not divide
+    argv = ["drinfeld", "frobnorm", "--family", "-", "--at", "x^2+x+1",
+            "--primes", "t:2,t+1:1"]
+    true_det = drinfeld.reports.dm_frobenius_det
+
+    def wrong_det(T):
+        m, det = true_det(T)
+        return m, UPoly.zero(det.base) if T.n == 1 else det
+
+    monkeypatch.setattr(drinfeld.reports, "dm_frobenius_det", wrong_det)
+    code, out = _run(argv, CARLITZ_FAMILY)
+    assert code == 1
+    assert '"char_divides":false' in out and '"s":"t+1"' in out
 
 
 def test_printed_residues_are_the_motive_norm_mod_each_prime():

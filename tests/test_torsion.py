@@ -4,14 +4,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drinfeld import (DrinfeldModule, FField, FFElem, OrePoly, UPoly,
-                      carlitz_family, choose_prime_sets, dm_frobenius_matrix,
-                      dm_frobenius_norm, dm_torsion, extension_of, ff_make,
-                      monic_irreducibles, ore_eval, ore_kernel, parse_upoly,
-                      torsion_point_count, upoly_crt)
+from drinfeld import (DrinfeldModule, FField, FFElem, OrePoly, TorsionModule,
+                      UPoly, carlitz_family, choose_prime_sets,
+                      dm_frobenius_matrix, dm_frobenius_norm, dm_torsion,
+                      extension_of, ff_make, monic_irreducibles, ore_eval,
+                      ore_kernel, parse_upoly, torsion_point_count, upoly_crt)
 from drinfeld import reports, torsion
 from drinfeld.errors import (CapExceeded, CharacteristicIdeal,
-                             InsufficientModulus)
+                             InsufficientModulus, InvariantError)
 from drinfeld.reports import _crt_lift, _independent
 from drinfeld.upoly import upoly_det
 
@@ -123,6 +123,16 @@ def test_rank2_norm_degree_one(F2, rank2_f2):
     assert rep.s_monic == t + 1  # the characteristic ideal
     assert rep.all_ok
 
+
+def test_frobenius_det_rejects_a_matrix_singular_mod_a_degree_one_prime(
+        F2, rank2_f2, monkeypatch):
+    # det 0 mod l = t shares all of l, a factor of degree 1
+    T = dm_torsion(rank2_f2, UPoly.x(F2), 1)
+    one = UPoly.one(F2)
+    monkeypatch.setattr(TorsionModule, "frobenius_matrix",
+                        lambda self: ((one, one), (one, one)))
+    with pytest.raises(InvariantError, match="singular modulo l"):
+        dm_frobenius_matrix(T)
 
 
 def _count_calls(monkeypatch, owner, name):
