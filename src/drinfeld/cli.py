@@ -386,6 +386,8 @@ def main(argv=None, stdin=None, stdout=None) -> int:
     args = _PARSER.parse_args(argv)
     buffer = io.StringIO()
     try:
+        if args.cap < 1:
+            raise ParseError("--cap must be >= 1")
         code = _HANDLERS[args.command](args, stdin, buffer)
     except BadReduction as exc:
         buffer.write(_dump_json({"error": f"bad reduction: {exc}"}))

@@ -33,8 +33,9 @@ compare the top differing slot first), so int order is encoding order.
 * A `KernelSpace` indexes the points of a kernel in encoding order
   without building them.
 * The inverse runs Euclid on packed ints over F_p, or one `pow` in F_p;
-  so does Ben-Or's test.  The modulus search runs Ben-Or alone on each
-  candidate and builds a field's tables only for the modulus that passes.
+  Ben-Or's test takes its gcds by remainders alone.  At p = 2 a step of
+  either is one shift and one XOR.  The modulus search runs Ben-Or alone on
+  each candidate and builds a field's tables only for the one that passes.
 * Linear algebra over F_p (kernels, subfields, preimages, torsion bases
   and coordinates) is Gaussian elimination on packed columns, each an
   element int.
@@ -155,17 +156,21 @@ def _slots(p, w):
 def _pdivmod(a, b, k):
     """Quotient and remainder of a by b != 0, packed with slots k.
 
-    Each step clears the top slot c of a exactly and adds (-c/lc(b)) b mod p
-    below it.  So the slots above it stay zero, and a slot gains at most
-    deg b products below p^2: it stays below 2^w while deg b <= n.
+    Each step clears the top slot c of a: at p = 2 (slots 0 or 1) by XOR
+    with b shifted under it, else by adding (-c/lc(b)) b mod p below it; a
+    slot then gains at most deg b products below p^2, below 2^w if deg b <= n.
     """
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    p, w = k.p, k.w
-    top = (b.bit_length() - 1) // w * w
+    p, w, q, db = k.p, k.w, 0, b.bit_length()
+    if p == 2:
+        while a.bit_length() >= db:
+            s = a.bit_length() - db
+            a, q = a ^ b << s, q | 1 << s
+        return q, a
+    top = (db - 1) // w * w
     inv = pow(b >> top, -1, p)
     low = b - (b >> top << top)
-    q = 0
     for s in range((a.bit_length() - 1) // w * w, top - 1, -w):
         c = a >> s
         if c:
@@ -183,10 +188,23 @@ def _pmonic(a, k):
 
 
 def _pgcd(a, b, k):
-    """The monic gcd of a and b (0 when both are 0)."""
+    """The monic gcd of a and b (0 when both are 0), by remainders alone."""
+    p, w = k.p, k.w
     while b:
-        a, b = b, _pdivmod(a, b, k)[1]
-    return _pmonic(a, k) if a else a
+        db = b.bit_length()
+        if p == 2:  # the last nonzero remainder is monic
+            while a.bit_length() >= db:
+                a ^= b << (a.bit_length() - db)
+        else:  # `_pdivmod`'s steps, each at the top nonzero slot of a
+            top = (db - 1) // w * w
+            neg, low = p - pow(b >> top, -1, p), b - (b >> top << top)
+            while a >> top:
+                s = (a.bit_length() - 1) // w * w
+                c = a >> s
+                a += (c * neg % p * low << (s - top)) - (c << s)
+            a = k.norm(a)
+        a, b = b, a
+    return _pmonic(a, k) if a and p != 2 else a
 
 
 def _pmulmod(a, b, high, r, k):
@@ -704,11 +722,11 @@ def ff_make(p: int, n: int, seed: int = 0) -> FField:
     _check_size(p, n)
     span = p ** n
     for j in range(span):
-        digits = []
-        k = (seed + j) % span
-        for _ in range(n):
+        digits, k = [], (seed + j) % span
+        while k:
             digits.append(k % p)
             k //= p
+        digits += [0] * (n - len(digits))
         # above degree 1, a root 0 or 1 makes the candidate reducible
         if n > 1 and (not digits[0] or (sum(digits) + 1) % p == 0):
             continue

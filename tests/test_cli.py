@@ -322,6 +322,14 @@ def test_parse_error_exit_code():
      "motive verify-tate-det needs --n >= 1"),
     (["motive", "verify-tate-det", "--module", "-", "--ell", "t", "--n", "-1"],
      "motive verify-tate-det needs --n >= 1"),
+    # a cap below 1 is rejected before any search, before or after the
+    # subcommand
+    (["carlitz", "table", "--p", "2", "--max-prime-degree", "2", "--cap",
+      "-3"], "--cap must be >= 1"),
+    (["drinfeld", "frobnorm", "--module", "-", "--cap", "0"],
+     "--cap must be >= 1"),
+    (["--cap", "-5", "drinfeld", "torsion", "--module", "-", "--ell", "t"],
+     "--cap must be >= 1"),
 ])
 def test_missing_or_ill_typed_argument_is_parse_error(argv, message):
     code, out = run_cli(argv, CARLITZ_F4_MODULE)

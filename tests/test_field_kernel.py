@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from drinfeld import FField, ff_make
 from drinfeld.errors import DivisionByZero, Reducible
-from drinfeld.finitefield import _pirreducible, _width
+from drinfeld.finitefield import (_pdivmod, _pgcd, _pirreducible, _slots,
+                                 _width)
 
 
 # ---------------------------------------------------------------------------
@@ -294,3 +295,66 @@ def test_ben_or_at_the_degree_40_bound():
     assert _pirreducible(F.modulus, 2) and ref_irreducible(F.modulus, 2)
     assert not _pirreducible(ref_mul(g, h, 2), 2)
     assert not ref_irreducible(ref_mul(g, h, 2), 2)
+
+
+# ---------------------------------------------------------------------------
+# division and gcd of packed polynomials
+
+# (p, greatest divisor degree): slots of one byte for p = 2, 3, 5 (each
+# degree the most that fits), struct words for p = 11 and 65537
+DIVISION_CASES = [(2, 40), (3, 28), (5, 10), (11, 40), (65537, 40)]
+
+
+def _unpacked(k, v):
+    return _trim(k.unpack(v, -(-v.bit_length() // k.w)))
+
+
+def _division_inputs(p, max_deg):
+    rng = random.Random(f"division {p}")
+
+    def poly(d):
+        lead = rng.randrange(1, p)
+        return tuple(rng.randrange(p) for _ in range(d)) + (lead,)
+
+    pairs = [(poly(rng.randrange(41)), poly(rng.randrange(max_deg + 1)))
+             for _ in range(60)]
+    b = poly(max_deg)
+    pairs += [((), b), ((), poly(0)), (poly(max_deg - 1), b),
+              (poly(40), poly(0)), (poly(0), poly(0))]
+    # sparse dividends x^n + (a short tail)
+    for n in (max_deg, 33, 40):
+        tail = tuple(rng.randrange(p) for _ in range(3))
+        pairs += [(pad(tail, n) + (1,), b), (pad(tail, n) + (1,), poly(3))]
+    return pairs
+
+
+@pytest.mark.parametrize("p, max_deg", DIVISION_CASES)
+def test_packed_division_and_gcd_match_schoolbook(p, max_deg):
+    k = _slots(p, _width(p, max_deg))
+    assert (k.w == 8) == (p < 11)
+    for a, b in _division_inputs(p, max_deg):
+        pa, pb = k.pack(a), k.pack(b)
+        q, r = (_unpacked(k, v) for v in _pdivmod(pa, pb, k))
+        assert len(r) < len(b)  # deg r < deg b
+        assert ref_add(ref_mul(q, b, p), r, p) == _trim(a)
+        assert (q, r) == ref_divmod(a, b, p)
+        for x, y in ((pa, pb), (pb, pa)):
+            g = _unpacked(k, _pgcd(x, y, k))
+            assert g == ref_gcd(a, b, p)
+            assert g[-1] == 1
+            assert not ref_divmod(a, g, p)[1] and not ref_divmod(b, g, p)[1]
+    assert _pgcd(0, 0, k) == 0
+    with pytest.raises(DivisionByZero):
+        _pdivmod(1, 0, k)
+
+
+def test_inverse_at_p_2():
+    F = ff_make(2, 8)
+    for v in range(1, F.size):
+        x = F.from_encoding(v)
+        assert field_mul(F, x.coeffs, x.inverse().coeffs) == pad((1,), 8)
+    F = ff_make(2, 40)
+    rng = random.Random(40)
+    for _ in range(200):
+        x = F.from_encoding(rng.randrange(1, F.size))
+        assert field_mul(F, x.coeffs, x.inverse().coeffs) == pad((1,), 40)
