@@ -9,8 +9,10 @@ search from an empty field cache.  At F_{2^24}, F_{2^36} and F_{3^24},
 over the field itself: its columns and the packed Gaussian elimination
 over F_p.  The polynomial rows F_{p^e}[t] time
 `UPoly` arithmetic on the packed kernel: `mul_us`, a product of two
-polynomials of degree 8, and `rem_us`, such a product mod a monic
-polynomial of degree 9.  Each number is the best of --reps
+polynomials of degree 8, `rem_us`, such a product mod a monic
+polynomial of degree 9, and `powmod_us`, a polynomial of degree 8 raised
+to the power |F| mod such a monic, one round of Ben-Or's test, on the
+kernel's long division.  Each number is the best of --reps
 repetitions.  These are wall-clock times on the host that runs the script,
 so compare them only with numbers from the same host and session.
 
@@ -24,13 +26,14 @@ import sys
 import timeit
 
 from drinfeld import OrePoly, UPoly, finitefield, ff_make, ore_kernel
+from drinfeld.upoly import upoly_powmod
 
 # F_4, F_8 and F_9 are the busiest small fields; F_65537 is a prime field
 FIELDS = ((2, 2), (2, 3), (3, 2), (2, 12), (2, 24), (2, 36), (2, 40), (3, 24),
           (5, 17), (65537, 1), (65537, 2))
 KERNEL_FIELDS = ((2, 24), (2, 36), (3, 24))
 KERNEL_DEG = 8
-POLY_FIELDS = ((2, 5), (3, 2), (13, 2))
+POLY_FIELDS = ((2, 5), (2, 12), (3, 2), (13, 2))
 POLY_DEG, MOD_DEG = 8, 9
 BATCH = 200
 
@@ -80,6 +83,9 @@ def bench_poly(p, e, reps):
         "mul_us": per_op(lambda: [a * b for a, b in pairs], count, reps),
         "rem_us": per_op(lambda: [c % m for c, m in zip(prods, mods)],
                          count, reps),
+        "powmod_us": per_op(lambda: [upoly_powmod(a, F.size, m)
+                                     for (a, _), m in zip(pairs, mods)],
+                            count, reps),
     }
 
 

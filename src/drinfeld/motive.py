@@ -16,7 +16,7 @@ from operator import mul
 
 from .dmodule import DrinfeldModule
 from .ore import frobenius_order
-from .polykernel import ResidueRing
+from .polykernel import poly_kernel
 from .torsion import dm_frobenius_det, dm_torsion, splitting_degree
 from .upoly import UPoly
 
@@ -96,18 +96,27 @@ def motive_splitting_degree(E: DrinfeldModule, frob, ell: UPoly, n: int,
 
     M/l^n M is L{tau}/L{tau}phi_(l^n), where frob acts on (L[t]/l^n)^r as
     the central tau^[L:F_p]; so it fixes e_1 = 1 only as the identity, and
-    the walk v -> frob*v from e_1 returns at the L{tau} walk's m.  It runs
-    on tuples of packed residues mod l^n (polykernel.ResidueRing).
+    the walk v -> frob*v from e_1 returns at the L{tau} walk's m.  Any
+    e_(j+1) = tau^(ej) would do: Frobenius is central and tau^k is
+    injective on E[l^n], so (pi^m - 1) tau^k lies in L{tau}phi_(l^n)
+    exactly when pi^m - 1 does.  The walk runs on tuples of packed
+    remainders mod l^n; each step's sums of r products are reduced by the
+    kernel's long division (`PolyKernel.divide`), so the kernel has room
+    for r products and the division's deg l^n sums.
     """
     L = E.L
 
-    def walk(lam):
-        ring = ResidueRing(L, E.lift(lam).vs, E.r)
-        A = [[ring.pack(x.vs) for x in row] for row in frob]
-        count = 2 * ring.D - 1
+    def walk(lam):  # l^n is monic, and so is its lift
+        lam = E.lift(lam)
+        kernel = poly_kernel(L, (E.r + 1) * lam.deg)
+        div = kernel.divisor(lam.vs)
+
+        def rem(v):
+            return kernel.divide(v, div)[1]
+
+        A = [[rem(kernel.pack(x.vs)) for x in row] for row in frob]
         return frobenius_order(
-            lambda v: tuple(ring.reduce(sum(map(mul, row, v)), count)
-                            for row in A),
+            lambda v: tuple(rem(sum(map(mul, row, v))) for row in A),
             (1,) + (0,) * (E.r - 1), L.size, cap)
 
     return splitting_degree(E, ell, n, cap, walk)

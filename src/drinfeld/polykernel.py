@@ -9,15 +9,13 @@ big-int product, one normalization and e - 1 vectorized folds of x^(e+k)
 down by the field's reduction rows, one per column of slots.  The slot
 width follows the field's rule with the bound the operands imply,
 n e (p - 1)^2 + p - 1 for n summed products, so every p goes through the
-one kernel.  For a fixed modulus f in F[t], a `ResidueRing` keeps the
-packed rows t^(deg f + i) mod f and multiplies residues as canonical
-ints.  `UPoly`'s product, division and powering, and the motive's
-splitting walk, run on these.
+one kernel.  Every remainder mod a polynomial of F[t] is one long
+division (`PolyKernel.divide`): `UPoly`'s division and powering, Ben-Or's
+test and the motive's splitting walk all run on it.
 """
 
 from __future__ import annotations
 
-from .errors import DivisionByZero
 from .finitefield import _pdivmod, _slot_width, _slots
 
 
@@ -48,7 +46,7 @@ class PolyKernel:
     [0, p) and slots e..B-1 of every block are 0.
     """
 
-    __slots__ = ("field", "k", "e", "B", "bits", "pad", "rows", "fold")
+    __slots__ = ("field", "k", "e", "B", "bits", "pad", "rows")
 
     def __init__(self, field, w):
         p, e = field.p, field.n
@@ -63,15 +61,6 @@ class PolyKernel:
         # row j is c p = 0 there, mod p
         self.rows = tuple(k.pack(row) + ((p - 1) << w * (e + j))
                           for j, row in enumerate(red))
-        # the reduction of one block, transposed: the product of a block
-        # c_0 .. c_(B-1) with fold holds sum_j c_j (x^j mod the modulus)[s]
-        # in slot B - 1 + s (2B - 1); a slot sums B products below p^2
-        span = 2 * B - 1
-        fold = [0] * (e * span)
-        for j, col in enumerate([(0,) * j + (1,) for j in range(e)] + red):
-            for i, c in enumerate(col):
-                fold[B - 1 - j + i * span] = c
-        self.fold = k.pack(fold)
 
     def pack(self, elems):
         """The canonical int of field elements, given as element ints."""
@@ -125,10 +114,6 @@ class PolyKernel:
             acc += k.pack(spread) * row
         return acc
 
-    def reduce(self, v, count):
-        """The canonical int congruent to v, of `count` blocks."""
-        return self.k.norm(self._fold(v, count))
-
     def product(self, a, b):
         """The coefficients of the product of two nonempty lists."""
         count = len(a) + len(b) - 1
@@ -137,117 +122,46 @@ class PolyKernel:
         return self.unpack(self._fold(self.pack(a) * self.pack(b), count),
                            count)
 
-    def divmod(self, a, b, inv=None):
-        """Quotient and remainder coefficients, len(a) >= len(b), b[-1] != 0.
+    def divisor(self, b, inv=None):
+        """b, b[-1] != 0, prepared once for `divide`.
 
         inv is the element int of 1/b[-1], or None when b is monic.  The
-        kernel needs room for max(deg b, 2) sums.  Long division from the
-        top: the raw top block, reduced and times inv, is the next quotient
-        coefficient c; the block is cleared exactly, and -c times the rest
-        of b is added below it, so a slot gains at most deg b products
-        below p^2.
+        tuple holds deg b, packed b, packed -b[0], ..., -b[deg b - 1] (each
+        slot times p - 1, mod p) and inv.
         """
-        db = len(b) - 1
-        if not db:
-            return (a if inv is None else self.product([inv], a)), []
+        k = self.k
+        return (len(b) - 1, self.pack(b),
+                k.norm((k.p - 1) * self.pack(b[:-1])), inv)
+
+    def divide(self, v, divisor):
+        """The packed quotient and canonical remainder of v by a divisor.
+
+        v is canonical or a raw sum of products, with room left for
+        deg b more sums per slot: long division adds at most deg b products
+        below p^2 to a slot.  At e = 1 it is `_pdivmod`.  Above, from the
+        top, the raw top block reduced by the field's own product (Barrett
+        or rows), times inv, is the next quotient coefficient c; the block
+        is cleared exactly and c times -b_low is added below it.
+        """
+        db, b, low, inv = divisor
+        k = self.k
         if self.e == 1:
-            q, r = _pdivmod(self.pack(a), self.pack(b), self.k)
-            return self.unpack(q, len(a) - db), self.unpack(r, db)
-        block, bits = self._block, self.bits
-        scale = None if inv is None else self.pack([inv])
-        # -b[0], ..., -b[db - 1], packed: each slot times p - 1, mod p
-        low = self.k.norm((self.k.p - 1) * self.pack(b[:-1]))
-        rem, quot = self.pack(a), 0
-        for s in range(len(a) - 1 - db, -1, -1):
+            return _pdivmod(k.norm(v), b, k)
+        field, bits = self.field, self.bits
+        mul, reslot = field._mul, field._slots.w != k.w
+        quot = 0
+        for s in range((v.bit_length() - 1) // bits - db, -1, -1):
             pos = (s + db) * bits
-            top = rem >> pos
-            rem ^= top << pos
-            c = block(top)
+            top = v >> pos
+            v ^= top << pos
+            if reslot:  # the block's B slots in the field's width
+                top = field._slots.pack(k.unpack(top, self.B))
+            c = mul(top, 1)
             if c:
-                if scale is not None:
-                    c = block(c * scale)
+                if inv is not None:
+                    c = mul(c, inv)
+                if reslot:
+                    c = self.pack((c,))
                 quot |= c << s * bits
-                rem += c * low << s * bits
-        return (self.unpack(quot, len(a) - db),
-                self.unpack(self._fold(rem, db), db))
-
-    def _block(self, v):
-        """The canonical block congruent to one raw block v, by `fold`."""
-        k, B = self.k, self.B
-        span = 2 * B - 1
-        conv = k.unpack(k.norm(v) * self.fold, self.e * span)
-        return k.pack(conv[B - 1::span])
-
-
-class ResidueRing:
-    """F[t]/(f) over a field F, for f of degree D >= 1, on canonical ints.
-
-    A residue is the canonical int of its D coefficients.  The ring
-    keeps the packed rows t^(D+i) mod f, i < D, and folds block D + i of a
-    canonical int down as its coefficient times row i.  Its kernel has
-    room for sums of `terms` products of residues.
-    """
-
-    __slots__ = ("kernel", "D", "rows")
-
-    def __init__(self, field, modulus, terms=1):
-        """modulus: the element ints of f, low to high, f[-1] != 0."""
-        D = len(modulus) - 1
-        if D < 1:
-            raise DivisionByZero("a residue ring needs a modulus of degree "
-                                 ">= 1")
-        self.D = D
-        self.kernel = K = poly_kernel(field, terms * D)
-        # t^D = -f_low / lead; each next row is t times the last, folded
-        scale = field._neg(field._inv(modulus[-1]))
-        rows = [K.reduce(K.pack((scale,)) * K.pack(modulus[:-1]), D)]
-        top = (D - 1) * K.bits
-        for _ in range(D - 1):
-            row = rows[-1]
-            c = row >> top
-            rows.append(K.reduce(((row ^ c << top) << K.bits) + c * rows[0],
-                                 D))
-        self.rows = tuple(rows)
-
-    def reduce(self, v, count):
-        """The residue of v, of at most `count` <= 2D blocks.
-
-        v is a raw sum of at most `terms` products of residues
-        (count = 2D - 1), or a polynomial with slots in [0, p).
-        """
-        K, D = self.kernel, self.D
-        v = K.reduce(v, count)
-        if count <= D:
-            return v
-        size = K.bits // 8
-        raw = v.to_bytes(count * size, "little")
-        acc = int.from_bytes(raw[:D * size], "little")
-        width = K.e * K.k.size
-        for start, row in zip(range(D * size, count * size, size), self.rows):
-            c = int.from_bytes(raw[start:start + width], "little")
-            if c:
-                acc += c * row
-        return K.reduce(acc, D)
-
-    def mulmod(self, a, b):
-        return self.reduce(a * b, 2 * self.D - 1)
-
-    def pack(self, elems):
-        """The residue of the polynomial with these element ints.
-
-        From the top, D blocks at a time: the residue so far, times t^k,
-        plus the next k <= D coefficients has at most 2D blocks.
-        """
-        K, D = self.kernel, self.D
-        top = max(len(elems) - D, 0)
-        acc = K.pack(elems[top:])
-        while top:
-            low = max(top - D, 0)
-            acc = self.reduce((acc << (top - low) * K.bits)
-                              + K.pack(elems[low:top]), D + top - low)
-            top = low
-        return acc
-
-    def unpack(self, v):
-        """The D coefficients of a residue, as element ints."""
-        return self.kernel.unpack(v, self.D)
+                v += c * low << s * bits
+        return quot, k.norm(self._fold(v, db))

@@ -19,7 +19,7 @@ from .errors import (BoundExceeded, DivisionByZero, FieldMismatch,
                      NonCoprimeModuli, ParseError, ZeroPolynomial)
 from .finitefield import SCAN_LIMIT, FFElem, FField, FieldEmbedding, ff_embed
 from .intutil import _power
-from .polykernel import ResidueRing, poly_kernel
+from .polykernel import poly_kernel
 
 NEG_INF = float("-inf")
 
@@ -202,9 +202,12 @@ class UPoly(DensePoly):
             return UPoly.zero(self.base), self
         # a monic divisor, like every l^n and Ben-Or modulus, needs no inverse
         inv = None if other.is_monic() else other.leading().inverse().v
-        kernel = poly_kernel(self.base, max(other.deg, 2))
-        q, r = kernel.divmod(self.vs, other.vs, inv)
-        return UPoly._of(self.base, q), UPoly._of(self.base, r)
+        kernel = poly_kernel(self.base, other.deg)
+        q, r = kernel.divide(kernel.pack(self.vs),
+                             kernel.divisor(other.vs, inv))
+        count = self.deg - other.deg + 1
+        return (UPoly._of(self.base, kernel.unpack(q, count)),
+                UPoly._of(self.base, kernel.unpack(r, other.deg)))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -306,13 +309,21 @@ def upoly_crt(residues) -> UPoly:
 
 
 def upoly_powmod(a: UPoly, e: int, m: UPoly) -> UPoly:
-    """a^e mod m, squared and multiplied in the packed residue ring."""
+    """a^e mod m by square-and-multiply on packed remainders; a^0 is 1 mod m.
+
+    Each product is reduced by the kernel's long division, so the kernel
+    has room for one product of remainders and the division's deg m sums.
+    """
     a = a % m
-    if not a:  # as is every residue modulo a unit
-        return _power(a, e, UPoly.one(a.base), operator.mul)
-    ring = ResidueRing(m.base, m.vs)
-    h = _power(ring.pack(a.vs), e, 1, ring.mulmod)
-    return UPoly._of(m.base, ring.unpack(h))
+    kernel = poly_kernel(m.base, 2 * m.deg)
+    div = kernel.divisor(m.vs, None if m.is_monic()
+                         else m.leading().inverse().v)
+
+    def rem(v):
+        return kernel.divide(v, div)[1]
+
+    h = _power(kernel.pack(a.vs), e, rem(1), lambda x, y: rem(x * y))
+    return UPoly._of(m.base, kernel.unpack(h, m.deg))
 
 
 def upoly_det(rows) -> UPoly:
@@ -333,12 +344,10 @@ def upoly_irreducible(f: UPoly) -> bool:
     """Ben-Or's test: gcd(x^(q^i) - x, f) = 1 for every i <= deg f / 2."""
     if f.deg < 1:
         return False
-    ring = ResidueRing(f.base, f.vs)
-    x = UPoly.x(f.base)
-    h = ring.pack(x.vs)
+    x = h = UPoly.x(f.base)
     for _ in range(f.deg // 2):
-        h = _power(h, f.base.size, None, ring.mulmod)
-        if upoly_gcd(UPoly._of(f.base, ring.unpack(h)) - x, f).deg != 0:
+        h = upoly_powmod(h, f.base.size, f)
+        if upoly_gcd(h - x, f).deg != 0:
             return False
     return True
 

@@ -127,7 +127,8 @@ def test_motive_walk_maps_l_through_the_twisted_constants(F4, twist):
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_motive_walk_matches_ore_walk_on_wide_slots(p):
     # over F_25, F_49 and F_169 the walk's residues mod l^n need slots of
-    # two bytes or more once (p - 1) + r deg(l^n) 2 (p - 1)^2 >= 2^8
+    # two bytes or more once (p - 1) + (r + 1) deg(l^n) 2 (p - 1)^2 >= 2^8:
+    # r products and the division's deg(l^n) sums
     L = ff_make(p, 2, 0)
     Fp = ff_make(p, 1, 0)
     rng = random.Random(p)
@@ -145,7 +146,7 @@ def test_motive_walk_matches_ore_walk_on_wide_slots(p):
                     if ell != E.char_poly]
             for ell in ells:
                 for n in (1, 2):
-                    widths.add(poly_kernel(L, r * n * ell.deg).k.w)
+                    widths.add(poly_kernel(L, (r + 1) * n * ell.deg).k.w)
                     got = _outcome(motive_splitting_degree, E, frob, ell, n,
                                    24)
                     assert got == _outcome(splitting_degree, E, ell, n, 24)

@@ -17,7 +17,7 @@ from drinfeld import (OrePoly, UPoly, extension_of, ff_make, ore_divmod_left,
                       ore_eval)
 from drinfeld.errors import DivisionByZero, FieldMismatch
 from drinfeld.finitefield import FFElem, _slot_width
-from drinfeld.polykernel import ResidueRing, poly_kernel
+from drinfeld.polykernel import poly_kernel
 from drinfeld.upoly import upoly_irreducible, upoly_powmod
 
 
@@ -143,27 +143,33 @@ def test_products_and_quotients_with_zero_coefficients(p, e):
 @pytest.mark.parametrize("p, e", [(2, 1), (2, 3), (2, 6), (3, 2), (5, 2),
                                   (7, 4), (13, 2), (251, 2), (65537, 1)])
 def test_residue_ring_matches_schoolbook(p, e):
+    # remainders mod f in F[t]/(f) by the kernel's long division, on raw
+    # sums of products of residues and on canonical inputs of any length
     F = ff_make(p, e)
     rng = random.Random(f"ring {p}^{e}")
     for D in (1, 2, 5, 11):
         f = draw(F, rng, D + 1)  # not monic in general
         for terms in (1, 3):
-            ring = ResidueRing(F, [c.v for c in f], terms)
+            # room for the products and the division's D sums
+            kernel = poly_kernel(F, (terms + 1) * D)
+            div = kernel.divisor([c.v for c in f], f[-1].inverse().v)
+
+            def divide(v, count):
+                q, r = kernel.divide(v, div)
+                return (_trim(FFElem(F, c) for c in kernel.unpack(q, count)),
+                        _trim(FFElem(F, c) for c in kernel.unpack(r, D)))
+
             xs = [draw(F, rng, D, zeros=0.3) for _ in range(2 * terms)]
-            packed = [ring.pack([c.v for c in v]) for v in xs]
+            packed = [kernel.pack([c.v for c in v]) for v in xs]
             total, ref = 0, []
             for k in range(terms):
                 total += packed[2 * k] * packed[2 * k + 1]
                 ref = _add(F, ref, ref_mul(F, xs[2 * k], xs[2 * k + 1]))
-            got = ring.reduce(total, 2 * D - 1)
-            want = ref_divmod(F, ref, f)[1]
-            assert _trim(FFElem(F, v) for v in ring.unpack(got)) == want
-            # a long polynomial packs to its remainder, any length
+            assert divide(total, 2 * D) == ref_divmod(F, ref, f)
             for length in (D, D + 1, 2 * D + 1, 4 * D + 3):
                 v = draw(F, rng, length, zeros=0.3)
-                got = ring.unpack(ring.pack([c.v for c in v]))
-                assert _trim(FFElem(F, c) for c in got) == \
-                    ref_divmod(F, v, f)[1]
+                assert divide(kernel.pack([c.v for c in v]), length) == \
+                    ref_divmod(F, v, f)
 
 
 def _add(F, a, b):
@@ -172,11 +178,19 @@ def _add(F, a, b):
     return _trim(x + y for x, y in zip(a, b))
 
 
-def test_residue_ring_needs_a_modulus_of_positive_degree():
+def test_remainder_needs_a_nonzero_modulus():
+    # the zero modulus is a typed error; modulo a unit every remainder is 0
     F = ff_make(3, 2)
-    for modulus in ([], [F.one.v]):
-        with pytest.raises(DivisionByZero):
-            ResidueRing(F, modulus)
+    x, zero = UPoly.x(F), UPoly.zero(F)
+    with pytest.raises(DivisionByZero):
+        upoly_powmod(x, 2, zero)
+    with pytest.raises(DivisionByZero):
+        divmod(x, zero)
+    v, c = [F.gen, F.one, F.gen + 1], F.gen + 2
+    kernel = poly_kernel(F, 0)
+    q, r = kernel.divide(kernel.pack([y.v for y in v]),
+                         kernel.divisor([c.v], c.inverse().v))
+    assert (r, kernel.unpack(q, 3)) == (0, [(y / c).v for y in v])
 
 
 @pytest.mark.parametrize("p, e", [(2, 1), (2, 4), (3, 2), (13, 2)])
@@ -191,8 +205,10 @@ def test_powmod_matches_repeated_products(p, e):
             acc = acc * a
             assert upoly_powmod(a, k, m) == acc % m
         assert upoly_powmod(a, 0, m) == UPoly.one(F)
-    # modulo a unit every residue is 0; operands must share the field
-    assert upoly_powmod(UPoly.x(F), 3, UPoly.one(F)) == UPoly.zero(F)
+    # modulo a unit every residue is 0, a^0 = 1 included; operands must
+    # share the field
+    for k in (0, 1, 3):
+        assert upoly_powmod(UPoly.x(F), k, UPoly.one(F)) == UPoly.zero(F)
     with pytest.raises(FieldMismatch):
         upoly_powmod(UPoly.x(ff_make(5, 1)), 2, UPoly.x(F) ** 2 + 1)
 
