@@ -17,7 +17,8 @@ class DrinfeldModule:
     """Rank-r module over F_q[t] with base field L and characteristic theta."""
 
     __slots__ = ("L", "constants", "const_embedding", "theta", "coeffs",
-                 "twist", "_phi_t", "_char_poly")
+                 "twist", "_phi_t", "_char_poly", "_motive_norm",
+                 "_motive_frobenius")
 
     def __init__(self, L: FField, theta: FFElem, coeffs,
                  constants: FField | None = None, twist: int = 0,
@@ -41,6 +42,8 @@ class DrinfeldModule:
         self.twist = twist
         self._phi_t = None
         self._char_poly = None
+        # the motive's Frobenius norm and matrix, kept by motive.py
+        self._motive_norm = self._motive_frobenius = None
 
     # -- derived parameters ----------------------------------------------------
 

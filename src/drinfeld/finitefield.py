@@ -434,15 +434,32 @@ class FField:
         p = self.p
         if self.n == 1:
             return pow(a, -1, p)
-        # extended Euclid on packed polynomials: s1 a = r1 mod modulus
+        # extended Euclid on packed polynomials: s_i a = r_i mod modulus.
+        # As in `_pgcd`, each step clears the top nonzero slot of r0 with
+        # f x^j r1 and adds f x^j s1 to s0, so no quotient is built; a
+        # division takes at most n steps, each adding below p^2 to a slot
         k = self._slots
+        w = k.w
         r0, r1 = k.pack(self.modulus), a
         s0, s1 = 0, 1
         while r1:
-            q, r = _pdivmod(r0, r1, k)
-            r0, r1 = r1, r
-            s0, s1 = s1, k.norm(s0 + (p - 1) * k.norm(q * s1))
-        if r0 >> k.w:
+            db = r1.bit_length()
+            if p == 2:
+                while r0.bit_length() >= db:
+                    j = r0.bit_length() - db
+                    r0, s0 = r0 ^ r1 << j, s0 ^ s1 << j
+            else:
+                top = (db - 1) // w * w
+                neg, low = p - pow(r1 >> top, -1, p), r1 - (r1 >> top << top)
+                while r0 >> top:
+                    j = (r0.bit_length() - 1) // w * w
+                    c = r0 >> j
+                    f = c * neg % p
+                    r0 += (f * low << (j - top)) - (c << j)
+                    s0 += f * s1 << (j - top)
+                r0, s0 = k.norm(r0), k.norm(s0)
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        if r0 >> w:
             raise Reducible("element shares a factor with the modulus")
         return k.norm(s0 * pow(r0, -1, p))
 

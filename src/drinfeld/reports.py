@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from .dmodule import DrinfeldModule
 from .errors import BadReduction, CapExceeded, InsufficientModulus
 from .family import DrinfeldFamily, dm_residual_frobenius_check
-from .motive import (motive_frobenius, motive_frobenius_norm,
-                     motive_splitting_degree)
+from .motive import motive_frobenius_norm, motive_splitting_degree
 from .torsion import _validate_ell, dm_frobenius_det, dm_torsion
 from .upoly import (UPoly, irreducibles_of_degree, monic_irreducibles,
                     upoly_crt)
@@ -154,13 +153,16 @@ def choose_prime_sets(E: DrinfeldModule, cap: int = 12):
 
     Candidates are enumerated by (degree, encoding); an l is skipped when
     E[l] does not split within the cap, which its splitting degree alone
-    decides, read off the motive's Frobenius.  Each pass admits candidates
-    of one more degree, from d + 1 to d + 4, until every set fills.  A
-    degree's candidates are listed only when a pass reaches it, and each
-    (l, n) is searched at most once.
+    decides (`motive_splitting_degree`).  That degree is a multiple of the
+    order of the norm s mod l^n in F_q[t], and equal to it in rank 1, so
+    rank 1 decides every candidate in F_q[t], and above, a candidate whose
+    order leaves the cap or the 2^40 bound costs no work over L; s is
+    computed once per module and shared with norm_report.  Each pass
+    admits candidates of one more degree, from d + 1 to d + 4, until every
+    set fills.  A degree's candidates are listed only when a pass reaches
+    it, and each (l, n) is searched at most once.
     """
     need = E.d + 1
-    frob = motive_frobenius(E)
     known: dict = {}
 
     def candidates(max_deg):
@@ -172,7 +174,7 @@ def choose_prime_sets(E: DrinfeldModule, cap: int = 12):
     def splits(ell, n):
         if (ell, n) not in known:
             try:
-                motive_splitting_degree(E, frob, ell, n, cap)
+                motive_splitting_degree(E, ell, n, cap)
                 known[ell, n] = True
             except CapExceeded:
                 known[ell, n] = False

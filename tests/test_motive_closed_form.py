@@ -1,12 +1,14 @@
 """The closed forms of the motive determinant and the Frobenius norm against
 the definitions they replace: the Laplace determinant of the companion
-matrix, and the product of its d sigma-twists."""
+matrix, the product of its d sigma-twists, and the determinant of the
+motive's q^d-Frobenius."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld import (DrinfeldModule, UPoly, ff_embed, ff_make, motive_det,
                       motive_frobenius_norm, motive_matrix)
+from drinfeld.motive import motive_frobenius
 from drinfeld.upoly import upoly_det
 
 # (p, e, [L : F_p]): L and the constants run over F_2, F_3, F_4, F_8, F_9,
@@ -49,3 +51,10 @@ def test_closed_forms_match_their_definitions(E):
     assert motive_det(E) == upoly_det(motive_matrix(E))
     assert motive_frobenius_norm(E) == _norm_by_products(E)
 
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(E=modules())
+def test_frobenius_determinant_is_the_lifted_norm(E):
+    # the splitting search reads ord(s mod l^n) in F_q[t] because of this
+    assert upoly_det(motive_frobenius(E)) == E.lift(motive_frobenius_norm(E))

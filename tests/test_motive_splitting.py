@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld import (DrinfeldModule, UPoly, carlitz_family, ff_make,
-                      family_norm_table, motive_matrix, reports)
+from drinfeld import (DrinfeldModule, UPoly, carlitz_family, carlitz_module,
+                      ff_make, family_norm_table, monic_irreducibles, motive,
+                      motive_frobenius_norm, motive_matrix, reports)
 from drinfeld.errors import CapExceeded, InsufficientModulus
 from drinfeld.motive import motive_frobenius, motive_splitting_degree
 from drinfeld.polykernel import poly_kernel
@@ -51,8 +52,8 @@ def test_motive_walk_matches_ore_walk_on_benchmark_modules(monkeypatch):
     outcomes = []
     walk = reports.motive_splitting_degree
 
-    def both(E, frob, ell, n, cap):
-        got = _outcome(walk, E, frob, ell, n, cap)
+    def both(E, ell, n, cap):
+        got = _outcome(walk, E, ell, n, cap)
         assert got == _outcome(splitting_degree, E, ell, n, cap)
         outcomes.append(got)
         if isinstance(got, str):
@@ -72,6 +73,50 @@ def test_motive_walk_matches_ore_walk_on_benchmark_modules(monkeypatch):
                                       cap=24)
     degrees = [m for m in outcomes if isinstance(m, int)]
     assert len(degrees) > 300 and len(outcomes) - len(degrees) > 20
+
+
+def _refuse_motive_frobenius(monkeypatch):
+    def refuse(E):
+        raise AssertionError("rank 1 reads its splitting degrees off s")
+
+    monkeypatch.setattr(motive, "motive_frobenius", refuse)
+
+
+def test_rank1_prime_sets_need_no_motive_frobenius(monkeypatch):
+    # the 45 places of the carlitz_tables workload: the sets read off
+    # ord(s mod l^n) in F_q[t] are the sets of the L{tau} walk
+    modules = [family.specialize(place)[0]
+               for p, e, max_deg in CARLITZ_TABLES
+               for family in [carlitz_family(p, e)]
+               for place in monic_irreducibles(family.constants, max_deg)]
+    assert len(modules) == 45
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reports, "motive_splitting_degree", splitting_degree)
+        expected = [reports.choose_prime_sets(E, cap=24) for E in modules]
+    _refuse_motive_frobenius(monkeypatch)
+    assert [reports.choose_prime_sets(E, cap=24) for E in modules] == expected
+
+
+def test_rank1_order_past_the_desk_bound_is_refused(monkeypatch):
+    # over F_(2^8) the bound 2^40 allows m <= 5, so a prime whose
+    # ord(s mod l) exceeds 5 is refused within cap 24 on both routes
+    E = carlitz_module(ff_make(2, 8, 0))
+    s = motive_frobenius_norm(E)
+
+    def order(ell):
+        x, m = s % ell, 1
+        while x != UPoly.one(ell.base):
+            x, m = x * s % ell, m + 1
+        return m
+
+    ell = next(ell for ell in monic_irreducibles(E.constants, 4)
+               if ell != E.char_poly and order(ell) > 5)
+    _refuse_motive_frobenius(monkeypatch)
+    got = _outcome(motive_splitting_degree, E, ell, 1, 24)
+    assert got == _outcome(splitting_degree, E, ell, 1, 24)
+    assert "exceeds 24" in got
+    with pytest.raises(CapExceeded):
+        motive_splitting_degree(E, ell, 1, 24)
 
 
 @st.composite
@@ -101,8 +146,7 @@ def torsion_queries(draw):
 @given(query=torsion_queries())
 def test_motive_walk_matches_ore_walk(query):
     E, ell, n, cap = query
-    assert (_outcome(motive_splitting_degree, E, motive_frobenius(E), ell, n,
-                     cap)
+    assert (_outcome(motive_splitting_degree, E, ell, n, cap)
             == _outcome(splitting_degree, E, ell, n, cap))
 
 
@@ -114,11 +158,10 @@ def test_motive_walk_maps_l_through_the_twisted_constants(F4, twist):
     for coeffs in ([F16.gen, F16.one], [F16.one], [F16.one, F16.gen]):
         E = DrinfeldModule(F16, F16.gen + 1, coeffs, constants=F4,
                            twist=twist)
-        frob = motive_frobenius(E)
         ells = irreducibles_of_degree(F4, 1) + irreducibles_of_degree(F4, 2)
         for ell in (ell for ell in ells if ell != E.char_poly):
             for n in (1, 2):
-                got = _outcome(motive_splitting_degree, E, frob, ell, n, 24)
+                got = _outcome(motive_splitting_degree, E, ell, n, 24)
                 assert got == _outcome(splitting_degree, E, ell, n, 24)
                 found += isinstance(got, int)
     assert found > 10
@@ -140,15 +183,13 @@ def test_motive_walk_matches_ore_walk_on_wide_slots(p):
                       for _ in range(r - 1)]
             coeffs.append(L.from_encoding(rng.randrange(1, L.size)))
             E = DrinfeldModule(L, theta, coeffs, constants=Fp)
-            frob = motive_frobenius(E)
             ells = [ell for ell in list(irreducibles_of_degree(Fp, 1))
                     + rng.sample(irreducibles_of_degree(Fp, 2), 2)
                     if ell != E.char_poly]
             for ell in ells:
                 for n in (1, 2):
                     widths.add(poly_kernel(L, (r + 1) * n * ell.deg).k.w)
-                    got = _outcome(motive_splitting_degree, E, frob, ell, n,
-                                   24)
+                    got = _outcome(motive_splitting_degree, E, ell, n, 24)
                     assert got == _outcome(splitting_degree, E, ell, n, 24)
                     found += isinstance(got, int)
     assert found > 10 and max(widths) > 8

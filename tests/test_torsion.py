@@ -237,9 +237,9 @@ def _count_motive_walks(monkeypatch):
     walked = []
     walk = reports.motive_splitting_degree
 
-    def counting(E, frob, ell, n, cap):
+    def counting(E, ell, n, cap):
         walked.append((ell.encode(), n))
-        return walk(E, frob, ell, n, cap)
+        return walk(E, ell, n, cap)
 
     monkeypatch.setattr(reports, "motive_splitting_degree", counting)
     return walked
