@@ -7,7 +7,10 @@ over 200 seeded random nonzero elements, and `ff_make_us`, the modulus
 search from an empty field cache.  At F_{2^24}, F_{2^36} and F_{3^24},
 `kernel_us` times `ore_kernel` of a seeded random operator of tau-degree 8
 over the field itself: its columns and the packed Gaussian elimination
-over F_p.  The polynomial rows F_{p^e}[t] time
+over F_p.  The row F_2^8{tau} times the twisted polynomials: `ore_mul_us`,
+a product of two operators of tau-degree 19, and `ore_divmod_us`, a left
+division of an operator of degree 40 by a monic one of degree 8.  The
+polynomial rows F_{p^e}[t] time
 `UPoly` arithmetic on the packed kernel: `mul_us`, a product of two
 polynomials of degree 8, `rem_us`, such a product mod a monic
 polynomial of degree 9, and `powmod_us`, a polynomial of degree 8 raised
@@ -25,7 +28,8 @@ import random
 import sys
 import timeit
 
-from drinfeld import OrePoly, UPoly, finitefield, ff_make, ore_kernel
+from drinfeld import (OrePoly, UPoly, finitefield, ff_make, ore_divmod_left,
+                      ore_kernel)
 from drinfeld.upoly import upoly_powmod
 
 # F_4, F_8 and F_9 are the busiest small fields; F_65537 is a prime field
@@ -35,6 +39,7 @@ KERNEL_FIELDS = ((2, 24), (2, 36), (3, 24))
 KERNEL_DEG = 8
 POLY_FIELDS = ((2, 5), (2, 12), (3, 2), (13, 2))
 POLY_DEG, MOD_DEG = 8, 9
+ORE_FIELD, ORE_MUL_DEG, ORE_DIV_DEGS = (2, 8), 19, (40, 8)
 BATCH = 200
 
 
@@ -89,6 +94,26 @@ def bench_poly(p, e, reps):
     }
 
 
+def bench_ore(reps):
+    F = ff_make(*ORE_FIELD)
+    rng = random.Random("L{tau}")
+
+    def op(deg, monic=False):
+        top = F.one if monic else F.from_encoding(rng.randrange(1, F.size))
+        return OrePoly(F, [F.from_encoding(rng.randrange(F.size))
+                           for _ in range(deg)] + [top])
+
+    count = 10
+    pairs = [(op(ORE_MUL_DEG), op(ORE_MUL_DEG)) for _ in range(count)]
+    num, den = ORE_DIV_DEGS
+    divs = [(op(num), op(den, monic=True)) for _ in range(count)]
+    return {
+        "ore_mul_us": per_op(lambda: [a * b for a, b in pairs], count, reps),
+        "ore_divmod_us": per_op(lambda: [ore_divmod_left(a, b)
+                                         for a, b in divs], count, reps),
+    }
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawTextHelpFormatter)
@@ -97,6 +122,8 @@ def main():
     if args.reps < 1:
         ap.error("--reps must be at least 1")
     results = {f"F_{p}^{n}": bench(p, n, args.reps) for p, n in FIELDS}
+    p, n = ORE_FIELD
+    results[f"F_{p}^{n}{{tau}}"] = bench_ore(args.reps)
     results.update({f"F_{p}^{e}[t]": bench_poly(p, e, args.reps)
                     for p, e in POLY_FIELDS})
     print(json.dumps(results, indent=1))

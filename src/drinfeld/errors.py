@@ -55,6 +55,9 @@ class CharacteristicIdeal(DrinfeldError):
 class CapExceeded(DrinfeldError):
     """A splitting extension would exceed the configured degree cap."""
 
+    def __str__(self):  # a callable text is built only when read
+        return self.args[0]() if callable(self.args[0]) else str(self.args[0])
+
 
 class BadReduction(DrinfeldError):
     """Specialization at a place where the leading coefficient vanishes."""

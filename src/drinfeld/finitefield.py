@@ -18,15 +18,15 @@ its one slot, and normalizes by `% p`.  `FFElem.coeffs` reads the slots
 back as a tuple.  Normalized ints compare as their encodings do (both
 compare the top differing slot first), so int order is encoding order.
 
-* A product in F_{p^n} is one big-int product c, normalized, reduced.
-  Byte slots (w = 8: every p = 2 field, and n p^2 < 256) use Barrett
-  reduction, exact over F_p[x]: q = (c >> n w) mu >> (n - 2) w with
-  mu = x^(2n-2) div the modulus, and the product is the low n slots of
-  c - q f_low, f_low the modulus below x^n.  A slot of c sums n products
-  below p^2, of the two others n - 1.  Word slots, where a normalization
-  is two `struct` passes, add conv[n+k] times the packed x^(n+k) mod the
-  modulus (the reduction table) to conv[0:n].
-* A sum, difference or negation is one int sum, normalized.
+* A product in F_{p^n}, one big-int product c, or a sum of such products
+  is reduced once (`FField._fold`); each product joins a sum normalized,
+  so its slots stay below n p^2.  Byte slots (w = 8: every p = 2 field,
+  and n p^2 < 256) use Barrett reduction, exact over F_p[x]:
+  q = (c >> n w) mu >> (n - 2) w, mu = x^(2n-2) div the modulus, and the
+  result is the low n slots of c - q f_low, f_low the modulus below x^n;
+  at p = 2 each normalization is an inline AND.  Word slots (a normalization
+  is two `struct` passes) add conv[n+k] times x^(n+k) mod f to conv[0:n].
+* A sum, difference or negation is one int sum, normalized (p = 2: an AND).
 * Frobenius a -> a^(p^i) is i squarings at p = 2; above, i applications
   of the F_p-linear map whose packed rows (x^j)^p a field builds on first
   use.
@@ -342,8 +342,10 @@ class FField:
         self.modulus = modulus
         self.size = p ** n
         self._slots = k = _slots(p, _width(p, n))
-        # an element of F_p is its residue, so F_p normalizes by % p
-        self._norm = p.__rmod__ if n == 1 else k.norm
+        # F_p normalizes by % p; at p = 2 (w = 8) a product or a sum of them,
+        # 2n - 1 slots, by one AND with the low bit of every slot
+        ones = int.from_bytes(b"\x01" * (2 * n - 1), "little") if p == 2 else 0
+        self._norm = p.__rmod__ if n == 1 else ones.__and__ if ones else k.norm
         # reduction table: x^(n+j) mod modulus for j < n - 1, packed;
         # x^n = -(low part), and each next row is x times the last
         high = k.w * n
@@ -358,12 +360,13 @@ class FField:
             red.append(row)
         self._red = tuple(red)
         # byte slots multiply by Barrett reduction: mu = x^(2n-2) div the
-        # modulus, the modulus's low part, and the shifts and mask it uses
+        # modulus, the modulus's low part, and the shifts and masks it uses
         self._barrett = None
         if k.w == 8 and n > 1:
             mu = _pdivmod(1 << k.w * (2 * n - 2), k.pack(modulus), k)[0]
             low = k.norm((p - 1) * k.pack(modulus[:-1]))
-            self._barrett = (mu, low, high, high - 2 * k.w, (1 << high) - 1)
+            self._barrett = (mu, low, high, high - 2 * k.w,
+                             (1 << high) - 1 & (ones or -1), ones)
         self._frob = None
         self._kernels = {}  # slot width -> polykernel.PolyKernel over it
 
@@ -381,21 +384,28 @@ class FField:
         return self._norm((self.p - 1) * a)
 
     def _mul(self, a, b):
-        n = self.n
-        if n == 1:
-            return a * b % self.p
-        k = self._slots
+        return a * b % self.p if self.n == 1 else self._fold(a * b)
+
+    def _fold(self, c):
+        """The element int of c, a product or sum of products (slots < 2^w)."""
         if self._barrett:
-            mu, low, high, shift, mask = self._barrett
-            norm = k.norm
-            c = norm(a * b)
+            mu, low, high, shift, mask, ones = self._barrett
+            if ones:  # p = 2: every normalization is an inline AND
+                c &= ones
+                q = (c >> high) * mu >> shift & ones
+                return (c ^ q * low) & mask
+            norm = self._slots.norm
+            c = norm(c)
             q = norm((c >> high) * mu >> shift)
             return norm((c + q * low) & mask)
-        conv = k.unpack(a * b, 2 * n - 1)
+        if self.n == 1:
+            return c % self.p
+        k, n = self._slots, self.n
+        conv = k.unpack(c, 2 * n - 1)
         acc = k.pack(conv[:n])
-        for c, row in zip(conv[n:], self._red):
-            if c:
-                acc += c * row
+        for d, row in zip(conv[n:], self._red):
+            if d:
+                acc += d * row
         return k.norm(acc)
 
     def _frobenius(self, a, i):
@@ -403,7 +413,7 @@ class FField:
         applications of the cached map."""
         if self.p == 2:
             for _ in range(i):
-                a = self._mul(a, a)
+                a = self._fold(a * a)
             return a
         if not i:
             return a

@@ -1,8 +1,9 @@
 """The twisted polynomial ring L{tau} with tau*c = c^p*tau.
 
-Elements act on extensions of L as additive polynomials
-x -> sum c_i x^(p^i); kernels are F_p-subspaces computed by linear algebra
-over the prime field.
+Elements act on extensions of L as additive polynomials x -> sum c_i
+x^(p^i); kernels are F_p-subspaces, by linear algebra over F_p.  Products,
+divisions, values and kernel columns add element products unreduced (at
+p = 2 each by an AND) and reduce every output once (`FField._fold`).
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ class OrePoly(DensePoly):
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return OrePoly.zero(self.base)
         field = self.base
-        mul, add = field._mul, field._add
+        norm, fold = field._norm, field._fold
         out = [0] * (len(self.vs) + len(other.vs) - 1)
         # tau^i * c = sigma^i(c) * tau^i, and sigma^n is the identity on L
         twisted = [other]
@@ -43,8 +42,8 @@ class OrePoly(DensePoly):
                 twisted.append(twisted[-1].frobenius(1))
             for j, b in enumerate(twisted[i % field.n].vs, i):
                 if b:
-                    out[j] = add(out[j], mul(a, b))
-        return OrePoly._of(field, out)
+                    out[j] = norm(out[j] + a * b)
+        return OrePoly._of(field, [fold(c) for c in out])
 
     def __rmul__(self, other):
         return self._coerce(other) * self
@@ -87,27 +86,28 @@ def _left_divider(b: OrePoly):
     first), is made once per divisor, when a division first needs it.
     """
     field, db = b.base, b.deg
-    mul, sub = field._mul, field._sub
-    # sigma^j(b) with the inverse of its leading coefficient appended
-    twisted = [OrePoly._of(field, b.vs + (b.leading().inverse().v,))]
+    mul, neg, norm, fold = field._mul, field._neg, field._norm, field._fold
+    # sigma^j(b) with minus the inverse of its leading coefficient appended
+    twisted = [OrePoly._of(field, b.vs + (neg(b.leading().inverse().v),))]
 
     def divide(vs):
         r = list(vs)
         q = [0] * max(len(r) - db, 0)
-        while len(r) > db:
-            k = len(r) - 1 - db
-            j = k % field.n
-            while len(twisted) <= j:
-                twisted.append(twisted[-1].frobenius(1))
-            tb = twisted[j].vs
-            q[k] = c = mul(r[-1], tb[-1])
-            for i in range(db):
-                if tb[i]:
-                    r[k + i] = sub(r[k + i], mul(c, tb[i]))
+        for k in range(len(q) - 1, -1, -1):
+            top = fold(r.pop())  # r holds sums of products, reduced when read
+            if top:
+                j = k % field.n
+                while len(twisted) <= j:
+                    twisted.append(twisted[-1].frobenius(1))
+                tb = twisted[j].vs
+                q[k] = c = mul(top, tb[-1])  # minus the quotient coefficient
+                for i in range(db):
+                    if tb[i]:
+                        r[k + i] = norm(r[k + i] + c * tb[i])
+        r = [fold(c) for c in r]
+        while r and not r[-1]:
             r.pop()
-            while r and not r[-1]:
-                r.pop()
-        return q, r
+        return [neg(c) for c in q], r
 
     return divide
 
@@ -139,28 +139,36 @@ def ore_divmod_right(a: OrePoly, b: OrePoly):
     return q, r
 
 
+def _value(field, vs, chain):
+    """sum vs[i] x^(p^i) for chain [x, x^p, ...], extended in place."""
+    while len(chain) < len(vs):
+        chain.append(field._frobenius(chain[-1], 1 % field.n))
+    norm, acc = field._norm, 0
+    for c, x in zip(vs, chain):
+        if c:
+            acc = norm(acc + c * x)
+    return field._fold(acc)
+
+
 def ore_eval(f: OrePoly, x: FFElem) -> FFElem:
     """Apply the additive polynomial: sum c_i x^(p^i)."""
     field = x.field
     if field != f.base:
         f = f.map_field(ff_embed(f.base, field))
-    mul, add = field._mul, field._add
-    acc, power, step = 0, x.v, 1 % field.n
-    for i, c in enumerate(f.vs):
-        if i:
-            power = field._frobenius(power, step)
-        if c:
-            acc = add(acc, mul(c, power))
-    return FFElem(field, acc)
+    return FFElem(field, _value(field, f.vs, [x.v]))
 
 
 def ore_kernel(f: OrePoly, ext: FField) -> KernelSpace:
     """All roots of f in ext, with an F_p-basis; |kernel| divides p^deg."""
     if f.is_zero():
         raise ZeroPolynomial("kernel of the zero operator is everything")
-    g = f.map_field(ff_embed(f.base, ext))
-    w = ext._slots.w
-    cols = [ore_eval(g, FFElem(ext, 1 << w * j)).v for j in range(ext.n)]
+    g = f if ext == f.base else f.map_field(ff_embed(f.base, ext))
+    p, w, chains, cols = ext.p, ext._slots.w, [], []
+    for j in range(ext.n):
+        # column f(x^j); for p | j, (x^j)^(p^i) = (x^(j/p))^(p^(i+1))
+        reuse = chains[j // p][2:] if j and not j % p else []
+        chains.append([1 << w * j] + reuse)
+        cols.append(_value(ext, g.vs, chains[-1]))
     return KernelSpace(ext, ext.kernel(cols))
 
 

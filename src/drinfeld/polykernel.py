@@ -139,16 +139,16 @@ class PolyKernel:
         v is canonical or a raw sum of products, with room left for
         deg b more sums per slot: long division adds at most deg b products
         below p^2 to a slot.  At e = 1 it is `_pdivmod`.  Above, from the
-        top, the raw top block reduced by the field's own product (Barrett
-        or rows), times inv, is the next quotient coefficient c; the block
-        is cleared exactly and c times -b_low is added below it.
+        top, the raw top block reduced by `FField._fold` (Barrett or rows),
+        times inv, is the next quotient coefficient c; the block is cleared
+        exactly and c times -b_low is added below it.
         """
         db, b, low, inv = divisor
         k = self.k
         if self.e == 1:
             return _pdivmod(k.norm(v), b, k)
         field, bits = self.field, self.bits
-        mul, reslot = field._mul, field._slots.w != k.w
+        mul, fold, reslot = field._mul, field._fold, field._slots.w != k.w
         quot = 0
         for s in range((v.bit_length() - 1) // bits - db, -1, -1):
             pos = (s + db) * bits
@@ -156,7 +156,7 @@ class PolyKernel:
             v ^= top << pos
             if reslot:  # the block's B slots in the field's width
                 top = field._slots.pack(k.unpack(top, self.B))
-            c = mul(top, 1)
+            c = fold(top)
             if c:
                 if inv is not None:
                     c = mul(c, inv)

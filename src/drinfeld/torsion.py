@@ -104,15 +104,16 @@ def splitting_degree(E: DrinfeldModule, ell: UPoly, n: int, cap: int,
     # |E[l^n]| = q^(r n deg l), and its splitting field is at least as large
     k = E.r * n * ell.deg
     if k > 40 or E.q ** k > FIELD_SIZE_LIMIT:
-        raise CapExceeded(f"E[({ell.to_text()})^{n}] has over 2^40 points")
+        raise CapExceeded(
+            lambda: f"E[({ell.to_text()})^{n}] has over 2^40 points")
     lam = ell ** n
     try:
         if walk is None:
             return ore_splitting_degree(E.phi(lam), cap)
         return walk(lam)
     except NotFound as exc:
-        raise CapExceeded(
-            f"splitting degree of E[{lam.to_text()}] exceeds {cap}") from exc
+        raise CapExceeded(lambda: f"splitting degree of E[{lam.to_text()}] "
+                                  f"exceeds {cap}") from exc
 
 
 def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,

@@ -75,6 +75,39 @@ def test_motive_walk_matches_ore_walk_on_benchmark_modules(monkeypatch):
     assert len(degrees) > 300 and len(outcomes) - len(degrees) > 20
 
 
+def test_norm_report_flags_match_the_checked_report():
+    # norm_report states its flags by construction; frobenius_report checks
+    # them from the same residues, on every benchmark place and module
+    modules = []
+    for p, e, max_deg in CARLITZ_TABLES:
+        family = carlitz_family(p, e)
+        for prime in monic_irreducibles(family.constants, max_deg):
+            modules.append(family.specialize(prime)[0])
+    assert len(modules) == 45
+    modules += list(_benchmark_modules())
+    for E in modules:
+        rep = reports.norm_report(E, cap=24)
+        assert rep.all_ok and rep.char_power == E.d // E.char_poly.deg
+        assert rep == reports.frobenius_report(E, rep.residues, rep.s_exact)
+
+
+def test_rejected_candidates_build_no_text(monkeypatch):
+    # the search discards each CapExceeded, so none formats its polynomial
+    F8 = ff_make(2, 3, 0)
+    E = DrinfeldModule(F8, F8.gen, [F8.one, F8.one])
+    texts = []
+    to_text = UPoly.to_text
+    monkeypatch.setattr(UPoly, "to_text",
+                        lambda f, *args: texts.append(f) or to_text(f, *args))
+    with pytest.raises(InsufficientModulus):
+        reports.choose_prime_sets(E, cap=24)
+    assert not texts
+    with pytest.raises(CapExceeded) as info:
+        splitting_degree(E, UPoly(E.constants, [1, 1, 1]), 1, 1)
+    assert str(info.value) == "splitting degree of E[t^2+t+1] exceeds 1"
+    assert len(texts) == 1
+
+
 def _refuse_motive_frobenius(monkeypatch):
     def refuse(E):
         raise AssertionError("rank 1 reads its splitting degrees off s")
