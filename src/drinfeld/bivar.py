@@ -136,12 +136,6 @@ class BivarPoly:
             return 0
         return acc
 
-    def substitute_y_power(self, k: int):
-        """Y -> Y^(p^k)."""
-        step = self.p ** k
-        return BivarPoly(self.p,
-                         {(i, j * step): c for (i, j), c in self.terms.items()})
-
     # -- normalization ------------------------------------------------------------
 
     def content_y(self) -> UPoly:

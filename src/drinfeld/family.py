@@ -11,7 +11,7 @@ from __future__ import annotations
 from .dmodule import DrinfeldModule
 from .errors import BadReduction, FieldMismatch
 from .finitefield import FField, ff_embed, ff_make
-from .upoly import UPoly, irreducible_divisors, upoly_irreducible
+from .upoly import UPoly, upoly_irreducible
 
 
 class DrinfeldFamily:
@@ -45,17 +45,6 @@ class DrinfeldFamily:
     @property
     def e(self):
         return self.constants.n
-
-    def bad_dominant_places(self):
-        """S_D: monic irreducible divisors of the leading coefficient."""
-        lead = self.coeffs[-1]
-        if lead.deg == 0:
-            return []
-        return irreducible_divisors(lead)
-
-    def bad_total_places(self):
-        """S_T is empty: polynomial coefficients are integral everywhere."""
-        return []
 
     def is_good(self, prime: UPoly) -> bool:
         return not (self.coeffs[-1] % prime).is_zero()

@@ -4,7 +4,7 @@ E[l^n] is the kernel of phi_(l^n) in the minimal splitting extension, its
 points indexed, not built, and certified free of rank r over A/l^n by an
 explicit basis drawn among them, whose F_p-generators are
 kept in reduced echelon form; the coordinates of a point come from one
-solve against them, so Galois actions become matrix extractions.
+solve against them, so the Frobenius action becomes a matrix extraction.
 Its splitting degree alone needs no extension.  The Frobenius determinant
 mod l^n is what reports.dm_frobenius_norm lifts by CRT to the norm.
 """
@@ -26,10 +26,9 @@ class TorsionModule:
     """E[l^n] with a certified A/l^n-basis of size r."""
 
     __slots__ = ("module", "ell", "n", "ext", "embedding", "points", "basis",
-                 "_pivots", "_phi_t_ext")
+                 "_pivots")
 
-    def __init__(self, module, ell, n, ext, embedding, points, basis, pivots,
-                 phi_t_ext):
+    def __init__(self, module, ell, n, ext, embedding, points, basis, pivots):
         self.module = module
         self.ell = ell
         self.n = n
@@ -39,14 +38,10 @@ class TorsionModule:
         self.basis = basis
         # of the columns u_b phi_t^j(b_i), in (i, j, b) order: see dm_torsion
         self._pivots = pivots
-        self._phi_t_ext = phi_t_ext
 
     @property
     def modulus(self) -> UPoly:
         return self.ell ** self.n
-
-    def t_action(self, x):
-        return ore_eval(self._phi_t_ext, x)
 
     def coordinates(self, x):
         """The residues a_i mod l^n with x = sum a_i b_i; ValueError if x is
@@ -68,13 +63,7 @@ class TorsionModule:
     def frobenius_matrix(self):
         """Matrix of x -> x^|L| on the basis, entries in A/l^n."""
         n = self.module.L.n
-        return self._matrix([b.p_power(n) for b in self.basis])
-
-    def t_matrix(self):
-        return self._matrix([self.t_action(b) for b in self.basis])
-
-    def _matrix(self, images):
-        cols = [self.coordinates(x) for x in images]
+        cols = [self.coordinates(b.p_power(n)) for b in self.basis]
         return tuple(tuple(col[i] for col in cols)
                      for i in range(len(self.basis)))
 
@@ -164,8 +153,7 @@ def dm_torsion(E: DrinfeldModule, ell: UPoly, n: int, cap: int = 12,
 
     if len(pivots) != kernel.dim:  # pragma: no cover - freeness guarantees this
         raise NotFound(BASIS_RETRY_LIMIT, "span does not exhaust the kernel")
-    return TorsionModule(E, ell, n, ext, emb, kernel, tuple(basis), pivots,
-                         phi_t_ext)
+    return TorsionModule(E, ell, n, ext, emb, kernel, tuple(basis), pivots)
 
 
 def dm_frobenius_det(T: TorsionModule):

@@ -405,29 +405,13 @@ def irreducibles_of_degree(base: FField, d: int) -> tuple:
 
 
 def monic_irreducibles(base: FField, max_deg: int):
-    """All monic irreducibles of degree <= max_deg, ordered by (degree, encoding)."""
-    return [f for d in range(1, max_deg + 1)
-            for f in irreducibles_of_degree(base, d)]
+    """All monic irreducibles of degree <= max_deg, ordered by (degree, encoding).
 
-
-def irreducible_divisors(f: UPoly):
-    """The monic irreducible divisors in (degree, encoding) order."""
-    if f.is_zero():
-        raise ZeroPolynomial("zero polynomial")
-    found = []
-    g = f.monic()
-    d = 1
-    while g.deg >= 1:
-        if d > g.deg // 2:
-            found.append(g)
-            break
-        for cand in irreducibles_of_degree(f.base, d):
-            if (g % cand).is_zero():
-                found.append(cand)
-                while (g % cand).is_zero():
-                    g = g // cand
-        d += 1
-    return found
+    The top degree is sieved first, so a size bound it exceeds fails at once.
+    """
+    top = irreducibles_of_degree(base, max_deg)
+    return [f for d in range(1, max_deg)
+            for f in irreducibles_of_degree(base, d)] + list(top)
 
 
 def lagrange_interpolator(xs, base: FField):
@@ -445,12 +429,6 @@ def lagrange_interpolator(xs, base: FField):
         basis.append(num * num.eval(xi).inverse())
     return lambda ys: sum((b * y for b, y in zip(basis, ys)),
                           UPoly.zero(base))
-
-
-def lagrange_interpolate(points, base: FField) -> UPoly:
-    """Unique polynomial of degree < len(points) through (x_i, y_i)."""
-    interpolate = lagrange_interpolator([x for x, _ in points], base)
-    return interpolate([y for _, y in points])
 
 
 def upoly_resultant(f: UPoly, g: UPoly) -> FFElem:

@@ -392,6 +392,14 @@ def test_zero_entries_past_the_field_degree_change_nothing():
       "--ell", "t"], CARLITZ_FAMILY, "exponent 4194304 is above 2097152"),
     (["drinfeld", "phi", "--module", "-", "--a", "t^4194304"],
      CARLITZ_F4_MODULE, "exponent 4194304 is above 2097152"),
+    # the top degree is sieved first, not after degrees 1..21
+    (["carlitz", "table", "--p", "2", "--max-prime-degree", "22",
+      "--cap", "24"], "",
+     "4194304 monic polynomials of degree 22 are too many to sieve"),
+    (["residual", "check", "--max-prime-degree", "22"], CARLITZ_FAMILY,
+     "4194304 monic polynomials of degree 22 are too many to sieve"),
+    (["type2", "report", "--max-prime-degree", "22"], CARLITZ_FAMILY,
+     "4194304 monic polynomials of degree 22 are too many to sieve"),
 ])
 def test_oversized_requests_fail_fast(argv, stdin_text, message):
     start = time.perf_counter()

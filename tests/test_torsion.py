@@ -94,7 +94,10 @@ def test_frobenius_commutes_with_t_action(F2, carlitz_f4, rank2_f2):
     for E, ell_text, n in [(carlitz_f4, "t", 2), (rank2_f2, "t", 1)]:
         T = dm_torsion(E, parse_upoly(ell_text, F2), n, cap=12)
         frob = T.frobenius_matrix()
-        tmat = T.t_matrix()
+        phi_t = E.phi_t.map_field(T.embedding)
+        cols = [T.coordinates(ore_eval(phi_t, b)) for b in T.basis]
+        tmat = tuple(tuple(col[i] for col in cols)
+                     for i in range(len(T.basis)))
         mod = T.modulus
         assert _mat_mul_mod(frob, tmat, mod) == _mat_mul_mod(tmat, frob, mod)
 
@@ -310,8 +313,9 @@ def test_determinant_helper(F2):
 def test_points_closed_under_module_actions(F2, carlitz_f4):
     T = dm_torsion(carlitz_f4, UPoly.x(F2), 2, cap=12)
     points = set(T.points)
+    phi_t = carlitz_f4.phi_t.map_field(T.embedding)
     for x in T.points:
-        assert T.t_action(x) in points
+        assert ore_eval(phi_t, x) in points
         for c in carlitz_f4.constants.elements():
             assert T.embedding(carlitz_f4.constant_action(c)) * x in points
 

@@ -11,7 +11,7 @@ from drinfeld.errors import (BoundExceeded, FieldMismatch, NonCoprimeModuli,
                              ZeroPolynomial)
 from drinfeld.finitefield import FFElem, FField, _pirreducible, ff_embed
 from drinfeld.upoly import (NEG_INF, irreducibles_of_degree,
-                            lagrange_interpolate, upoly_powmod,
+                            lagrange_interpolator, upoly_powmod,
                             upoly_resultant)
 from test_dmodule import _minimal_polynomial_by_solves
 
@@ -218,6 +218,11 @@ def test_text_parses_back_over_every_field(p, n):
     assert parse_upoly("[1]*t+2*t-t", F) == UPoly(F, [0, 2])
     if n > 1:
         assert parse_upoly(f"-[0,{p - 1}]+t^2", F) == UPoly(F, [F.gen, 0, 1])
+
+
+def lagrange_interpolate(points, base):
+    return lagrange_interpolator([x for x, _ in points], base)(
+        [y for _, y in points])
 
 
 def test_lagrange_interpolation(F9):
