@@ -15,9 +15,12 @@ polynomial rows F_{p^e}[t] time
 polynomials of degree 8, `rem_us`, such a product mod a monic
 polynomial of degree 9, and `powmod_us`, a polynomial of degree 8 raised
 to the power |F| mod such a monic, one round of Ben-Or's test, on the
-kernel's long division.  Each number is the best of --reps
-repetitions.  These are wall-clock times on the host that runs the script,
-so compare them only with numbers from the same host and session.
+kernel's long division.  The row `sieve_ms` times, in milliseconds,
+`irreducibles_of_degree` from an empty cache (so with the lower degrees it
+sieves first) at F_2 degrees 12 and 16, F_8 degree 4 and F_3 degree 8.
+Each number is the best of --reps repetitions.  These are wall-clock times
+on the host that runs the script, so compare them only with numbers from
+the same host and session.
 
     python scripts/field_bench.py --reps 5
 """
@@ -30,7 +33,7 @@ import timeit
 
 from drinfeld import (OrePoly, UPoly, finitefield, ff_make, ore_divmod_left,
                       ore_kernel)
-from drinfeld.upoly import upoly_powmod
+from drinfeld.upoly import irreducibles_of_degree, upoly_powmod
 
 # F_4, F_8 and F_9 are the busiest small fields; F_65537 is a prime field
 FIELDS = ((2, 2), (2, 3), (3, 2), (2, 12), (2, 24), (2, 36), (2, 40), (3, 24),
@@ -40,6 +43,7 @@ KERNEL_DEG = 8
 POLY_FIELDS = ((2, 5), (2, 12), (3, 2), (13, 2))
 POLY_DEG, MOD_DEG = 8, 9
 ORE_FIELD, ORE_MUL_DEG, ORE_DIV_DEGS = (2, 8), 19, (40, 8)
+SIEVES = ((2, 1, 12), (2, 1, 16), (2, 3, 4), (3, 1, 8))  # (p, e, degree)
 BATCH = 200
 
 
@@ -114,6 +118,20 @@ def bench_ore(reps):
     }
 
 
+def bench_sieve(reps):
+    row = {}
+    for p, e, d in SIEVES:
+        F = ff_make(p, e)
+
+        def sieve():
+            irreducibles_of_degree.cache_clear()
+            irreducibles_of_degree(F, d)
+
+        best = min(timeit.repeat(sieve, number=1, repeat=reps))
+        row[f"F_{p}^{e} degree {d}"] = round(best * 1e3, 2)
+    return row
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawTextHelpFormatter)
@@ -126,6 +144,7 @@ def main():
     results[f"F_{p}^{n}{{tau}}"] = bench_ore(args.reps)
     results.update({f"F_{p}^{e}[t]": bench_poly(p, e, args.reps)
                     for p, e in POLY_FIELDS})
+    results["sieve_ms"] = bench_sieve(args.reps)
     print(json.dumps(results, indent=1))
     return 0
 

@@ -754,8 +754,10 @@ def ff_make(p: int, n: int, seed: int = 0) -> FField:
             digits.append(k % p)
             k //= p
         digits += [0] * (n - len(digits))
-        # above degree 1, a root 0 or 1 makes the candidate reducible
-        if n > 1 and (not digits[0] or (sum(digits) + 1) % p == 0):
+        # above degree 1, a root 0, 1 or -1 makes the candidate reducible
+        if n > 1 and (not digits[0] or (sum(digits) + 1) % p == 0
+                      or (sum(digits[::2]) - sum(digits[1::2])
+                          + (-1) ** n) % p == 0):
             continue
         modulus = tuple(digits) + (1,)
         if _pirreducible(modulus, p):

@@ -13,11 +13,12 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from itertools import repeat
+from itertools import compress, product, repeat
 
 from .errors import (BoundExceeded, DivisionByZero, FieldMismatch,
                      NonCoprimeModuli, ParseError, ZeroPolynomial)
-from .finitefield import SCAN_LIMIT, FFElem, FField, FieldEmbedding, ff_embed
+from .finitefield import (SCAN_LIMIT, FFElem, FField, FieldEmbedding,
+                          _pirreducible, ff_embed)
 from .intutil import _power
 from .polykernel import poly_kernel
 
@@ -159,15 +160,6 @@ class UPoly(DensePoly):
     def x(cls, base):
         return cls._of(base, (0, 1))
 
-    @classmethod
-    def from_encoding(cls, base, k: int):
-        """Polynomial whose coefficient vector is k written base |F|."""
-        digits = []
-        while k:
-            digits.append(base.from_encoding(k % base.size).v)
-            k //= base.size
-        return cls._of(base, digits)
-
     def is_monic(self):
         return bool(self.vs) and self.vs[-1] == 1
 
@@ -176,12 +168,6 @@ class UPoly(DensePoly):
             return self
         inv, mul = self.leading().inverse().v, self.base._mul
         return UPoly._of(self.base, [mul(v, inv) for v in self.vs])
-
-    def encode(self) -> int:
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.base.size + c.encode()
-        return k
 
     # -- ring operations --------------------------------------------------------
 
@@ -341,9 +327,14 @@ def upoly_det(rows) -> UPoly:
 
 
 def upoly_irreducible(f: UPoly) -> bool:
-    """Ben-Or's test: gcd(x^(q^i) - x, f) = 1 for every i <= deg f / 2."""
+    """Ben-Or's test: gcd(x^(q^i) - x, f) = 1 for every i <= deg f / 2.
+
+    Over F_p the coefficient ints go to the packed test of `finitefield`.
+    """
     if f.deg < 1:
         return False
+    if f.base.n == 1:
+        return _pirreducible(f.vs, f.base.p)
     x = h = UPoly.x(f.base)
     for _ in range(f.deg // 2):
         h = upoly_powmod(h, f.base.size, f)
@@ -367,41 +358,64 @@ def upoly_roots(f: UPoly, ext: FField):
 def irreducibles_of_degree(base: FField, d: int) -> tuple:
     """The monic irreducibles of degree d, in encoding order, by a sieve.
 
-    It marks every g*h with g irreducible of degree j <= d/2 and h monic of
-    degree d - j.  Read base p, an encoding lists F_p-coordinates, and the
-    g*h are g*x^(d-j) plus the F_p-span of g*w^b*x^i (b < e, i < d - j),
-    enumerated by an odometer that adds one generator per digit step.
+    The encoding of a monic f of degree d, less q^d, reads base p as e d
+    F_p-digits: digit e i + b is coordinate b of f_i (q = p^e).  The
+    composites g*h, g irreducible of degree j <= d/2 and h monic of degree
+    d - j, are g*x^(d-j) plus the F_p-span of g*w^b*x^i (b < e, i < d - j,
+    w generating F_q), each the digit vector of some g*w^b shifted by e i
+    digits.  A walk over the span adds one generator per step, the one at
+    the p-adic valuation of the step's number.  At p = 2 a vector is an int
+    with a bit per digit, its offset, so a step is one XOR and one store;
+    above, a vector has a slot per digit (`FField._slots`), and its offset
+    is the dot product of its digits with the powers of p.
     """
     if d < 1:
         return ()
-    p, top = base.p, base.size ** d
+    p, e, top = base.p, base.n, base.size ** d
     if top > SCAN_LIMIT:
         raise BoundExceeded(f"{top} monic polynomials of degree {d} are too "
                             "many to sieve")
-    weights = [p ** k for k in range(base.n * (d + 1))]
-    composite = bytearray(top)
+    slots = base._slots
+    elems = [slots.pack(cs[::-1]) for cs in product(range(p), repeat=e)]
+    # a vector's bits per coefficient, and a coefficient's digits: at p = 2
+    # its encoding, above its element int, which has a slot per digit
+    if p == 2:
+        width, code = e, {v: c for c, v in enumerate(elems)}.__getitem__
+    else:
+        width, code = slots.w * e, int
 
-    def digits(f):
-        k = f.encode()
-        return [k // w % p for w in weights]
+    def vector(vs):
+        return sum(code(v) << width * i for i, v in enumerate(vs))
 
+    # ruler[t - 1] is the p-adic valuation of t, for the steps of every walk
+    ruler = b""
+    for r in range(e * (d - 1)):
+        ruler = (ruler + bytes((r,))) * (p - 1) + ruler
+    unpack, norm, count = slots.unpack, slots.norm, e * d
+    weights = [p ** i for i in range(count)]
+    prime = bytearray(b"\x01") * top
     for j in range(1, d // 2 + 1):
         for g in irreducibles_of_degree(base, j):
-            vec = digits(g.shift(d - j))
-            gens = [digits((g * base.from_encoding(p ** b)).shift(i))
-                    for i in range(d - j) for b in range(base.n)]
-            odometer = [0] * len(gens)
-            while True:
-                composite[sum(map(operator.mul, vec, weights)) - top] = 1
-                for k, v in enumerate(gens):
-                    vec = [(x + y) % p for x, y in zip(vec, v)]
-                    odometer[k] = (odometer[k] + 1) % p
-                    if odometer[k]:
-                        break
-                else:
-                    break
-    return tuple(UPoly.from_encoding(base, top + k)
-                 for k in range(top) if not composite[k])
+            rows = [vector([base._mul(v, elems[p ** b]) for v in g.vs])
+                    for b in range(e)]
+            gens = [row << width * i for i in range(d - j) for row in rows]
+            vec = (rows[0] << width * (d - j)) - (1 << width * d)
+            steps = ruler[:p ** (e * (d - j)) - 1]
+            if p == 2:
+                prime[vec] = 0
+                for r in steps:
+                    vec ^= gens[r]
+                    prime[vec] = 0
+                continue
+            prime[sum(map(operator.mul, unpack(vec, count), weights))] = 0
+            for r in steps:
+                vec = norm(vec + gens[r])
+                prime[sum(map(operator.mul, unpack(vec, count), weights))] = 0
+    # the coefficients below and from x^(d/2), tabled by encoding
+    low = [vs[::-1] for vs in product(elems, repeat=d // 2)]
+    high = [vs[::-1] + (1,) for vs in product(elems, repeat=d - d // 2)]
+    return tuple(UPoly._of(base, low[k % len(low)] + high[k // len(low)])
+                 for k in compress(range(top), prime))
 
 
 def monic_irreducibles(base: FField, max_deg: int):

@@ -6,6 +6,7 @@ import functools
 import io
 import random
 import time
+from itertools import product
 
 from drinfeld import (DrinfeldFamily, DrinfeldModule, OrePoly, UPoly,
                       carlitz_family, carlitz_module,
@@ -118,10 +119,8 @@ def _brute_force_frobenius_polynomial(E, report):
     torsions = [dm_torsion(E, ell, n, cap=24) for ell, n, _ in
                 report.residues]
     matches = []
-    for code in range(Fq.size ** (d + 1)):
-        a = UPoly.from_encoding(Fq, code)
-        if a.deg > d:
-            continue
+    for coeffs in product(list(Fq.elements()), repeat=d + 1):
+        a = UPoly(Fq, coeffs[::-1])
         ok = True
         for T in torsions:
             op = E.phi(a).map_field(T.embedding)

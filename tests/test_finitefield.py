@@ -145,6 +145,28 @@ def test_search_tests_each_candidate_once(monkeypatch):
     assert calls == [(0, 1)]
 
 
+def _first_irreducible(p, n, seed):
+    """Ben-Or's test on every monic candidate of degree n, in encoding
+    order from the seed, with no filter on roots."""
+    span = p ** n
+    for j in range(span):
+        k = (seed + j) % span
+        modulus = tuple(k // p ** i % p for i in range(n)) + (1,)
+        if finitefield._pirreducible(modulus, p):
+            return modulus
+    raise AssertionError("no irreducible of degree n")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_search_picks_the_first_irreducible_from_the_seed(p, monkeypatch):
+    # the root filter skips only candidates with a root 0, 1 or -1
+    for n in range(1, 9):
+        for seed in range(4):
+            monkeypatch.setattr(finitefield, "_FIELD_CACHE", {})
+            assert ff_make(p, n, seed).modulus == _first_irreducible(p, n,
+                                                                     seed)
+
+
 def test_prime_subfield_embedding_fixes_constants(F2, F4):
     emb = ff_embed(F2, F4)
     assert emb(F2.zero) == F4.zero

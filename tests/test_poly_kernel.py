@@ -10,6 +10,7 @@ the element ints the polynomials store.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -219,8 +220,8 @@ def test_ben_or_on_the_ring_matches_a_root_and_factor_search(p, e, deg):
     # every monic of degree deg is irreducible exactly when it has no
     # monic factor of degree 1..deg/2, found by schoolbook division
     F = ff_make(p, e)
-    small = [UPoly.from_encoding(F, F.size ** k + j)
-             for k in range(1, deg // 2 + 1) for j in range(F.size ** k)]
+    small = [UPoly(F, list(coeffs) + [F.one]) for k in range(1, deg // 2 + 1)
+             for coeffs in product(list(F.elements()), repeat=k)]
     rng = random.Random(f"ben-or {p}^{e}")
     for _ in range(40):
         f = UPoly(F, draw(F, rng, deg) + [F.one])

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -241,7 +242,9 @@ def _count_motive_walks(monkeypatch):
     walk = reports.motive_splitting_degree
 
     def counting(E, ell, n, cap):
-        walked.append((ell.encode(), n))
+        code = sum(c.encode() * ell.base.size ** i
+                   for i, c in enumerate(ell.coeffs))
+        walked.append((code, n))
         return walk(E, ell, n, cap)
 
     monkeypatch.setattr(reports, "motive_splitting_degree", counting)
@@ -376,8 +379,8 @@ def _reference_sampler(E, ell, n, seed, cap=24):
     points = tuple(sorted(ore_kernel(E.phi(ell ** n), ext),
                           key=FFElem.encode))
     width = n * ell.deg
-    residues = tuple(UPoly.from_encoding(E.constants, k)
-                     for k in range(E.constants.size ** width))
+    residues = tuple(UPoly(E.constants, coeffs[::-1]) for coeffs
+                     in product(list(E.constants.elements()), repeat=width))
     phi_t_ext = E.phi_t.map_field(emb)
     scalars = {c: emb(E.constant_action(c)) for c in E.constants.elements()}
     rng = random.Random(seed)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -127,8 +128,9 @@ def test_monic_irreducible_counts(F2, F3):
 
 
 def _monics(F, d):
-    return [UPoly.from_encoding(F, k) for k in range(F.size ** d,
-                                                     2 * F.size ** d)]
+    """The monic polynomials of degree d, in encoding order."""
+    return [UPoly(F, coeffs[::-1] + (F.one,))
+            for coeffs in product(list(F.elements()), repeat=d)]
 
 
 @pytest.mark.parametrize("p, n, max_deg", [(2, 1, 8), (3, 1, 5), (2, 2, 4),
@@ -168,15 +170,17 @@ def _necklace(q, k):
 
 
 @pytest.mark.parametrize("p, n, max_deg", [(2, 1, 8), (3, 1, 6), (2, 2, 5),
-                                           (5, 1, 4)])
+                                           (5, 1, 4), (2, 1, 14), (2, 3, 5),
+                                           (3, 2, 4)])
 def test_irreducible_counts_match_necklace_formula(p, n, max_deg):
     F = ff_make(p, n, 0)
     for k in range(1, max_deg + 1):
         found = list(irreducibles_of_degree(F, k))
         assert len(found) == _necklace(F.size, k)
         assert all(f.deg == k and f.is_monic() for f in found)
-        assert [f.encode() for f in found] == sorted(f.encode()
-                                                     for f in found)
+        # same degree: encoding order is the order from the top coefficient
+        codes = [[c.encode() for c in reversed(f.coeffs)] for f in found]
+        assert codes == sorted(codes)
 
 
 # The minimal polynomial of x over a subfield is the characteristic
@@ -282,13 +286,12 @@ def test_a_foreign_coefficient_raises_wherever_it_sits(F4, where):
 
 
 @pytest.mark.parametrize("p, n, max_deg", [(2, 1, 10), (3, 1, 6), (2, 2, 5),
-                                           (5, 1, 4), (7, 1, 3)])
+                                           (5, 1, 4), (7, 1, 3), (2, 3, 3),
+                                           (3, 2, 3)])
 def test_sieve_matches_ben_or(p, n, max_deg):
     F = ff_make(p, n, 0)
     for k in range(1, max_deg + 1):
-        top = F.size ** k
-        monic = (UPoly.from_encoding(F, e) for e in range(top, 2 * top))
-        ben_or = [f for f in monic if upoly_irreducible(f)]
+        ben_or = [f for f in _monics(F, k) if upoly_irreducible(f)]
         assert list(irreducibles_of_degree(F, k)) == ben_or
 
 
