@@ -59,7 +59,7 @@ def bench(p, n, reps):
     pairs = list(zip(xs, xs[1:] + xs[:1]))
 
     def search():
-        finitefield._FIELD_CACHE.clear()
+        finitefield._field.cache_clear()
         ff_make(p, n)
 
     row = {

@@ -1,10 +1,10 @@
 """Sparse bivariate polynomials over a prime field F_p.
 
 Supports the graph-annihilator pipeline: resultant elimination by
-evaluation/interpolation, content and p-power normalization, and a
-squarefree radical.  Coefficients are plain ints mod p.  Content, gcd and
-division work on the Y-rows, the coefficients of Y^j in F_p[X], without
-fractions of F_p(X).
+evaluation/interpolation, content and p-power normalization, and the
+irreducible P0 of a resultant c(X)*P0^m by one gcd.  Coefficients are plain
+ints mod p.  Content, gcd and division work on the Y-rows, the
+coefficients of Y^j in F_p[X], without fractions of F_p(X).
 """
 
 from __future__ import annotations
@@ -326,44 +326,27 @@ def bivar_gcd_y(a: BivarPoly, b: BivarPoly) -> BivarPoly:
 
 
 def bivar_radical(P: BivarPoly) -> BivarPoly:
-    """The product of P's irreducible factors that involve Y, each once,
-    up to a unit; factors in X alone go.
+    """P0, primitive in F_p[X][Y], for P = c(X)*P0^m with P0 irreducible
+    and involving Y, the shape of every resultant pair_annihilator passes:
+    Res_u(N1 - X D1, N2 - Y D2) is, up to a factor in X, the norm of b2 - Y
+    from F_p(u) to F_p(b1), the m-th power of b2's minimal polynomial.
 
-    After the Y-content and the p-th roots, a squarefree step in Y, or in
-    X when P lies in F_p[X, Y^p] (where the factors in Y alone are P's
-    content in X), splits off part of the radical, and the coprime rest
-    goes round again.  On c*P0^m, P0 irreducible, the first step gives P0.
+    After the Y-content and the p-th roots, P is P0^m with p prime to m,
+    and P / gcd(P, dP) is P0, with d taken in Y, or in X when P lies in
+    F_p[X, Y^p]: P0 is no p-th power, so then d/dX P0 != 0.
     """
     if P.is_zero():
         raise ZeroPolynomial("radical of zero")
     P = P.divide_content_y()
     while P.is_p_power() and (P.deg_x(), P.deg_y()) != (0, 0):
         P = P.p_root()
-    if P.partial_y().is_zero():
-        Q = P.swap()
-        seen, rest = _separable_split(Q.divide_content_y())
-        rest = rest * BivarPoly.from_y_coeffs(P.p, [Q.content_y()])
-        seen, rest = seen.swap(), rest.swap()
-    else:
-        seen, rest = _separable_split(P)
-    if (rest.deg_x(), rest.deg_y()) != (0, 0):
-        seen = seen * bivar_radical(rest)
-    return seen.divide_content_y()
-
-
-def _separable_split(Q: BivarPoly):
-    """(A, rest) for Q primitive in F_p[X][Y]: A is the product of the
-    factors f of Q with d/dY f != 0 and multiplicity prime to p, each once,
-    and rest is Q without any power of them, primitive."""
+    swap = P.partial_y().is_zero()
+    Q = P.swap() if swap else P
     g = bivar_gcd_y(Q, Q.partial_y())
-    if g.deg_y() <= 0:
-        return Q, g
-    A = _bivar_exact_div_y(Q, g)
-    h = bivar_gcd_y(g, A)
-    while h.deg_y() > 0:
-        g = _bivar_exact_div_y(g, h)
-        h = bivar_gcd_y(g, h)
-    return A, g
+    if g.deg_y() > 0:
+        Q = _bivar_exact_div_y(Q, g)
+    # primitive in Y: P is, so is every factor of P, the quotient included
+    return Q.swap() if swap else Q
 
 
 def _bivar_exact_div_y(a: BivarPoly, b: BivarPoly) -> BivarPoly:

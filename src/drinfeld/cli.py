@@ -43,13 +43,21 @@ def _read_payload(path_or_dash, stdin):
         return fh.read()
 
 
+def _decode_json(text, what="JSON"):
+    """text read as JSON; bad or too deeply nested JSON is a ParseError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"bad {what}: {exc}") from exc
+
+
 def _poly_arg(text, base, var="t") -> UPoly:
     """A JSON list of coefficient vectors if the text parses as one, else
     sparse text: [0,1] is t, so a constant of F_q, e > 1, is [[0,1]]."""
     stripped = text.strip()
     try:
-        data = json.loads(stripped) if stripped.startswith("[") else None
-    except ValueError:
+        data = _decode_json(stripped) if stripped.startswith("[") else None
+    except ParseError:  # then sparse text
         data = None
     if data is not None:
         flat = [v for c in data for v in (c if isinstance(c, list) else [c])]
@@ -81,8 +89,8 @@ def _required(args, name):
 def _load_family(args, stdin) -> DrinfeldFamily:
     raw = _read_payload(getattr(args, "family", None), stdin)
     try:
-        return DrinfeldFamily.from_dict(json.loads(raw))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        return DrinfeldFamily.from_dict(_decode_json(raw, "family descriptor"))
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad family descriptor: {exc}") from exc
 
 
@@ -91,8 +99,9 @@ def _load_module(args, stdin, seed) -> DrinfeldModule:
     if module_path is not None:
         raw = _read_payload(module_path, stdin)
         try:
-            return DrinfeldModule.from_dict(json.loads(raw), seed=seed)
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            return DrinfeldModule.from_dict(
+                _decode_json(raw, "module descriptor"), seed=seed)
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"bad module descriptor: {exc}") from exc
     family = _load_family(args, stdin)
     if getattr(args, "at", None) is None:
@@ -136,7 +145,7 @@ def _ore_inputs(op, payload):
 
 
 def _cmd_ore(args, stdin, out):
-    payload = json.loads(_read_payload(args.json, stdin))
+    payload = _decode_json(_read_payload(args.json, stdin), "ore payload")
     op = args.op
     try:
         inputs = _ore_inputs(op, payload)
@@ -148,6 +157,8 @@ def _cmd_ore(args, stdin, out):
     elif op == "divmod":
         a, b = inputs
         side = payload.get("side", "left")
+        if side not in ("left", "right"):
+            raise ParseError(f'side must be "left" or "right", not {side!r}')
         q, r = (ore_divmod_left(a, b) if side == "left"
                 else ore_divmod_right(a, b))
         out.write(_dump_json({"q": q.to_dict(), "r": r.to_dict(),

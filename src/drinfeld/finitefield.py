@@ -52,7 +52,7 @@ import struct
 
 from .errors import (BoundExceeded, DivisionByZero, FieldMismatch,
                      NoEmbedding, NotFound, NotPrime, Reducible)
-from .intutil import LRUCache, _power, factorize, is_prime
+from .intutil import _power, factorize, is_prime
 
 FIELD_SIZE_LIMIT = 2 ** 40
 SCAN_LIMIT = 2 ** 21  # cap for exhaustive element enumeration
@@ -726,11 +726,6 @@ class FFElem:
 # ---------------------------------------------------------------------------
 # constructors, embeddings
 
-# each field holds its packed tables; an embedding, its powers
-_FIELD_CACHE = LRUCache(256)
-_EMBED_CACHE = LRUCache(256)
-
-
 def ff_make(p: int, n: int, seed: int = 0) -> FField:
     """The field F_{p^n} with a deterministically chosen modulus.
 
@@ -738,10 +733,12 @@ def ff_make(p: int, n: int, seed: int = 0) -> FField:
     distinct moduli while the same (p, n, seed) always reproduces the same
     field.
     """
-    key = (p, n, seed)
-    cached = _FIELD_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _field(p, n, seed)
+
+
+@functools.lru_cache(maxsize=256)  # each field holds its packed tables
+def _field(p, n, seed):
+    """ff_make's search; a bad (p, n) raises on every call, uncached."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if n < 1:
@@ -761,8 +758,7 @@ def ff_make(p: int, n: int, seed: int = 0) -> FField:
             continue
         modulus = tuple(digits) + (1,)
         if _pirreducible(modulus, p):
-            field = _FIELD_CACHE[key] = FField._of_irreducible(p, n, modulus)
-            return field
+            return FField._of_irreducible(p, n, modulus)
     raise NotFound(span)  # pragma: no cover - irreducibles always exist
 
 
@@ -816,28 +812,22 @@ def ff_embed(sub: FField, sup: FField) -> FieldEmbedding:
     """The embedding sending sub's generator to the least root of its modulus."""
     if sub.p != sup.p or sup.n % sub.n != 0:
         raise NoEmbedding(f"no embedding F_{sub.p}^{sub.n} -> F_{sup.p}^{sup.n}")
-    key = ((sub.p, sub.n, sub.modulus), (sup.p, sup.n, sup.modulus))
-    cached = _EMBED_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _embedding(sub, sup)
+
+
+@functools.lru_cache(maxsize=256)  # each embedding holds its powers
+def _embedding(sub, sup):
     if sub == sup:
-        emb = FieldEmbedding(sub, sup, sup.gen)
-    elif sub.n == 1:  # the root of x - c is c
-        emb = FieldEmbedding(sub, sup, sup.element(sub.gen.v))
-    else:
-        root = None
-        for z in sup.subfield_elements(sub.n):
-            acc = sup.zero
-            for c in reversed(sub.modulus):
-                acc = acc * z + c
-            if not acc:
-                root = z
-                break
-        if root is None:  # pragma: no cover - a root always exists
-            raise NoEmbedding("modulus has no root in the target subfield")
-        emb = FieldEmbedding(sub, sup, root)
-    _EMBED_CACHE[key] = emb
-    return emb
+        return FieldEmbedding(sub, sup, sup.gen)
+    if sub.n == 1:  # the root of x - c is c
+        return FieldEmbedding(sub, sup, sup.element(sub.gen.v))
+    for z in sup.subfield_elements(sub.n):
+        acc = sup.zero
+        for c in reversed(sub.modulus):
+            acc = acc * z + c
+        if not acc:
+            return FieldEmbedding(sub, sup, z)
+    raise NoEmbedding("no root in the subfield")  # pragma: no cover
 
 
 def ff_generator(field: FField) -> FFElem:

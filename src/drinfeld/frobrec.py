@@ -345,7 +345,8 @@ def pair_annihilator(b1: RationalFunction, b2: RationalFunction) -> BivarPoly:
 
     R(b1, b2) = R(b1^(1/p), b2^(1/p))^p for R over F_p, so while both lie in
     F_p(u^p) the pair is replaced by its p-th roots, of degrees p times
-    smaller, before the resultant.
+    smaller, before the resultant.  That is c(X)*P0^m, P0 the minimal
+    polynomial of b2 over F_p(b1): irreducible, with no content in X.
     """
     while (not (b1.is_constant() and b2.is_constant())
            and b1.has_p_power_root(1) and b2.has_p_power_root(1)):
@@ -353,10 +354,7 @@ def pair_annihilator(b1: RationalFunction, b2: RationalFunction) -> BivarPoly:
     R = annihilator_resultant(b1.num, b1.den, b2.num, b2.den)
     if R.is_zero():
         raise ZeroPolynomial("degenerate parametrization")
-    R = bivar_radical(R)
-    # symmetric content pass in X
-    R = R.swap().divide_content_y().swap()
-    return R
+    return bivar_radical(R)
 
 
 def _frobenius_exponent(b: RationalFunction, fb: RationalFunction):

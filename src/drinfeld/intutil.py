@@ -1,9 +1,7 @@
-"""Small integer-arithmetic helpers: primality, factorization, powering;
-and the bounded cache behind the library's module-level caches."""
+"""Small integer-arithmetic helpers: primality, factorization, powering."""
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from math import gcd
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -105,23 +103,3 @@ def _power(x, e: int, one, mul):
         if bit == "1":
             result = mul(result, x)
     return result
-
-
-class LRUCache(OrderedDict):
-    """A dict that keeps only its `maxsize` most recently used entries."""
-
-    def __init__(self, maxsize: int):
-        super().__init__()
-        self.maxsize = maxsize
-
-    def get(self, key, default=None):
-        if key not in self:
-            return default
-        self.move_to_end(key)
-        return self[key]
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.move_to_end(key)
-        if len(self) > self.maxsize:
-            self.popitem(last=False)

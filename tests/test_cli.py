@@ -73,6 +73,43 @@ def test_ore_bad_payload_is_parse_error():
         assert code == 2 and "bad ore payload" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("side, code", [("left", 0), ("right", 0),
+                                        ("middle", 2), (["left"], 2)])
+def test_ore_divmod_accepts_only_left_or_right(side, code):
+    f2 = {"p": 2, "n": 1, "modulus": [0, 1]}
+    payload = json.dumps({"a": {"field": f2, "coeffs": [[1], [0], [1]]},
+                          "b": {"field": f2, "coeffs": [[1], [1]]},
+                          "side": side})
+    got, out = run_cli(["ore", "divmod"], payload)
+    assert got == code
+    if code:
+        assert json.loads(out) == {
+            "error": f'side must be "left" or "right", not {side!r}'}
+    else:
+        assert json.loads(out)["side"] == side
+
+
+DEEP = "[" * 3000 + "]" * 3000
+
+
+@pytest.mark.parametrize("argv, stdin_text, message", [
+    (["ore", "mul"], DEEP, "bad ore payload"),
+    (["drinfeld", "phi", "--module", "-", "--a", "t"], DEEP,
+     "bad module descriptor"),
+    (["drinfeld", "phi", "--family", "-", "--at", "x", "--a", "t"], DEEP,
+     "bad family descriptor"),
+    # a text that is no JSON is read as sparse text, which this is not
+    (["drinfeld", "phi", "--module", "-", "--a", DEEP], CARLITZ_F4_MODULE,
+     "bad term"),
+    (["drinfeld", "frobnorm", "--module", "-", "--primes", DEEP + ":1"],
+     CARLITZ_F4_MODULE, "bad term"),
+], ids=["ore", "module", "family", "a", "primes"])
+def test_deeply_nested_json_is_a_parse_error(argv, stdin_text, message):
+    code, out = run_cli(argv, stdin_text)
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out)["error"].startswith(message)
+
+
 def test_ore_kernel():
     payload = json.dumps({
         "f": {"field": {"p": 2, "n": 2, "modulus": [1, 1, 1]},

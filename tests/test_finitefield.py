@@ -1,3 +1,4 @@
+import functools
 import operator
 import random
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from drinfeld import FField, extension_of, ff_embed, ff_generator, ff_make
 from drinfeld import finitefield
 from drinfeld.errors import BoundExceeded, NoEmbedding, NotPrime, Reducible
-from drinfeld.intutil import LRUCache, _power, factorize, is_prime
+from drinfeld.intutil import _power, factorize, is_prime
 
 
 def test_prime_field_modulus_is_x():
@@ -130,7 +131,7 @@ def test_search_tests_each_candidate_once(monkeypatch):
         calls.append(f)
         return irreducible(f, p)
 
-    monkeypatch.setattr(finitefield, "_FIELD_CACHE", {})
+    finitefield._field.cache_clear()
     monkeypatch.setattr(finitefield, "_pirreducible", counting)
     assert ff_make(2, 2, 1).modulus == (1, 1, 1)
     assert calls == [(1, 1, 1)]
@@ -158,11 +159,11 @@ def _first_irreducible(p, n, seed):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_search_picks_the_first_irreducible_from_the_seed(p, monkeypatch):
+def test_search_picks_the_first_irreducible_from_the_seed(p):
     # the root filter skips only candidates with a root 0, 1 or -1
     for n in range(1, 9):
         for seed in range(4):
-            monkeypatch.setattr(finitefield, "_FIELD_CACHE", {})
+            finitefield._field.cache_clear()
             assert ff_make(p, n, seed).modulus == _first_irreducible(p, n,
                                                                      seed)
 
@@ -432,21 +433,31 @@ def test_equality_coerces_what_arithmetic_coerces(F4):
     assert F4.zero == [] and F4.zero != "0"
 
 
-def test_lru_cache_keeps_the_most_recently_used():
-    cache = LRUCache(2)
-    cache["a"], cache["b"] = 1, 2
-    assert cache.get("a") == 1  # a is now the most recent
-    cache["c"] = 3
-    assert list(cache) == ["a", "c"] and cache.get("b") is None
-    cache.clear()
-    assert not cache
+def _bounded_field_cache(monkeypatch, maxsize):
+    """finitefield._field's search behind a fresh cache of maxsize fields."""
+    search = finitefield._field.__wrapped__
+    monkeypatch.setattr(finitefield, "_field",
+                        functools.lru_cache(maxsize=maxsize)(search))
+
+
+def test_lru_cache_keeps_the_most_recently_used(monkeypatch):
+    _bounded_field_cache(monkeypatch, 2)
+    a, b = ff_make(2, 3, 0), ff_make(2, 3, 1)
+    assert ff_make(2, 3, 0) is a  # a is now the most recent
+    ff_make(2, 3, 2)
+    assert ff_make(2, 3, 0) is a
+    assert ff_make(2, 3, 1) is not b and ff_make(2, 3, 1) == b
+    finitefield._field.cache_clear()
+    assert finitefield._field.cache_info().currsize == 0
 
 
 def test_module_caches_are_bounded(monkeypatch):
-    for cache in (finitefield._FIELD_CACHE, finitefield._EMBED_CACHE):
-        assert isinstance(cache, LRUCache) and cache.maxsize <= 256
-    monkeypatch.setattr(finitefield, "_FIELD_CACHE", LRUCache(4))
+    for cache in (finitefield._field, finitefield._embedding):
+        assert 0 < cache.cache_info().maxsize <= 256
+    _bounded_field_cache(monkeypatch, 4)
     fields = [ff_make(2, 3, seed) for seed in range(10)]
-    assert len(finitefield._FIELD_CACHE) == 4
+    assert finitefield._field.cache_info().currsize == 4
     assert ff_make(2, 3, 9) is fields[9]
     assert ff_make(2, 3, 0) is not fields[0] and ff_make(2, 3, 0) == fields[0]
+    # the default seed is the same cache entry as seed 0
+    assert ff_make(2, 3) is ff_make(2, 3, 0)

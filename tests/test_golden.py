@@ -3,7 +3,8 @@
 Each digest is a SHA-256 of (exit code, stdout) for one CLI command run
 in-process through `drinfeld.cli.main`.  The commands are every item of the
 benchmark's workloads (`bench/workloads.py`) at seeds 1 and 2, plus the
-CI smoke step's `carlitz table` and `frobnorm` commands.  Each command runs
+CI smoke step's `carlitz table` and `frobnorm` commands, and six
+`frobrec theorem` rejections built on a pair annihilator.  Each command runs
 twice, first with every module-level cache of the library emptied, then
 warm; both runs must give the committed digest.
 
@@ -65,7 +66,20 @@ SMOKE = (
       "t:1,t+[1,0]:1,t+[0,1]:1,t+[1,1]:1,t^2+t+[1,1]:1"], F16_MODULE),
     ("frobnorm F81 e=2 twist cap 24",
      ["drinfeld", "frobnorm", "--module", "-", "--cap", "24"], F81_MODULE),
-)
+) + tuple(
+    (f"theorem p={p} {gens} -> {images}",
+     ["frobrec", "theorem", "--p", p, "--gens", gens, "--images", images], "")
+    for p, gens, images in (
+        # five print the relation of two generators, one inseparable
+        # (Y^2+X over F_2), one with the Artin-Schreier generator u^3-u;
+        # the last classifies the annihilator of u and its image
+        ("2", "u^2,u^3", "u^4,u^7"),
+        ("2", "u^2,u", "u^2,u^3"),
+        ("3", "u^3-u,u^6+u^4", "u,u^2"),
+        ("3", "(u^2+1)/(u+2),u^3", "u,u^2"),
+        ("5", "u^2+u,u^3", "u^3,u^2"),
+        ("2", "u", "u^3+u"),
+    ))
 
 
 def commands():
