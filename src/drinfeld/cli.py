@@ -43,7 +43,7 @@ def _read_payload(path_or_dash, stdin):
         return fh.read()
 
 
-def _decode_json(text, what="JSON"):
+def _decode_json(text, what):
     """text read as JSON; bad or too deeply nested JSON is a ParseError."""
     try:
         return json.loads(text)
@@ -56,8 +56,8 @@ def _poly_arg(text, base, var="t") -> UPoly:
     sparse text: [0,1] is t, so a constant of F_q, e > 1, is [[0,1]]."""
     stripped = text.strip()
     try:
-        data = _decode_json(stripped) if stripped.startswith("[") else None
-    except ParseError:  # then sparse text
+        data = json.loads(stripped) if stripped.startswith("[") else None
+    except (ValueError, RecursionError):  # then sparse text
         data = None
     if data is not None:
         flat = [v for c in data for v in (c if isinstance(c, list) else [c])]

@@ -213,6 +213,16 @@ def _separable_split(Q):
     return A, g
 
 
+def _at(b, s):
+    """b(s) for b and s in F_p(u)."""
+    F = b.base
+    at_s = [RationalFunction.constant(F, 0)] * 2
+    for k, poly in enumerate((b.num, b.den)):
+        for c in reversed(poly.vs):  # Horner
+            at_s[k] = at_s[k] * s + RationalFunction.constant(F, c)
+    return at_s[0] / at_s[1]
+
+
 def _generator(rng, p):
     """A nonconstant element of F_p(u) in lowest terms: drawn, its p-th
     power, or drawn in F_p(w) with the Artin-Schreier w = u^p - u.  The
@@ -234,18 +244,23 @@ def _generator(rng, p):
         return b.frobenius_power(1)
     if kind == "drawn":
         return b
-    w = u ** p - u
-    at_w = [RationalFunction.constant(F, 0)] * 2
-    for k, poly in enumerate((b.num, b.den)):
-        for c in reversed(poly.vs):  # Horner
-            at_w[k] = at_w[k] * w + RationalFunction.constant(F, c)
-    return at_w[0] / at_w[1]
+    return _at(b, u ** p - u)
 
 
 def _pair_relations(rng, p):
-    """pair_annihilator on a drawn pair, and the general radical of the
-    resultant it read, with its content in X taken out as well."""
+    """pair_annihilator on a drawn pair, the general radical of the
+    resultant it read with its content in X taken out as well, and the
+    exponent m of that resultant c(X)*P0^m.
+
+    In a quarter of the pairs both generators are drawn and composed with
+    u^k, k = 3 at p = 2 and 2 above, so both lie in F_p(u^k) and m is a
+    multiple of k: the pairs on which the gcd in bivar_radical acts.
+    """
     b1, b2 = _generator(rng, p), _generator(rng, p)
+    if rng.randrange(4) == 0:
+        u = RationalFunction.from_poly(UPoly(ff_make(p, 1, 0), [0, 1]))
+        u_k = u ** (3 if p == 2 else 2)
+        b1, b2 = _at(b1, u_k), _at(b2, u_k)
     resultants = []
 
     def recorded(*polys):
@@ -254,7 +269,9 @@ def _pair_relations(rng, p):
 
     with mock.patch.object(frobrec, "annihilator_resultant", recorded):
         rel = frobrec.pair_annihilator(b1, b2)
-    return rel, _general_radical(resultants[0]).swap().divide_content_y().swap()
+    P = resultants[0]
+    oracle = _general_radical(P).swap().divide_content_y().swap()
+    return rel, oracle, P.divide_content_y().deg_y() // rel.deg_y()
 
 
 def test_radical_of_an_annihilator_shape_is_unchanged():
@@ -262,9 +279,14 @@ def test_radical_of_an_annihilator_shape_is_unchanged():
     # which is c(X)*P0^m: on 1000 seeded pairs its relation, scalar
     # included, is the general radical's with the X-content pass
     rng = random.Random(33)
+    prime_to_p = 0
     for _ in range(1000):
-        rel, oracle = _pair_relations(rng, rng.choice((2, 3, 5, 7)))
+        p = rng.choice((2, 3, 5, 7))
+        rel, oracle, m = _pair_relations(rng, p)
         assert rel.terms == oracle.terms, rel
+        prime_to_p += m > 1 and m % p != 0
+    # the pairs on which the gcd takes P0 out of P0^m
+    assert prime_to_p >= 100
 
 
 @WIDE
