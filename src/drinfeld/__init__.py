@@ -12,9 +12,8 @@ from .finitefield import (FFElem, FField, FieldEmbedding, extension_of,
                           ff_embed, ff_generator, ff_make)
 from .frobrec import (NOT_FROBENIUS, XTOY, YTOX, FrobClassification,
                       FrobeniusDecision, classify_frobenius_bivariate,
-                      consistency_exponents, frobenius_target,
-                      recover_monomial_exponent, strip_p_powers,
-                      theorem_frob_res)
+                      frobenius_target, recover_monomial_exponent,
+                      strip_p_powers, theorem_frob_res)
 from .motive import (det_drinfeld, motive_det, motive_frobenius_norm,
                      motive_matrix, verify_tate_det)
 from .ore import (OrePoly, ore_divmod_left, ore_divmod_right, ore_eval,

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .errors import BoundExceeded, InvariantError, ParseError, ZeroPolynomial
+from .errors import (BoundExceeded, InvariantError, ParseError,
+                     ZeroPolynomial, clip)
 from .finitefield import SCAN_LIMIT, ff_embed, ff_make
 from .upoly import UPoly, lagrange_interpolator, upoly_gcd, upoly_resultant
 
@@ -205,9 +206,9 @@ def parse_bivar(text: str, p: int) -> BivarPoly:
             raw = raw[1:]
         m = _BIVAR_TERM.match(raw)
         if not m or not raw:
-            raise ParseError(f"bad term {raw!r} in {text!r}")
+            raise ParseError(f"bad term {clip(raw)!r} in {clip(text)!r}")
         if m.group(1) is None and "X" not in raw and "Y" not in raw:
-            raise ParseError(f"bad term {raw!r} in {text!r}")
+            raise ParseError(f"bad term {clip(raw)!r} in {clip(text)!r}")
         c = int(m.group(1)) if m.group(1) else 1
         i = (int(m.group(2)) if m.group(2) else 1) if "X" in raw else 0
         j = (int(m.group(3)) if m.group(3) else 1) if "Y" in raw else 0
@@ -217,7 +218,7 @@ def parse_bivar(text: str, p: int) -> BivarPoly:
         terms[key] = terms.get(key, 0) + c
         seen_any = True
     if not seen_any:
-        raise ParseError(f"empty polynomial {text!r}")
+        raise ParseError(f"empty polynomial {clip(text)!r}")
     return BivarPoly(p, terms)
 
 

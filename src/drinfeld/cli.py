@@ -16,7 +16,8 @@ import sys
 
 from .bivar import parse_bivar
 from .dmodule import DrinfeldModule, dm_characteristic
-from .errors import BadReduction, BoundExceeded, DrinfeldError, ParseError
+from .errors import (BadReduction, BoundExceeded, DrinfeldError, ParseError,
+                     clip)
 from .family import DrinfeldFamily, carlitz_family
 from .finitefield import SCAN_LIMIT, FField, extension_of, ff_make
 from .frobrec import (classify_frobenius_bivariate, recover_monomial_exponent,
@@ -62,7 +63,7 @@ def _poly_arg(text, base, var="t") -> UPoly:
     if data is not None:
         flat = [v for c in data for v in (c if isinstance(c, list) else [c])]
         if not all(isinstance(v, int) for v in flat):
-            raise ParseError(f"bad coefficient list: {stripped}")
+            raise ParseError(f"bad coefficient list: {clip(stripped)}")
         return UPoly(base, [base.element(c) for c in data])
     return parse_upoly(stripped, base, var)
 
@@ -89,7 +90,8 @@ def _required(args, name):
 def _load_family(args, stdin) -> DrinfeldFamily:
     raw = _read_payload(getattr(args, "family", None), stdin)
     try:
-        return DrinfeldFamily.from_dict(_decode_json(raw, "family descriptor"))
+        return DrinfeldFamily.from_dict(
+            _decode_json(raw, "family descriptor"), seed=args.seed)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad family descriptor: {exc}") from exc
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the whole library."""
+"""The library's exceptions, and `clip` for user text in their messages."""
 
 
 class DrinfeldError(Exception):
@@ -93,3 +93,8 @@ class NotAMorphism(DrinfeldError):
 
 class ParseError(DrinfeldError):
     """Malformed textual or JSON input."""
+
+
+def clip(text: str) -> str:
+    """User text as an error message quotes it: its first 40 characters."""
+    return text if len(text) <= 40 else text[:40] + "..."

@@ -1,13 +1,13 @@
 """Deciding whether algebraic data comes from a power of Frobenius.
 
 Three layers: the pure monomial exponent of a rational function, the two
-Frobenius graph shapes of a bivariate annihilator, and one global power
-from per-generator exponents.  Every Frobenius verdict is an exact
-comparison.  The morphism check builds one annihilator per pair of
-non-constant generators, and only before a rejection: an accepted Frobenius
-power satisfies every relation.  Sampling fields and the annihilator of a
-generator and its image only explain a rejection, with a witness root
-outside a Frobenius orbit.
+Frobenius graph shapes of a bivariate annihilator, and one global power:
+the exponent every non-constant generator shares.  Every Frobenius verdict
+is an exact comparison.  The morphism check builds one annihilator per pair
+of non-constant generators, and only before a rejection: an accepted
+Frobenius power satisfies every relation.  Sampling fields and the
+annihilator of a generator and its image only explain a rejection, with a
+witness root outside a Frobenius orbit.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ from dataclasses import dataclass
 from .bivar import (BivarPoly, annihilator_resultant, bivar_gcd_y,
                     bivar_radical)
 from .errors import (InvariantError, NonUnitContent, NotAMorphism, NotFound,
-                     Reducible, RootDoesNotExist, ZeroDenominator,
-                     ZeroPolynomial)
+                     Reducible, ZeroDenominator, ZeroPolynomial)
 from .finitefield import ff_generator, ff_make
-from .intutil import crt_int, factorize, multiplicative_order
 from .ratfunc import RationalFunction
 from .upoly import UPoly, upoly_gcd, upoly_roots
 
@@ -276,50 +274,6 @@ def classify_frobenius_bivariate(P: BivarPoly,
 
 
 # ---------------------------------------------------------------------------
-# exponent consistency across generators
-
-def consistency_exponents(pairs):
-    """The unique k with b^(p^k) = b^(p^(k_b)) for every pair, or None.
-
-    Transcendental entries pin k outright; constants only constrain it
-    modulo the order of p modulo their multiplicative order.  When every
-    entry is a constant the smallest non-negative representative of the
-    solution class is returned.
-    """
-    pinned = None
-    congruence = (0, 1)
-    for b, k_b in pairs:
-        if b.is_zero():
-            raise ValueError("pairs must have nonzero first entries")
-        if k_b < 0 and not b.has_p_power_root(-k_b):
-            raise RootDoesNotExist(
-                f"p^{-k_b}-th root of {b.to_text()} does not exist")
-        if b.is_constant():
-            # shrink q - 1 prime by prime to the order of c
-            c = b.constant_value()
-            order = c.field.size - 1
-            for ell in factorize(order):
-                while order % ell == 0 and c ** (order // ell) == c.field.one:
-                    order //= ell
-            if order == 1:
-                continue
-            period = multiplicative_order(b.base.p % order, order)
-            merged = crt_int(congruence[0], congruence[1],
-                             k_b % period, period)
-            if merged is None:
-                return None
-            congruence = merged
-        else:
-            if pinned is not None and pinned != k_b:
-                return None
-            pinned = k_b
-    res, mod = congruence
-    if pinned is not None:
-        return pinned if (pinned - res) % mod == 0 else None
-    return res
-
-
-# ---------------------------------------------------------------------------
 # the full decision procedure
 
 @dataclass(frozen=True)
@@ -380,6 +334,10 @@ def theorem_frob_res(gens, images, seed: int = 0) -> FrobeniusDecision:
     F_p(gens), or its inverse, and fixes F_p.  For every relation R over
     F_p, R(fb_i, fb_j) = R(b_i, b_j)^(p^k) = 0, and for k < 0
     R(fb_i, fb_j)^(p^|k|) = 0 in the reduced ring F_p(u).
+
+    Constants of F_p are fixed by every power, so they constrain nothing:
+    k is the exponent k_i that every non-constant generator shares, and 0
+    when there is no such generator.
     """
     if len(gens) != len(images) or not gens:
         raise ValueError("need matching nonempty generator/image lists")
@@ -401,7 +359,7 @@ def theorem_frob_res(gens, images, seed: int = 0) -> FrobeniusDecision:
                     raise NotAMorphism(
                         f"images break the relation {rel.to_text()}")
 
-    pairs = []
+    exponents = set()
     for b, fb in zip(gens, images):
         if b.is_constant():
             if fb != b:  # constants of F_p are fixed by every Frobenius power
@@ -428,11 +386,10 @@ def theorem_frob_res(gens, images, seed: int = 0) -> FrobeniusDecision:
                                      reason="annihilator is not a Frobenius "
                                             "graph",
                                      witness=cls.witness)
-        pairs.append((b, k_i))
+        exponents.add(k_i)
 
-    k = consistency_exponents(pairs)
-    if k is None:
+    if len(exponents) > 1:
         check_morphism()
         return FrobeniusDecision(ok=False,
                                  reason="per-generator exponents conflict")
-    return FrobeniusDecision(ok=True, k=k)
+    return FrobeniusDecision(ok=True, k=exponents.pop() if exponents else 0)

@@ -1,8 +1,7 @@
-"""Small integer-arithmetic helpers: primality, factorization, powering."""
+"""Small integer-arithmetic helpers: primality, factorization (for the
+order of a field's multiplicative group), and square-and-multiply powering."""
 
 from __future__ import annotations
-
-from math import gcd
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -50,40 +49,6 @@ def factorize(n: int) -> dict[int, int]:
         out[q] = out.get(q, 0) + 1
         n //= q
     return out
-
-
-def multiplicative_order(a: int, modulus: int) -> int:
-    """Order of a modulo modulus; a must be coprime to modulus."""
-    if gcd(a, modulus) != 1:
-        raise ValueError("element not invertible")
-    order = _carmichael_bound(modulus)
-    # shrink the exponent bound prime by prime
-    for p in factorize(order):
-        while order % p == 0 and pow(a, order // p, modulus) == 1:
-            order //= p
-    return order
-
-
-def _carmichael_bound(modulus: int) -> int:
-    """A multiple of the group exponent of (Z/modulus)^*; Euler's totient."""
-    tot = 1
-    for p, e in factorize(modulus).items():
-        tot *= (p - 1) * p ** (e - 1)
-    return tot
-
-
-def crt_int(r1: int, m1: int, r2: int, m2: int):
-    """Combine k = r1 (mod m1), k = r2 (mod m2); None when incompatible.
-
-    Moduli are positive and need not be coprime.
-    """
-    g = gcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        return None
-    lcm = m1 // g * m2
-    # lift r1 by a multiple of m1 landing in r2's class
-    step = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
-    return ((r1 + step * m1) % lcm, lcm)
 
 
 def _power(x, e: int, one, mul):

@@ -53,11 +53,6 @@ class RationalFunction:
     def is_constant(self):
         return self.num.deg <= 0 and self.den.deg == 0
 
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.num.constant()
-
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             if other.base != self.base:

@@ -16,7 +16,7 @@ import re
 from itertools import compress, product, repeat
 
 from .errors import (BoundExceeded, DivisionByZero, FieldMismatch,
-                     NonCoprimeModuli, ParseError, ZeroPolynomial)
+                     NonCoprimeModuli, ParseError, ZeroPolynomial, clip)
 from .finitefield import (SCAN_LIMIT, FFElem, FField, FieldEmbedding,
                           _pirreducible, ff_embed)
 from .intutil import _power
@@ -200,12 +200,6 @@ class UPoly(DensePoly):
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def shift(self, k: int) -> "UPoly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return UPoly._of(self.base, (0,) * k + self.vs)
 
     def derivative(self) -> "UPoly":
         mul, p = self.base._mul, self.base.p
@@ -476,7 +470,7 @@ def parse_upoly(text: str, base: FField, var: str = "t") -> UPoly:
     or [c_0,...,c_(n-1)], the element sum c_i x^i that to_text writes."""
     s = text.replace(" ", "").replace("-", "+-")
     if not s or s == "+":
-        raise ParseError(f"empty polynomial text: {text!r}")
+        raise ParseError(f"empty polynomial text: {clip(text)!r}")
     coeffs: dict[int, int] = {}  # exponent -> element int
     for raw in s.split("+"):
         if not raw:
@@ -486,7 +480,7 @@ def parse_upoly(text: str, base: FField, var: str = "t") -> UPoly:
             raw = raw[1:]
         m = _TERM_RE.match(raw)
         if not m or (m.group(2) is None and m.group(1) is None):
-            raise ParseError(f"bad term {raw!r} in {text!r}")
+            raise ParseError(f"bad term {clip(raw)!r} in {clip(text)!r}")
         cs = m.group(1) or "1"
         c = base.element([int(v) for v in cs[1:-1].split(",")]
                          if cs.startswith("[") else int(cs))

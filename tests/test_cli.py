@@ -181,6 +181,19 @@ def test_carlitz_table_and_exit_code():
     assert row["s"] == "t^2+t+1"
 
 
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["drinfeld", "phi", "--module", "-", "--a", DEEP], CARLITZ_F4_MODULE),
+    (["frobrec", "classify", "--p", "2", "--poly", "Y+" + "Z" * 5000], ""),
+    (["frobrec", "classify", "--p", "2", "--poly", " " * 5000], ""),
+    (["frobrec", "theorem", "--p", "2", "--gens", "u/(" + " " * 5000 + ")",
+      "--images", "u"], ""),
+], ids=["phi", "classify", "empty-bivariate", "empty-denominator"])
+def test_error_lines_quote_at_most_40_characters_of_input(argv, stdin_text):
+    code, out = run_cli(argv, stdin_text)
+    assert code == 2 and out.count("\n") == 1
+    assert len(out.encode()) < 200 and "..." in json.loads(out)["error"]
+
+
 def test_carlitz_table_p3():
     code, out = run_cli(["carlitz", "table", "--p", "3",
                          "--max-prime-degree", "1"])
@@ -198,6 +211,20 @@ def test_type2_report_reads_stdin_and_csv():
     assert lines[0] == "place,d,ells,s,independence,deg_check," \
                        "char_divides_check"
     assert len(lines) == 3
+
+
+CARLITZ_F9_FAMILY = ('{"p":3,"e":2,"r":1,"delta":[[0,0],[1,0]],'
+                     '"coeffs":[[[1,0]]]}')
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_family_constants_follow_the_seed(seed):
+    # the Carlitz descriptor over F_9 reads F_9 as carlitz table does
+    opts = ["--max-prime-degree", "2", "--cap", "24", "--seed", seed]
+    family = run_cli(["type2", "report", "--family", "-", *opts],
+                     CARLITZ_F9_FAMILY)
+    assert family == run_cli(["carlitz", "table", "--p", "3", "--e", "2",
+                              *opts])
 
 
 def test_type2_report_surfaces_bad_reduction_rows():

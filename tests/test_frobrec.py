@@ -1,5 +1,4 @@
 import random
-import time
 from itertools import product
 
 import pytest
@@ -7,17 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drinfeld import (NOT_FROBENIUS, XTOY, YTOX, BivarPoly, RationalFunction,
-                      UPoly, classify_frobenius_bivariate,
-                      consistency_exponents, ff_make, frobenius_target,
-                      parse_bivar, parse_ratfunc, recover_monomial_exponent,
-                      strip_p_powers, theorem_frob_res)
+                      UPoly, classify_frobenius_bivariate, ff_make,
+                      frobenius_target, parse_bivar, parse_ratfunc,
+                      recover_monomial_exponent, strip_p_powers,
+                      theorem_frob_res)
 from drinfeld import frobrec, ratfunc
 from drinfeld.errors import (NonUnitContent, NotAMorphism, Reducible,
-                             RootDoesNotExist, ZeroDenominator,
-                             ZeroPolynomial)
+                             ZeroDenominator, ZeroPolynomial)
 from drinfeld.finitefield import FField
 from drinfeld.frobrec import _algebraic_monomial_test
-from drinfeld.intutil import multiplicative_order
 from drinfeld.upoly import parse_upoly, upoly_gcd
 
 
@@ -276,47 +273,18 @@ def test_repeated_factor_detected_reducible():
 # ---------------------------------------------------------------------------
 # exponent consistency
 
-def test_consistency_examples(F2):
+def test_consistency_examples(F2, F3):
     u = parse_ratfunc("u", F2)
     u1 = parse_ratfunc("u+1", F2)
-    assert consistency_exponents([(u, 1), (u1, 1)]) == 1
-    assert consistency_exponents([(u, 1), (u, 2)]) is None
-
-
-def test_consistency_with_extension_constants(F4):
-    u = parse_ratfunc("u", F4)
-    c = RationalFunction.constant(F4, F4.gen)
-    assert consistency_exponents([(c, 0), (u, 2)]) == 2
-    assert consistency_exponents([(c, 1), (u, 2)]) is None
-    # constants alone give the least representative of the class
-    assert consistency_exponents([(c, 1)]) == 1
-    assert consistency_exponents([(c, 3)]) == 1
-
-
-def test_constant_orders_come_from_the_factors_of_q_minus_1():
-    start = time.perf_counter()
-    two = RationalFunction.constant(ff_make(1000003, 1), 2)
-    assert consistency_exponents([(two, 1)]) == 0
-    assert time.perf_counter() - start < 0.1
-    for p, n in ((2, 2), (2, 3), (3, 2), (5, 2), (2, 4), (7, 1)):
-        F = ff_make(p, n, 0)
-        for code in range(1, F.size):
-            c = F.from_encoding(code)
-            order, acc = 1, c
-            while acc != F.one:
-                acc, order = acc * c, order + 1
-            period = multiplicative_order(p % order, order) if order > 1 else 1
-            const = RationalFunction.constant(F, c)
-            for k in range(4):
-                assert consistency_exponents([(const, k)]) == k % period
-
-
-def test_consistency_root_precondition(F2):
-    u = parse_ratfunc("u", F2)
-    with pytest.raises(RootDoesNotExist):
-        consistency_exponents([(u, -1)])
-    sq = parse_ratfunc("u^2", F2)
-    assert consistency_exponents([(sq, -1), (sq, -1)]) == -1
+    out = theorem_frob_res([u, u1], [u ** 2, u1 ** 2])
+    assert out.ok and out.k == 1
+    # u -> u^2 wants k = 1 and u -> u^4 wants k = 2: no ring morphism
+    with pytest.raises(NotAMorphism):
+        theorem_frob_res([u, u], [u ** 2, u ** 4])
+    # constants of F_p constrain nothing: with no other generator k = 0
+    consts = [RationalFunction.constant(F3, c) for c in (1, 2)]
+    out = theorem_frob_res(consts, consts)
+    assert out.ok and out.k == 0
 
 
 # ---------------------------------------------------------------------------

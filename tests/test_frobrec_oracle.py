@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from drinfeld import (NOT_FROBENIUS, XTOY, YTOX, BivarPoly,
                       FrobClassification, FrobeniusDecision,
                       RationalFunction, UPoly, classify_frobenius_bivariate,
-                      consistency_exponents, ff_generator, ff_make,
-                      frobenius_target, recover_monomial_exponent,
-                      strip_p_powers, theorem_frob_res)
+                      ff_generator, ff_make, frobenius_target,
+                      recover_monomial_exponent, strip_p_powers,
+                      theorem_frob_res)
 from drinfeld.errors import (DrinfeldError, InvariantError, NonUnitContent,
                              NotAMorphism, NotFound, Reducible, ZeroPolynomial)
 from drinfeld.frobrec import (CLASSIFY_RETRIES, _digits_len, _orbit_map,
@@ -121,7 +121,7 @@ def _oracle_theorem(gens, images, seed=0):
             if value != RationalFunction.constant(base, 0):
                 raise NotAMorphism(
                     f"images break the relation {rel.to_text()}")
-    pairs = []
+    exponents = set()
     for b, fb in zip(gens, images):
         if b.is_constant():
             if fb != b:
@@ -146,14 +146,12 @@ def _oracle_theorem(gens, images, seed=0):
                     else fb.frobenius_power(-k_i))
         if expected != (fb if k_i >= 0 else b):
             raise InvariantError("classified exponent fails verification")
-        pairs.append((b, k_i))
-    if not pairs:
-        return FrobeniusDecision(ok=True, k=0)
-    k = consistency_exponents(pairs)
-    if k is None:
+        exponents.add(k_i)
+    # constants constrain nothing: the non-constant generators share k
+    if len(exponents) > 1:
         return FrobeniusDecision(ok=False,
                                  reason="per-generator exponents conflict")
-    return FrobeniusDecision(ok=True, k=k)
+    return FrobeniusDecision(ok=True, k=exponents.pop() if exponents else 0)
 
 
 def _outcome(fn, *args):

@@ -11,13 +11,15 @@ SRC = Path(drinfeld.__file__).parent
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
+def _parsed(folder):
+    for path in sorted(folder.glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"),
+                              filename=str(path))
+
+
 def _find(predicate):
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if predicate(node)]
-    return found
+    return [f"{path.name}:{node.lineno}" for path, tree in _parsed(SRC)
+            for node in ast.walk(tree) if predicate(node)]
 
 
 def _raises_runtime_error(node):
@@ -61,26 +63,39 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def _referenced_names():
-    names = set()
-    for path in sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+def _references():
+    """(names, attributes) in src/ and scripts/: every name and import
+    alias, and every attribute read as x.attr."""
+    names, attributes = set(), set()
+    for _, tree in [*_parsed(SRC), *_parsed(SCRIPTS)]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.update({node.name, node.asname})
-    return names
+    return names, attributes
 
 
 def test_library_defines_nothing_only_tests_reach():
     """Every def and class is named somewhere in src/ or scripts/ (the
-    package's exports count: they are import aliases in __init__.py)."""
-    referenced = _referenced_names() | UNREFERENCED_ALLOWED.keys()
-    found = _find(lambda node: isinstance(
-        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not _is_dunder(node.name) and node.name not in referenced)
+    package's exports count: they are import aliases in __init__.py).  A
+    method, a def in a class body, counts only when read as an attribute:
+    a local variable of the same name does not reach it."""
+    names, attributes = _references()
+    found = []
+    for path, tree in _parsed(SRC):
+        methods = {id(stmt) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for stmt in cls.body}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                    or _is_dunder(node.name)
+                    or node.name in UNREFERENCED_ALLOWED):
+                continue
+            seen = attributes if id(node) in methods else names | attributes
+            if node.name not in seen:
+                found.append(f"{path.name}:{node.lineno}")
     assert not found, "delete it, or allow-list it with its reason: " + \
         ", ".join(found)

@@ -130,11 +130,14 @@ def test_products_and_quotients_with_zero_coefficients(p, e):
     zero, one = UPoly.zero(F), UPoly.one(F)
     x = UPoly.x(F)
     for length in (1, 4, 9):
-        a = UPoly(F, draw(F, rng, length, zeros=0.8))
+        coeffs = draw(F, rng, length, zeros=0.8)
+        a = UPoly(F, coeffs)
         assert a * zero == zero == zero * a and a * one == a
         assert divmod(a, one) == (a, zero)
         assert divmod(zero, a) == (zero, zero)
-        assert divmod(a.shift(5), x ** 3) == (a.shift(2), zero)
+        # x^5 a over x^3 is x^2 a, both built by padding the coefficients
+        assert divmod(UPoly(F, [F.zero] * 5 + coeffs), x ** 3) == \
+            (UPoly(F, [F.zero] * 2 + coeffs), zero)
         c = F.from_encoding(rng.randrange(1, F.size))
         assert divmod(a, UPoly(F, [c])) == (a * c.inverse(), zero)
     with pytest.raises(DivisionByZero):
