@@ -207,8 +207,12 @@ def _cmd_drinfeld(args, stdin, out):
             primes = []
             for chunk in _split_outside_brackets(args.primes):
                 text, _, power = chunk.partition(":")
-                primes.append((_poly_arg(text, E.constants, "t"),
-                               int(power) if power else 1))
+                try:
+                    n = int(power) if power else 1
+                except ValueError as exc:
+                    raise ParseError(f"bad prime power: {clip(power)}") \
+                        from exc
+                primes.append((_poly_arg(text, E.constants, "t"), n))
             rep = dm_frobenius_norm(E, primes, cap=args.cap, seed=args.seed)
         else:
             rep = norm_report(E, cap=args.cap)

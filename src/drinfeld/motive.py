@@ -15,7 +15,8 @@ from __future__ import annotations
 from operator import mul
 
 from .dmodule import DrinfeldModule
-from .ore import frobenius_order
+from .intutil import _power
+from .ore import exponent_order, frobenius_order
 from .polykernel import poly_kernel
 from .torsion import dm_frobenius_det, dm_torsion, splitting_degree
 from .upoly import UPoly
@@ -100,6 +101,15 @@ def motive_frobenius(E: DrinfeldModule):
     return P
 
 
+def group_exponent(field, k: int, n: int) -> int:
+    """The exponent (q^k - 1) p^j of (F_q[t]/l^n)^*, l irreducible of
+    degree k over field = F_q, p^j the least power of p with p^j >= n."""
+    power = 1
+    while power < n:
+        power *= field.p
+    return (field.size ** k - 1) * power
+
+
 def motive_splitting_degree(E: DrinfeldModule, ell: UPoly, n: int,
                             cap: int) -> int:
     """torsion.splitting_degree, read off the motive's q^d-Frobenius A.
@@ -115,13 +125,17 @@ def motive_splitting_degree(E: DrinfeldModule, ell: UPoly, n: int,
     det A = lift(s), s = motive_frobenius_norm(E), and lift is an
     injective ring map F_q[t] -> L[t] (l^n divides s^m - 1 exactly when
     lift(l^n) divides its lift), so A^m = 1 forces s^m = 1 mod l^n: m is a
-    multiple of o, the order of s mod l^n.  o is found first, under the
-    same cap and bound, on packed remainders in F_q[t]; a prime whose o
-    leaves them leaves them with m.  In rank 1, A = lift(s) and m = o, so
-    no L[t] work is done.  Above, the walk from e_1 runs on tuples of
-    packed remainders mod lift(l^n).  Each product is reduced by the
-    kernel's long division (`PolyKernel.divide`), so a kernel has room for
-    the products summed in a step and the division's deg l^n sums.
+    multiple of o, the order of s mod l^n in F_q[t].  o divides the
+    exponent N = (q^k - 1) p^j of (F_q[t]/l^n)^*, k = deg l and p^j the
+    least power of p with p^j >= n (1 + l F_q[t] has exponent p^j), so
+    `exponent_order` reads o off s^m for a few divisors m of N under the
+    walk's cap and bound; a prime whose o leaves them leaves them with m.
+    In rank 1, A = lift(s) and m = o, so no L[t] work is done (the gcd of
+    `reports.choose_prime_sets` decides every l of a degree at n = 1 the
+    same way).  Above, the walk from e_1 runs on tuples of packed remainders
+    mod lift(l^n).  Each product is reduced by the kernel's long division
+    (`PolyKernel.divide`), so a kernel has room for the products summed in
+    a step and the division's deg l^n sums.
     """
     s = motive_frobenius_norm(E)
 
@@ -133,7 +147,13 @@ def motive_splitting_degree(E: DrinfeldModule, ell: UPoly, n: int,
     def walk(lam):
         kernel, rem = remainders(E.constants, lam, 2)
         g = rem(kernel.pack(s.vs))
-        o = frobenius_order(lambda v: rem(v * g), 1, E.L.size, cap)
+
+        def times(x, y):
+            return rem(x * y)
+
+        o = exponent_order(lambda m: _power(g, m, 1, times) == 1,
+                           group_exponent(E.constants, ell.deg, n),
+                           E.L.size, cap)
         if E.r == 1:
             return o
         kernel, rem = remainders(E.L, E.lift(lam), E.r + 1)

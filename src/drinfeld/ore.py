@@ -8,6 +8,8 @@ p = 2 each by an AND) and reduce every output once (`FField._fold`).
 
 from __future__ import annotations
 
+import functools
+
 from .errors import DivisionByZero, Inseparable, NotFound, ZeroPolynomial
 from .finitefield import (FIELD_SIZE_LIMIT, FFElem, FField, KernelSpace,
                           ff_embed)
@@ -187,6 +189,50 @@ def frobenius_order(step, start, size: int, cap: int) -> int:
         if x == start:
             return m
     raise NotFound(cap, f"no full kernel within extension degree {cap}")
+
+
+@functools.lru_cache(maxsize=64)
+def order_divisors(exponent: int, size: int, cap: int) -> tuple:
+    """The maximal divisors of exponent among the m that frobenius_order
+    admits (m <= cap and size^m <= 2^40), descending.
+
+    An x whose order o divides exponent passes that walk exactly when
+    x^m = 1 for one of them: o is itself an admitted divisor, and every
+    admitted divisor divides a maximal one.  An exponent that is admitted
+    is the one maximal divisor.
+    """
+    top, bound = 0, size
+    while top < cap and bound <= FIELD_SIZE_LIMIT:
+        top, bound = top + 1, bound * size
+    out: tuple = ()
+    for m in range(top, 0, -1):
+        if not exponent % m and all(x % m for x in out):
+            out += (m,)
+    return out
+
+
+def exponent_order(is_one, exponent: int, size: int, cap: int) -> int:
+    """frobenius_order from a few powers of a unit x whose order divides
+    exponent; is_one(m) tells whether x^m = 1.
+
+    An admitted exponent (`order_divisors`) bounds the order for free;
+    otherwise x^m = 1 is tried at its maximal admitted divisors, and past
+    them NotFound is raised as the walk raises it.  The order is then the
+    least divisor m of the one found with x^m = 1.
+    """
+    if exponent <= cap and size ** exponent <= FIELD_SIZE_LIMIT:
+        found = exponent
+    else:
+        for found in order_divisors(exponent, size, cap):
+            if is_one(found):
+                break
+        else:
+            raise NotFound(cap,
+                           f"no full kernel within extension degree {cap}")
+    for m in range(1, found):
+        if not found % m and is_one(m):
+            return m
+    return found
 
 
 def ore_splitting_degree(f: OrePoly, cap: int) -> int:

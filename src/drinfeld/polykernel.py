@@ -127,11 +127,12 @@ class PolyKernel:
 
         inv is the element int of 1/b[-1], or None when b is monic.  The
         tuple holds deg b, packed b, packed -b[0], ..., -b[deg b - 1] (each
-        slot times p - 1, mod p) and inv.
+        slot times p - 1, mod p; None at e = 1, where `_pdivmod` divides)
+        and inv.
         """
         k = self.k
-        return (len(b) - 1, self.pack(b),
-                k.norm((k.p - 1) * self.pack(b[:-1])), inv)
+        low = None if self.e == 1 else k.norm((k.p - 1) * self.pack(b[:-1]))
+        return len(b) - 1, self.pack(b), low, inv
 
     def divide(self, v, divisor):
         """The packed quotient and canonical remainder of v by a divisor.

@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 from .dmodule import DrinfeldModule
 from .errors import BadReduction, CapExceeded, InsufficientModulus
 from .family import DrinfeldFamily, dm_residual_frobenius_check
+from .finitefield import SCAN_LIMIT
 from .motive import motive_frobenius_norm, motive_splitting_degree
+from .ore import order_divisors
 from .torsion import _validate_ell, dm_frobenius_det, dm_torsion
 from .upoly import (UPoly, irreducibles_of_degree, monic_irreducibles,
-                    upoly_crt)
+                    upoly_crt, upoly_gcd, upoly_powmod)
 
 PRIME_SETS = 2  # the disjoint prime sets a norm report is checked on
 
@@ -150,31 +152,69 @@ def choose_prime_sets(E: DrinfeldModule, cap: int = 12):
     Candidates are enumerated by (degree, encoding); an l is skipped when
     E[l] does not split within the cap, which its splitting degree alone
     decides (`motive_splitting_degree`).  That degree is a multiple of the
-    order of the norm s mod l^n in F_q[t], and equal to it in rank 1, so
-    rank 1 decides every candidate in F_q[t], and above, a candidate whose
-    order leaves the cap or the 2^40 bound costs no work over L; s is
-    computed once per module and shared with norm_report.  Each pass
-    admits candidates of one more degree, from d + 1 to d + 4, until every
-    set fills.  A degree's candidates are listed only when a pass reaches
-    it, and each (l, n) is searched at most once.
+    order of the norm s mod l^n in F_q[t], and equal to it in rank 1; the
+    order divides the group exponent N of (F_q[t]/l^n)^*, so it passes the
+    cap and the 2^40 bound exactly when s^m = 1 mod l^n for one of the
+    maximal divisors m of N that pass them (`order_divisors`).  So rank 1
+    decides every candidate by a few powers of s in F_q[t], and above, a
+    candidate that fails costs no work over L; s is computed once per
+    module and shared with norm_report.
+
+    Each pass admits candidates of one more degree, from d + 1 to d + 4,
+    until every set fills.  A degree's candidates are listed only when a
+    pass reaches it, and each (l, n) is searched at most once.  In rank 1,
+    the passes after the first decide each new degree k at n = 1 at once:
+    every l of degree k divides x^(q^k) - x, and N = q^k - 1, so l splits
+    exactly when it divides G_k = gcd(x^(q^k) - x, prod_m (s^m - 1)) over
+    those maximal m, and a degree with deg G_k < k, which has no such l,
+    is not listed.  (Where N itself passes, every l splits and is searched
+    as in the first pass.)
     """
     need = E.d + 1
-    known: dict = {}
+    char = E.char_poly.vs
+    known: dict = {}  # (l.vs, n) -> whether E[l^n] splits
+    tests: dict = {}  # k -> how E[l] splits is decided for l of degree k
+
+    def search(ell, n):
+        try:
+            motive_splitting_degree(E, ell, n, cap)
+            return True
+        except CapExceeded:
+            return False
+
+    def splits(ell, n, decide=search):
+        if (ell.vs, n) not in known:
+            known[ell.vs, n] = decide(ell, n)
+        return known[ell.vs, n]
+
+    def degree_test(k):
+        """How E[l] splits is decided for the l of degree k; None when no
+        such l splits."""
+        N = E.q ** k - 1
+        # a degree past SCAN_LIMIT is listed, to raise BoundExceeded
+        if E.r > 1 or k <= need or N >= SCAN_LIMIT:
+            return search
+        ms = order_divisors(N, E.L.size, cap)
+        if ms in ((), (N,)):  # no m (cap < 1), or every l of degree k splits
+            return search
+        s, x = motive_frobenius_norm(E), UPoly.x(E.constants)
+        prod = UPoly.one(E.constants)
+        for m in ms:
+            prod = prod * (s ** m - 1)
+        G = upoly_gcd(upoly_powmod(x, N + 1, prod) - x, prod)
+        return (lambda ell, n: (G % ell).is_zero()) if G.deg >= k else None
 
     def candidates(max_deg):
+        """The l of degree <= max_deg with E[l] split, in (degree,
+        encoding) order."""
         for k in range(1, max_deg + 1):
+            if k not in tests:
+                tests[k] = degree_test(k)
+            if tests[k] is None:
+                continue
             for ell in irreducibles_of_degree(E.constants, k):
-                if ell != E.char_poly:
+                if ell.vs != char and splits(ell, 1, tests[k]):
                     yield ell
-
-    def splits(ell, n):
-        if (ell, n) not in known:
-            try:
-                motive_splitting_degree(E, ell, n, cap)
-                known[ell, n] = True
-            except CapExceeded:
-                known[ell, n] = False
-        return known[ell, n]
 
     for pool_deg in range(E.d + 1, E.d + 5):
         used = set()
@@ -183,10 +223,10 @@ def choose_prime_sets(E: DrinfeldModule, cap: int = 12):
             acc: list = []
             total = 0
             for ell in candidates(pool_deg):
-                if ell in used or not splits(ell, 1):
+                if ell.vs in used:
                     continue
                 acc.append((ell, 1))
-                used.add(ell)
+                used.add(ell.vs)
                 total += ell.deg
                 if total >= need:
                     break

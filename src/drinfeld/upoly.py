@@ -119,7 +119,9 @@ class DensePoly:
         return self._of(self.base, map(self.base._neg, self.vs))
 
     def __pow__(self, e: int):
-        return _power(self, e, self.one(self.base), operator.mul)
+        if not e:
+            return self.one(self.base)
+        return _power(self, e, None, operator.mul)
 
     def frobenius(self, i: int):
         """sigma^i coefficientwise, sigma the p-power of the base field."""
@@ -181,6 +183,11 @@ class UPoly(DensePoly):
     __rmul__ = __mul__
 
     def __divmod__(self, other):
+        return self._divide(other, True)
+
+    def _divide(self, other, quotient: bool):
+        """divmod(self, other); the quotient is unpacked only when asked
+        for, and is otherwise None (or zero, below deg other)."""
         other = self._coerce(other)
         if other.is_zero():
             raise DivisionByZero("division by the zero polynomial")
@@ -191,15 +198,17 @@ class UPoly(DensePoly):
         kernel = poly_kernel(self.base, other.deg)
         q, r = kernel.divide(kernel.pack(self.vs),
                              kernel.divisor(other.vs, inv))
+        r = UPoly._of(self.base, kernel.unpack(r, other.deg))
+        if not quotient:
+            return None, r
         count = self.deg - other.deg + 1
-        return (UPoly._of(self.base, kernel.unpack(q, count)),
-                UPoly._of(self.base, kernel.unpack(r, other.deg)))
+        return UPoly._of(self.base, kernel.unpack(q, count)), r
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        return self._divide(other, False)[1]
 
     def derivative(self) -> "UPoly":
         mul, p = self.base._mul, self.base.p
@@ -371,6 +380,8 @@ def irreducibles_of_degree(base: FField, d: int) -> tuple:
                             "many to sieve")
     slots = base._slots
     elems = [slots.pack(cs[::-1]) for cs in product(range(p), repeat=e)]
+    if d == 1:  # x + c for every c, nothing to sieve
+        return tuple(UPoly._of(base, (v, 1)) for v in elems)
     # a vector's bits per coefficient, and a coefficient's digits: at p = 2
     # its encoding, above its element int, which has a slot per digit
     if p == 2:

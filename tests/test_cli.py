@@ -187,11 +187,20 @@ def test_carlitz_table_and_exit_code():
     (["frobrec", "classify", "--p", "2", "--poly", " " * 5000], ""),
     (["frobrec", "theorem", "--p", "2", "--gens", "u/(" + " " * 5000 + ")",
       "--images", "u"], ""),
-], ids=["phi", "classify", "empty-bivariate", "empty-denominator"])
+    (["drinfeld", "frobnorm", "--module", "-", "--primes", "t:" + "Z" * 3000],
+     CARLITZ_F4_MODULE),
+], ids=["phi", "classify", "empty-bivariate", "empty-denominator",
+        "prime-power"])
 def test_error_lines_quote_at_most_40_characters_of_input(argv, stdin_text):
     code, out = run_cli(argv, stdin_text)
     assert code == 2 and out.count("\n") == 1
     assert len(out.encode()) < 200 and "..." in json.loads(out)["error"]
+
+
+def test_a_prime_power_that_is_not_an_integer_is_a_parse_error():
+    code, out = run_cli(["drinfeld", "frobnorm", "--module", "-",
+                         "--primes", "t:x"], CARLITZ_F4_MODULE)
+    assert (code, out) == (2, '{"error":"bad prime power: x"}\n')
 
 
 def test_carlitz_table_p3():

@@ -3,7 +3,8 @@
 Each digest is a SHA-256 of (exit code, stdout) for one CLI command run
 in-process through `drinfeld.cli.main`.  The commands are every item of the
 benchmark's workloads (`bench/workloads.py`) at seeds 1 and 2, plus the
-CI smoke step's `carlitz table` and `frobnorm` commands, and six
+CI smoke step's `carlitz table` and `frobnorm` commands, the degree-8
+table, whose later sets need primes above degree d + 1, and six
 `frobrec theorem` rejections built on a pair annihilator.  Each command runs
 twice, first with every module-level cache of the library emptied, then
 warm; both runs must give the committed digest.
@@ -46,14 +47,17 @@ F81_MODULE = ('{"field":{"p":3,"n":4,"modulus":[2,1,0,0,1]},'
               '"theta":[0,1,0,0],"coeffs":[[1,0,0,0]],"e":2,"twist":1}')
 CARLITZ_F2 = '{"p":2,"e":1,"r":1,"delta":[[0],[1]],"coeffs":[[[1]]]}'
 
-# (label, argv, stdin): the smoke step's tables and norms.  Its q = 8
-# failure over F_64 takes seconds and CI pins its error text itself.
+# (label, argv, stdin): the smoke step's tables and norms, and the degree-8
+# table.  The q = 8 failure over F_64 is pinned by CI's error text.
 SMOKE = (
     ("carlitz table p=2 degree 6 csv",
      ["carlitz", "table", "--p", "2", "--max-prime-degree", "6",
       "--cap", "24", "--format", "csv"], ""),
     ("carlitz table p=2 degree 7 csv",
      ["carlitz", "table", "--p", "2", "--max-prime-degree", "7",
+      "--cap", "24", "--format", "csv"], ""),
+    ("carlitz table p=2 degree 8 csv",
+     ["carlitz", "table", "--p", "2", "--max-prime-degree", "8",
       "--cap", "24", "--format", "csv"], ""),
     ("frobnorm F4 primes l^2",
      ["drinfeld", "frobnorm", "--module", "-",
