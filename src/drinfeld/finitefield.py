@@ -94,18 +94,23 @@ class _Slots:
     polynomial functions below take and return normalized ints.
     """
 
-    __slots__ = ("p", "w", "size", "table", "code", "ones", "reach")
+    __slots__ = ("p", "w", "size", "table", "bytes_mod", "code", "ones",
+                 "reach")
 
     def __init__(self, p, w):
         self.p, self.w, self.size = p, w, w // 8
-        self.table = None
-        if w == 8:  # byte -> byte mod p, a period-p pattern
-            self.table = (bytes(range(p)) * (256 // p + 1))[:256]
+        # byte -> byte mod p, a period-p pattern: the slots at w = 8, and
+        # each byte of a 16-bit slot at odd p < 16
+        mods = (bytes(range(p)) * (256 // p + 1))[:256] if p < 16 else None
+        self.table = mods if w == 8 else None
+        self.bytes_mod = mods if w == 16 and p > 2 else None
         self.code = _WORD_CODES.get(self.size)
-        # p = 2: a slot mod 2 is its low bit; ones has the low bit of every
-        # slot below `reach` bits, and grows on demand
+        # p = 2: a slot mod 2 is its low bit.  16-bit slots at odd p < 16: a
+        # slot lo + 256 hi, both bytes taken mod p, is lo + (256 mod p) hi
+        # mod p, and that sum is below p^2 < 256.  ones has the low bit, or
+        # the low byte, of every slot below `reach` bits, and grows on demand
         self.ones = self.reach = 0
-        if p == 2:
+        if p == 2 or self.bytes_mod:
             self._grow(64 * w)
 
     def pack(self, coeffs):
@@ -135,17 +140,28 @@ class _Slots:
         slots = max(-(-bits // self.w), 2 * self.reach // self.w)
         self.reach = slots * self.w
         self.ones = ((1 << self.reach) - 1) // ((1 << self.w) - 1)
+        if self.bytes_mod:
+            self.ones *= 255
 
     def norm(self, v):
         """v with every slot taken mod p."""
         if self.ones:
             if v >> self.reach:
                 self._grow(v.bit_length())
-            return v & self.ones
+            if not self.bytes_mod:
+                return v & self.ones
+            v, ones = _translate(v, self.bytes_mod), self.ones
+            return _translate((v & ones) + (v >> 8 & ones) * (256 % self.p),
+                              self.bytes_mod)
         if self.table is not None:
-            raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
-            return int.from_bytes(raw.translate(self.table), "little")
+            return _translate(v, self.table)
         return self.pack(self.unpack(v, -(-v.bit_length() // self.w)))
+
+
+def _translate(v, table):
+    """v with each byte b replaced by table[b]."""
+    raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
+    return int.from_bytes(raw.translate(table), "little")
 
 
 @functools.lru_cache(maxsize=32)

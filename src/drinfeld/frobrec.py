@@ -13,12 +13,12 @@ witness root outside a Frobenius orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .bivar import (BivarPoly, annihilator_resultant, bivar_gcd_y,
-                    bivar_radical)
+from .bivar import BivarPoly, bivar_gcd_y
 from .errors import (InvariantError, NonUnitContent, NotAMorphism, NotFound,
                      Reducible, ZeroDenominator, ZeroPolynomial)
-from .finitefield import ff_generator, ff_make
+from .finitefield import _eliminate, _slots, _width, ff_generator, ff_make
 from .ratfunc import RationalFunction
 from .upoly import UPoly, upoly_gcd, upoly_roots
 
@@ -295,20 +295,58 @@ class FrobeniusDecision:
 
 
 def pair_annihilator(b1: RationalFunction, b2: RationalFunction) -> BivarPoly:
-    """Irreducible bivariate relation satisfied by (b1, b2), via resultants.
+    """The irreducible relation P0(b1, b2) = 0 over F_p of b1 = N1/D1 and
+    b2 = N2/D2 in F_p(u), monic in its largest (deg_Y, deg_X) term.
+
+    By Lueroth, F_p(u) has degree n_i = max(deg N_i, deg D_i) over
+    F_p(b_i), and a degree D dividing gcd(n1, n2) over F_p(b1, b2), so P0
+    has degrees (a, b) = (n2/D, n1/D) in (X, Y) and every relation is a
+    multiple of it.  So for D over the divisors, largest first (a box of
+    larger D is too short in Y), the first nonzero kernel of the F_p-linear
+    map X^i Y^j -> N1^i D1^(a-i) N2^j D2^(b-j) on u-coefficients is the
+    line of P0 (implicitization by linear algebra: Sederberg, Anderson and
+    Goldman, "Implicit representation of parametric curves and surfaces",
+    1984).  The columns run in (deg_Y, deg_X) order, and `_eliminate`'s
+    kernel vector is 1 on its own column, the last it names.  Slots with
+    2^w > rows p^2, rows = a n1 + b n2 + 1, bound the elimination and
+    each product.  When b1 and b2 are polynomials, P0 has degree
+    n1 n2 / D = a n1 with X of weight n1 and Y of weight n2, so only the
+    columns of weight i n1 + j n2 <= a n1 and a n1 + 1 rows are needed.
 
     R(b1, b2) = R(b1^(1/p), b2^(1/p))^p for R over F_p, so while both lie in
-    F_p(u^p) the pair is replaced by its p-th roots, of degrees p times
-    smaller, before the resultant.  That is c(X)*P0^m, P0 the minimal
-    polynomial of b2 over F_p(b1): irreducible, with no content in X.
+    F_p(u^p) the pair is replaced by its p-th roots first.
     """
     while (not (b1.is_constant() and b2.is_constant())
            and b1.has_p_power_root(1) and b2.has_p_power_root(1)):
         b1, b2 = b1.frobenius_power(-1), b2.frobenius_power(-1)
-    R = annihilator_resultant(b1.num, b1.den, b2.num, b2.den)
-    if R.is_zero():
-        raise ZeroPolynomial("degenerate parametrization")
-    return bivar_radical(R)
+    n1, n2 = (max(b.num.deg, b.den.deg) for b in (b1, b2))
+    if n1 < 1 or n2 < 1:
+        raise ZeroPolynomial("a constant has no relation with its pair")
+    p, g = b1.base.p, gcd(n1, n2)
+    polys = b1.den.deg == b2.den.deg == 0
+    for D in (D for D in range(g, 0, -1) if g % D == 0):
+        a, b = n2 // D, n1 // D
+        top = a * n1 if polys else a * n1 + b * n2
+        box = [(i, j) for j in range(b + 1) for i in range(a + 1)
+               if i * n1 + j * n2 <= top]
+        k = _slots(p, _width(p, top + 1))
+        xs, ys = _homogeneous_powers(b1, a, k), _homogeneous_powers(b2, b, k)
+        kernel = _eliminate([k.norm(xs[i] * ys[j]) for i, j in box], k)[1]
+        if kernel:
+            return BivarPoly(p, dict(zip(box, k.unpack(kernel[0], len(box)))))
+    # the box of D = 1 holds the resultant Res_u(N1 - X D1, N2 - Y D2)
+    raise InvariantError(  # pragma: no cover
+        "the pair satisfies no relation in any box")
+
+
+def _homogeneous_powers(f: RationalFunction, a: int, k):
+    """N^i D^(a-i) for i = 0..a, f = N/D over F_p, as packed ints."""
+    num, den = k.pack(f.num.vs), k.pack(f.den.vs)
+    nums, dens = [1], [1]
+    for _ in range(a):
+        nums.append(k.norm(nums[-1] * num))
+        dens.append(k.norm(dens[-1] * den))
+    return [k.norm(x * y) for x, y in zip(nums, reversed(dens))]
 
 
 def _frobenius_exponent(b: RationalFunction, fb: RationalFunction):

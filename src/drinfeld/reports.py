@@ -169,6 +169,24 @@ def choose_prime_sets(E: DrinfeldModule, cap: int = 12):
     those maximal m, and a degree with deg G_k < k, which has no such l,
     is not listed.  (Where N itself passes, every l splits and is searched
     as in the first pass.)
+
+    Testing deg G_k > k would list the same degrees: G_k is never one l of
+    degree k.  Let l | G_k with a root a, and z = s(a) of order o <= M, M
+    the largest m <= cap with |L|^m <= 2^40.  F_q(z) = F_(q^j), j the order
+    of q mod o, and a is a root of s - z, of degree d, so j | k <= j d, and
+    k >= d + 2 forces j >= 2: o >= 3 does not divide q - 1.  When
+    q - 1 <= M, every linear l' but the characteristic ideal divides G_k,
+    so o <= M < q - 1.  As o divides one of the m, G_k holds every
+    irreducible of degree dividing k with a root b where s(b) is 1 or z.
+    Now q^k < 2^21 and q^(d o) <= 2^40.  At d = 1, s - 1 is linear.  At
+    d = 2, k is even (an odd k is j >= 5, so o >= 11, q >= 13 and
+    q^o > 2^20), and a factor of s - 1 has degree 1 or 2.  At d >= 3,
+    q^5 < 2^21 and q^(3 o) <= 2^40 leave j = 2 and (q, o) = (5, 3) with
+    (d, k) = (3, 6), (4, 6), (4, 8) or (5, 8), (q, o) = (8, 3) with
+    (d, k) = (3, 6) or (4, 6), and (7, 4) or (11, 3) with (d, k) = (3, 6).
+    At d = 3 every degree up to 3 divides k = 6; at (d, k) = (4, 8), s - 1
+    has a factor of degree 1, 2 or 4; otherwise k / 2 = d - 1, so s - z
+    has a root b in F_(q^2), of degree 2 over F_q.
     """
     need = E.d + 1
     char = E.char_poly.vs

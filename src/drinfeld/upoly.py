@@ -433,42 +433,6 @@ def monic_irreducibles(base: FField, max_deg: int):
             for f in irreducibles_of_degree(base, d)] + list(top)
 
 
-def lagrange_interpolator(xs, base: FField):
-    """ys -> the unique polynomial of degree < len(xs) through (x_i, y_i).
-
-    The Lagrange basis is built once; each interpolant combines it linearly.
-    """
-    full = UPoly.one(base)
-    for x in xs:
-        full = full * UPoly(base, [-x, base.one])
-    basis = []
-    for xi in xs:
-        # the basis numerator prod_{j != i} (x - x_j), scaled to 1 at x_i
-        num = full // UPoly(base, [-xi, base.one])
-        basis.append(num * num.eval(xi).inverse())
-    return lambda ys: sum((b * y for b, y in zip(basis, ys)),
-                          UPoly.zero(base))
-
-
-def upoly_resultant(f: UPoly, g: UPoly) -> FFElem:
-    """Resultant over the base field via the Euclidean recurrence."""
-    base = f.base
-    if f.is_zero() or g.is_zero():
-        return base.zero
-    res = base.one
-    a, b = f, g
-    while True:
-        if b.deg == 0:
-            return res * b.leading() ** a.deg
-        r = a % b
-        if r.is_zero():
-            return base.zero
-        res = res * b.leading() ** (a.deg - r.deg)
-        if (a.deg * b.deg) % 2:
-            res = -res
-        a, b = b, r
-
-
 # ---------------------------------------------------------------------------
 # text parsing: sparse sums like "t^2+t+1", "3*t^4+2", "[0,1]*t+[1,1]"
 

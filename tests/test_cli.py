@@ -533,14 +533,23 @@ def test_rejection_over_a_large_prime_fails_fast():
 
 
 def test_resultant_points_above_the_scan_limit_need_no_scan():
-    # F_p with p > 2^21 is too large to enumerate, but the resultant takes
-    # only its first interpolation points, by encoding
+    # F_p with p > 2^21 is too large to enumerate, but the relation is a
+    # nullspace over F_p and needs no point of it
     start = time.perf_counter()
     code, out = run_cli(["frobrec", "theorem", "--p", "2097169", "--gens",
                          "u^2,u^3", "--images", "u^4,u^5"])
     assert time.perf_counter() - start < 2.0
     assert code == 2 and json.loads(out) == {
         "error": "images break the relation Y^2+2097168*X^3"}
+
+
+def test_relation_at_the_largest_prime_below_2_to_the_40():
+    # the nullspace's slots hold sums of products below rows * p^2 > 2^80,
+    # so they are 128 bits wide
+    code, out = run_cli(["frobrec", "theorem", "--p", "1099511627689",
+                         "--gens", "u^2,u^3", "--images", "u^4,u^5"])
+    assert (code, out) == (
+        2, '{"error":"images break the relation Y^2+1099511627688*X^3"}\n')
 
 
 ORE_EVAL_PAYLOAD = ('{"f":{"field":{"p":2,"n":2,"modulus":[1,1,1]},'

@@ -198,21 +198,22 @@ def test_preimage_matches_the_schoolbook_solve(p, m, n):
 # ---------------------------------------------------------------------------
 # one AND at p = 2
 
-def reference_norm(w, v):
-    """Every w-bit slot of v mod 2 through bytes.translate or struct."""
+def reference_norm(w, v, p=2):
+    """Every w-bit slot of v mod p through bytes.translate or struct."""
     slots = -(-v.bit_length() // w) or 1
     raw = v.to_bytes(slots * w // 8, "little")
     if w == 8:
-        return int.from_bytes(raw.translate(bytes(range(2)) * 128), "little")
+        return int.from_bytes(raw.translate(bytes(c % p for c in range(256))),
+                              "little")
     if w in (16, 32, 64):
         code = {16: "H", 32: "I", 64: "Q"}[w]
         words = struct.unpack(f"<{slots}{code}", raw)
         return int.from_bytes(struct.pack(f"<{slots}{code}",
-                                          *(c % 2 for c in words)), "little")
+                                          *(c % p for c in words)), "little")
     size = w // 8
     slot = (int.from_bytes(raw[i:i + size], "little")
             for i in range(0, len(raw), size))
-    return int.from_bytes(b"".join((c % 2).to_bytes(size, "little")
+    return int.from_bytes(b"".join((c % p).to_bytes(size, "little")
                                    for c in slot), "little")
 
 
@@ -234,6 +235,29 @@ def test_norm_at_p_2_is_one_and(w):
 @given(w=st.sampled_from([8, 16, 32, 64]), v=st.integers(0, 2 ** 6000))
 def test_norm_at_p_2_on_drawn_ints(w, v):
     assert _slots(2, w).norm(v) == reference_norm(w, v)
+
+
+# ---------------------------------------------------------------------------
+# 16-bit slots at odd p < 16: two byte translations
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_norm_of_16_bit_slots_by_bytes(p):
+    k = _Slots(p, 16)
+    rng = random.Random(p)
+    for bits in (0, 1, 16, 3 * 16 + 5, 200 * 16, 1000 * 16 + 3):
+        reach = k.reach
+        v = rng.getrandbits(bits) if bits else 0
+        assert k.norm(v) == reference_norm(16, v, p)
+        assert k.reach >= max(reach, v.bit_length())
+    # every slot value, once each
+    v = int.from_bytes(struct.pack("<65536H", *range(65536)), "little")
+    assert k.norm(v) == reference_norm(16, v, p)
+
+
+@RUN
+@given(p=st.sampled_from([3, 5, 7, 11, 13]), v=st.integers(0, 2 ** 6000))
+def test_norm_of_16_bit_slots_on_drawn_ints(p, v):
+    assert _slots(p, 16).norm(v) == reference_norm(16, v, p)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,7 @@ from drinfeld import (DrinfeldModule, UPoly, ff_make, monic_irreducibles,
 from drinfeld.errors import (BoundExceeded, FieldMismatch, NonCoprimeModuli,
                              ZeroPolynomial)
 from drinfeld.finitefield import FFElem, FField, _pirreducible, ff_embed
-from drinfeld.upoly import (NEG_INF, irreducibles_of_degree,
-                            lagrange_interpolator, upoly_powmod,
-                            upoly_resultant)
+from drinfeld.upoly import NEG_INF, irreducibles_of_degree, upoly_powmod
 from test_dmodule import _minimal_polynomial_by_solves
 
 
@@ -222,36 +220,6 @@ def test_text_parses_back_over_every_field(p, n):
     assert parse_upoly("[1]*t+2*t-t", F) == UPoly(F, [0, 2])
     if n > 1:
         assert parse_upoly(f"-[0,{p - 1}]+t^2", F) == UPoly(F, [F.gen, 0, 1])
-
-
-def lagrange_interpolate(points, base):
-    return lagrange_interpolator([x for x, _ in points], base)(
-        [y for _, y in points])
-
-
-def test_lagrange_interpolation(F9):
-    pts = [(F9.from_encoding(k), F9.from_encoding(k) ** 3 + F9.one)
-           for k in range(4)]
-    f = lagrange_interpolate(pts, F9)
-    assert all(f.eval(x) == y for x, y in pts)
-    assert f.deg <= 3
-    rng = random.Random(5)
-    for size in range(1, 10):
-        pts = [(F9.from_encoding(k), F9.from_encoding(rng.randrange(9)))
-               for k in rng.sample(range(9), size)]
-        f = lagrange_interpolate(pts, F9)
-        assert all(f.eval(x) == y for x, y in pts)
-        assert f.deg < size
-
-
-def test_resultant_vanishes_iff_common_root(F4):
-    x = UPoly.x(F4)
-    w = F4.gen
-    f = (x - w) * (x - F4.one)
-    g = x - w
-    assert not upoly_resultant(f, g)
-    h = x - w * w
-    assert upoly_resultant(f, h)
 
 
 def test_powmod_matches_repeated_multiplication(F3):
